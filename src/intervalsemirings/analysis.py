@@ -15,7 +15,14 @@ import json
 
 import numpy as np
 
-from .carriers import Magma, build_loop, loop_law_summary, loop_parameters
+from .carriers import (
+    Magma,
+    _law_witness,
+    build_loop,
+    first_violation,
+    loop_law_summary,
+    loop_parameters,
+)
 from .domains import (
     CHAIN,
     NAT,
@@ -43,6 +50,8 @@ from .formalsums import (
     FormalSum,
     PolyBasis,
     SemiringSpec,
+    _ENUM_GUARD,
+    _basis_op,
     basis_is_finite,
     basis_keys,
     basis_token,
@@ -61,7 +70,6 @@ from .matrices import (
     zero_matrix,
 )
 
-_ENUM_GUARD = 1 << 20
 _GENERATED_GUARD = 1 << 14
 _EXHAUSTIVE_SUBSET_LIMIT = 20
 _CLOSURE_CAP = 4096
@@ -330,12 +338,9 @@ def find_zero_divisors(h, budget=None):
 
 def _domain_zero_divisor_pair(d):
     """Minimal nonzero pair with zero product in a finite domain, or None."""
-    zero = domain_zero(d)
-    elems = [x for x in domain_elements(d) if x != zero]
-    for x, y in itertools.combinations_with_replacement(elems, 2):
-        if x * y == zero and y * x == zero:
-            return (y, x) if element_key(y) > element_key(x) else (x, y)
-    return None
+    h = SemiringHandle.for_domain(d)
+    pair = next(_zero_divisor_pairs(h, domain_elements(d)), None)
+    return None if pair is None else h.pair(*pair)
 
 
 def _zero_divisor_patterns(h, query):
@@ -491,7 +496,7 @@ def _idempotent_patterns(h, query):
         findings.append(Finding("idempotent", _wit(h, h.zero), (h.zero,)))
         if basis_is_finite(spec.basis):
             for k in basis_keys(spec):
-                if _basis_product(spec, k, k) == k:
+                if _basis_op(spec, k, k) == k:
                     for c in dom_idem:
                         x = fs_term(spec, k, c)
                         if h.mul(x, x) == x:
@@ -520,14 +525,6 @@ def _idempotent_patterns(h, query):
     # row matrices over nat/rat are idempotent exactly when every entry is,
     # and entrywise idempotents are only 0 and 1
     return _report(query, findings, complete, 0)
-
-
-def _basis_product(spec, g, h):
-    b = spec.basis
-    if isinstance(b, PolyBasis):
-        s = g + h
-        return s if b.cyclic is None else s % b.cyclic
-    return b.op(g, h)
 
 
 def find_units(h):
@@ -873,6 +870,55 @@ def validate_s_certificate(h, kind, elements):
 
 
 # ---------------------------------------------------------------------------
+# subset-law scans, shared by classification and the subset checks
+
+
+def _pairs(members, distinct=False):
+    """Pairs (members[i], members[j]) with i <= j (i < j when distinct)."""
+    for i, x in enumerate(members):
+        for y in members[i + 1 if distinct else i:]:
+            yield x, y
+
+
+def _first_unclosed(h, members, mset):
+    """First (law, x, y) over members x, y whose sum or product leaves mset."""
+    for x in members:
+        for y in members:
+            if h.add(x, y) not in mset:
+                return ("not-closed-under-addition", x, y)
+            if h.mul(x, y) not in mset:
+                return ("not-closed-under-multiplication", x, y)
+    return None
+
+
+def _non_strict_pairs(h, members):
+    """Pairs other than (0, 0) whose sum is zero."""
+    zero = h.zero
+    return ((x, y) for x, y in _pairs(members)
+            if h.add(x, y) == zero and not (x == zero and y == zero))
+
+
+def _noncommuting_pairs(h, members):
+    """Distinct pairs whose products differ by order."""
+    return ((x, y) for x, y in _pairs(members, distinct=True)
+            if h.mul(x, y) != h.mul(y, x))
+
+
+def _zero_divisor_pairs(h, members):
+    """Pairs of nonzero members whose products vanish both ways."""
+    zero = h.zero
+    nz = [x for x in members if x != zero]
+    return ((x, y) for x, y in _pairs(nz)
+            if h.mul(x, y) == zero and h.mul(y, x) == zero)
+
+
+def _has_internal_identity(h, members):
+    """Whether some member acts as a two-sided identity on members."""
+    return any(all(h.mul(u, x) == x and h.mul(x, u) == x for x in members)
+               for u in members)
+
+
+# ---------------------------------------------------------------------------
 # substructures
 
 
@@ -917,12 +963,9 @@ def check_substructure(h, subset, kind="subsemiring"):
     if h.zero not in mset:
         return (False, ("missing-zero",))
     ordered = sorted(mset, key=h.key)
-    for x in ordered:
-        for y in ordered:
-            if h.add(x, y) not in mset:
-                return (False, ("not-closed-under-addition", x, y))
-            if h.mul(x, y) not in mset:
-                return (False, ("not-closed-under-multiplication", x, y))
+    unclosed = _first_unclosed(h, ordered, mset)
+    if unclosed is not None:
+        return (False, unclosed)
     if kind == "subsemiring":
         return (True, None)
     if not h.is_enumerable():
@@ -975,56 +1018,26 @@ def classify_semiring(h):
 
 def _classify_scan(h):
     elems = _sorted_elements(h)
-    zero = h.zero
     witnesses = {}
-    best = None
-    for i, x in enumerate(elems):
-        for y in elems[i:]:
-            if h.add(x, y) == zero and not (x == zero and y == zero):
-                a, b = h.pair(x, y)
-                k = (h.key(a), h.key(b))
-                if best is None or k < best[0]:
-                    best = (k, (a, b))
-    strict = best is None
-    if not strict:
-        witnesses["strict"] = _wit(h, *best[1])
-    commutative = True
-    for i, x in enumerate(elems):
-        for y in elems[i + 1:]:
-            if h.mul(x, y) != h.mul(y, x):
-                witnesses["commutative"] = _wit(h, x, y)
-                commutative = False
-                break
-        if not commutative:
-            break
-    identity = None
-    for u in elems:
-        if all(h.mul(u, x) == x and h.mul(x, u) == x for x in elems):
-            identity = u
-            break
-    has_one = identity is not None
+
+    def least(pairs):
+        return min((h.pair(x, y) for x, y in pairs),
+                   key=lambda p: (h.key(p[0]), h.key(p[1])), default=None)
+
+    strict_w = least(_non_strict_pairs(h, elems))
+    if strict_w is not None:
+        witnesses["strict"] = _wit(h, *strict_w)
+    commutative_w = next(_noncommuting_pairs(h, elems), None)
+    if commutative_w is not None:
+        witnesses["commutative"] = _wit(h, *commutative_w)
+    has_one = _has_internal_identity(h, elems)
     if not has_one:
         witnesses["has_one"] = ("no element acts as a two-sided identity",)
-    nz = [x for x in elems if x != zero]
-    best = None
-    for i, x in enumerate(nz):
-        for y in nz[i:]:
-            if h.mul(x, y) == zero and h.mul(y, x) == zero:
-                a, b = h.pair(x, y)
-                k = (h.key(a), h.key(b))
-                if best is None or k < best[0]:
-                    best = (k, (a, b))
-    zdfree = best is None
-    if not zdfree:
-        witnesses["zero_divisor_free"] = _wit(h, *best[1])
-    semifield = strict and commutative and has_one and zdfree
-    if not semifield:
-        failed = [n for n, v in (("strict", strict), ("commutative", commutative),
-                                 ("has_one", has_one),
-                                 ("zero_divisor_free", zdfree)) if not v]
-        witnesses["semifield"] = tuple(failed)
-    return Classification(strict, commutative, has_one, zdfree, semifield,
-                          witnesses, True)
+    zd_w = least(_zero_divisor_pairs(h, elems))
+    if zd_w is not None:
+        witnesses["zero_divisor_free"] = _wit(h, *zd_w)
+    return _finish_classification(h, strict_w is None, commutative_w is None,
+                                  has_one, zd_w is None, witnesses)
 
 
 def _classify_structural(h):
@@ -1069,15 +1082,7 @@ def _classify_formal_sum_structural(h):
         witnesses["strict"] = _wit(h, x, y)
     commutative = True
     if isinstance(spec.basis, Magma):
-        g = spec.basis
-        w = None
-        for i in range(g.order):
-            for j in range(i + 1, g.order):
-                if g.op(i, j) != g.op(j, i):
-                    w = (i, j)
-                    break
-            if w:
-                break
+        w = _law_witness(spec.basis, "commutative")
         if w is not None:
             c = _first_nonzero_scalar(d)
             if c is not None:
@@ -1183,45 +1188,32 @@ def semifield_within(h, subset):
     """
     members = sorted(set(subset), key=h.key)
     mset = set(members)
-    zero = h.zero
-    if zero not in mset:
+    if h.zero not in mset:
         return (False, ("missing-zero",))
     if len(members) < 2:
         return (False, ("trivial",))
-    for x in members:
-        for y in members:
-            if h.add(x, y) not in mset:
-                return (False, ("not-closed-under-addition", x, y))
-            if h.mul(x, y) not in mset:
-                return (False, ("not-closed-under-multiplication", x, y))
-    for i, x in enumerate(members):
-        for y in members[i:]:
-            if h.add(x, y) == zero and not (x == zero and y == zero):
-                return (False, ("not-strict", x, y))
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            if h.mul(x, y) != h.mul(y, x):
-                return (False, ("not-commutative", x, y))
-    if not any(all(h.mul(u, x) == x and h.mul(x, u) == x for x in members)
-               for u in members):
+    unclosed = _first_unclosed(h, members, mset)
+    if unclosed is not None:
+        return (False, unclosed)
+    w = next(_non_strict_pairs(h, members), None)
+    if w is not None:
+        return (False, ("not-strict",) + w)
+    w = next(_noncommuting_pairs(h, members), None)
+    if w is not None:
+        return (False, ("not-commutative",) + w)
+    if not _has_internal_identity(h, members):
         return (False, ("no-internal-identity",))
-    nzm = [x for x in members if x != zero]
-    for i, x in enumerate(nzm):
-        for y in nzm[i:]:
-            if h.mul(x, y) == zero and h.mul(y, x) == zero:
-                return (False, ("zero-divisor", x, y))
+    w = next(_zero_divisor_pairs(h, members), None)
+    if w is not None:
+        return (False, ("zero-divisor",) + w)
     return (True, None)
 
 
 def _is_s_subsemiring(h, members, total_size):
     """P closed with zero, containing a proper semifield T; returns T or None."""
     mset = set(members)
-    if h.zero not in mset:
+    if h.zero not in mset or _first_unclosed(h, members, mset) is not None:
         return None
-    for x in members:
-        for y in members:
-            if h.add(x, y) not in mset or h.mul(x, y) not in mset:
-                return None
     for t in _semifield_candidates_within(h, members):
         if len(t) < len(mset):
             return t
@@ -1484,37 +1476,33 @@ def verify_axioms(h):
         for j, y in enumerate(elems):
             add[i, j] = idx[h.add(x, y)]
             mul[i, j] = idx[h.mul(x, y)]
-    z = idx[h.zero]
-    rng = np.arange(k)
-    if not np.array_equal(add[z], rng) or not np.array_equal(add[:, z], rng):
-        bad = int(np.argmax(add[z] != rng)) if not np.array_equal(add[z], rng) \
-            else int(np.argmax(add[:, z] != rng))
-        return (False, ("zero-identity", elems[bad]))
-    if not np.array_equal(add, add.T):
-        i, j = map(int, np.argwhere(add != add.T)[0])
-        return (False, ("addition-not-commutative", elems[i], elems[j]))
-    # associativity: (x+y)+z vs x+(y+z)
-    lhs = add[add]                    # lhs[i,j,k] = add[add[i,j], k]
-    rhs = add[:, add]                 # rhs[i,j,k] = add[i, add[j,k]]
-    if not np.array_equal(lhs, rhs):
-        i, j, kk = map(int, np.argwhere(lhs != rhs)[0])
-        return (False, ("addition-not-associative",
-                        elems[i], elems[j], elems[kk]))
-    # left distributivity: x*(y+z) vs x*y + x*z
-    lhs = mul[:, add]                 # lhs[i,j,k] = mul[i, add[j,k]]
-    rhs = add[mul[:, :, None], mul[:, None, :]]
-    if not np.array_equal(lhs, rhs):
-        i, j, kk = map(int, np.argwhere(lhs != rhs)[0])
-        return (False, ("not-left-distributive",
-                        elems[i], elems[j], elems[kk]))
-    # right distributivity: (y+z)*x vs y*x + z*x, indexed (y, z, x)
-    lhs = mul[add]                    # lhs[j,k,i] = mul[add[j,k], i]
-    rhs = add[mul[:, None, :], mul[None, :, :]]
-    # rhs[j,k,i] = add[mul[j,i], mul[k,i]]
-    if not np.array_equal(lhs, rhs):
-        j, kk, i = map(int, np.argwhere(lhs != rhs)[0])
-        return (False, ("not-right-distributive",
-                        elems[i], elems[j], elems[kk]))
+    zero = idx[h.zero]
+    r = range(k)
+
+    def failure(law, bad):
+        return (False, (law,) + tuple(elems[i] for i in bad))
+
+    bad = (first_violation(r, 1, lambda x: add[zero, x] == x)
+           or first_violation(r, 1, lambda x: add[x, zero] == x))
+    if bad:
+        return failure("zero-identity", bad)
+    bad = first_violation(r, 2, lambda x, y: add[x, y] == add[y, x])
+    if bad:
+        return failure("addition-not-commutative", bad)
+    bad = first_violation(
+        r, 3, lambda x, y, z: add[add[x, y], z] == add[x, add[y, z]])
+    if bad:
+        return failure("addition-not-associative", bad)
+    bad = first_violation(
+        r, 3, lambda x, y, z: mul[x, add[y, z]] == add[mul[x, y], mul[x, z]])
+    if bad:
+        return failure("not-left-distributive", bad)
+    # right distributivity is scanned in (y, z, x) order, reported as (x, y, z)
+    bad = first_violation(
+        r, 3, lambda y, z, x: mul[add[y, z], x] == add[mul[y, x], mul[z, x]])
+    if bad:
+        y, z, x = bad
+        return failure("not-right-distributive", (x, y, z))
     return (True, None)
 
 
@@ -1619,28 +1607,17 @@ def _sweep_neutro_prime(primes=(3, 5, 7, 11, 13)):
     findings = []
     scanned = 0
     for p in primes:
-        d = neutro_pure(zn_interval(p))
-        elems = domain_elements(d)
-        zero = domain_zero(d)
-        rest = [x for x in elems if x != zero]
+        h = SemiringHandle.for_domain(neutro_pure(zn_interval(p)))
+        zero = h.zero
+        rest = [x for x in domain_elements(h.domain) if x != zero]
+        combos = itertools.chain.from_iterable(
+            itertools.combinations(rest, r) for r in range(1, len(rest)))
         closed_subset = None
-        for r in range(1, len(rest)):
-            for combo in itertools.combinations(rest, r):
-                s = set(combo)
-                s.add(zero)
-                scanned += 1
-                ok = True
-                for x in combo:
-                    for y in combo:
-                        if x + y not in s or x * y not in s:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    closed_subset = s
-                    break
-            if closed_subset:
+        for combo in combos:
+            scanned += 1
+            s = {zero, *combo}
+            if _first_unclosed(h, combo, s) is None:
+                closed_subset = s
                 break
         if closed_subset:
             w = tuple(format_element(x)

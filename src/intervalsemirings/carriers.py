@@ -390,23 +390,6 @@ class LawProfile:
     witnesses: dict = field(compare=True, default_factory=dict)
 
 
-def _w_commutative(t, k):
-    for x in range(k):
-        for y in range(x + 1, k):
-            if t[x][y] != t[y][x]:
-                return (x, y)
-    return None
-
-
-def _w_associative(t, k):
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                if t[t[x][y]][z] != t[x][t[y][z]]:
-                    return (x, y, z)
-    return None
-
-
 def _w_latin(t, k):
     for x in range(k):
         seen = {}
@@ -425,75 +408,80 @@ def _w_latin(t, k):
     return None
 
 
-def _w_moufang(t, k):
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                if t[t[x][y]][t[z][x]] != t[t[x][t[y][z]]][x]:
-                    return (x, y, z)
-    return None
+def first_violation(indices, arity, holds):
+    """Lexicographically first index tuple over ``indices`` where a law fails.
+
+    ``holds`` is a vectorised predicate: it takes ``arity`` integer index
+    arrays that broadcast against each other and returns a boolean array.
+    Arity 3 is evaluated one first-axis row at a time, so memory stays
+    O(k^2) for k indices and the scan stops at the first failing row.
+    Returns None when ``holds`` is True everywhere.
+    """
+    # numpy is imported on first use: the package imports this module
+    # before it compiles analysis.py, and compiling that on top of a loaded
+    # numpy adds about 3.5 MB to the peak memory of every short process.
+    import numpy as np
+
+    idx = np.asarray(indices, dtype=np.intp)
+    k = len(idx)
+    if arity == 3:
+        y, z = np.ix_(idx, idx)
+        for x in idx:
+            ok = np.broadcast_to(holds(x, y, z), (k, k))
+            if not ok.all():
+                j, l = np.unravel_index(np.argmin(ok), ok.shape)
+                return (int(x), int(idx[j]), int(idx[l]))
+        return None
+    ok = np.broadcast_to(holds(*np.ix_(*[idx] * arity)), (k,) * arity)
+    if ok.all():
+        return None
+    return tuple(int(idx[p]) for p in np.unravel_index(np.argmin(ok), ok.shape))
 
 
-def _w_left_bol(t, k):
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                if t[x][t[y][t[x][z]]] != t[t[x][t[y][x]]][z]:
-                    return (x, y, z)
-    return None
+# The identity laws, each written once: name -> (arity, holds).  holds(t, e,
+# x, ...) takes the numpy Cayley table t, the identity index e and index
+# arrays; see LawProfile for the laws in product notation.
+_LAWS = {
+    "commutative": (2, lambda t, e, x, y: t[x, y] == t[y, x]),
+    "associative": (3, lambda t, e, x, y, z: t[t[x, y], z] == t[x, t[y, z]]),
+    "moufang": (3, lambda t, e, x, y, z:
+                t[t[x, y], t[z, x]] == t[t[x, t[y, z]], x]),
+    "left_bol": (3, lambda t, e, x, y, z:
+                 t[x, t[y, t[x, z]]] == t[t[x, t[y, x]], z]),
+    "right_bol": (3, lambda t, e, x, y, z:
+                  t[t[t[x, y], z], y] == t[x, t[t[y, z], y]]),
+    "wip": (3, lambda t, e, x, y, z:
+            (t[t[x, y], z] == e) == (t[x, t[y, z]] == e)),
+    "left_alternative": (2, lambda t, e, x, y: t[t[x, y], y] == t[x, t[y, y]]),
+    "right_alternative": (2, lambda t, e, x, y: t[x, t[x, y]] == t[t[x, x], y]),
+    "p_groupoid": (2, lambda t, e, x, y: t[t[x, y], x] == t[x, t[y, x]]),
+    "idempotent_law": (1, lambda t, e, x: t[x, x] == x),
+}
 
 
-def _w_right_bol(t, k):
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                if t[t[t[x][y]][z]][y] != t[x][t[t[y][z]][y]]:
-                    return (x, y, z)
-    return None
+def _cayley(g: Magma):
+    """The Cayley table of g as a numpy index array, built once per magma."""
+    cached = g.__dict__.get("_array")
+    if cached is None:
+        import numpy as np  # on first use, as in first_violation
+
+        cached = np.array(g.table, dtype=np.intp)
+        object.__setattr__(g, "_array", cached)
+    return cached
 
 
-def _w_wip(t, k, e):
-    if e is None:
+def _law_witness(g: Magma, law: str, subset=None):
+    """First violation of a ``_LAWS`` law over g (or a subset), else None.
+
+    WIP is undefined without an identity; its witness is then ().
+    """
+    arity, holds = _LAWS[law]
+    e = g.identity
+    if law == "wip" and e is None:
         return ()
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                if (t[t[x][y]][z] == e) != (t[x][t[y][z]] == e):
-                    return (x, y, z)
-    return None
-
-
-def _w_left_alternative(t, k):
-    # (x*y)*y = x*(y*y)
-    for x in range(k):
-        for y in range(k):
-            if t[t[x][y]][y] != t[x][t[y][y]]:
-                return (x, y)
-    return None
-
-
-def _w_right_alternative(t, k):
-    # x*(x*y) = (x*x)*y
-    for x in range(k):
-        for y in range(k):
-            if t[x][t[x][y]] != t[t[x][x]][y]:
-                return (x, y)
-    return None
-
-
-def _w_p_law(t, k):
-    for x in range(k):
-        for y in range(k):
-            if t[t[x][y]][x] != t[x][t[y][x]]:
-                return (x, y)
-    return None
-
-
-def _w_idempotent(t, k):
-    for x in range(k):
-        if t[x][x] != x:
-            return (x,)
-    return None
+    t = _cayley(g)
+    indices = range(g.order) if subset is None else sorted(subset)
+    return first_violation(indices, arity, lambda *xs: holds(t, e, *xs))
 
 
 def closure_of(g: Magma, seed) -> frozenset:
@@ -513,14 +501,8 @@ def closure_of(g: Magma, seed) -> frozenset:
     return frozenset(current)
 
 
-def _associative_within(t, subset) -> bool:
-    sub = sorted(subset)
-    for x in sub:
-        for y in sub:
-            for z in sub:
-                if t[t[x][y]][z] != t[x][t[y][z]]:
-                    return False
-    return True
+def _associative_within(g: Magma, subset) -> bool:
+    return _law_witness(g, "associative", subset) is None
 
 
 def _smarandache_certificate(g: Magma) -> Optional[tuple[int, ...]]:
@@ -534,7 +516,7 @@ def _smarandache_certificate(g: Magma) -> Optional[tuple[int, ...]]:
     seeds = [(x,) for x in range(k)] + list(combinations(range(k), 2))
     for seed in seeds:
         c = closure_of(g, seed)
-        if 2 <= len(c) < k and _associative_within(g.table, c):
+        if 2 <= len(c) < k and _associative_within(g, c):
             cert = tuple(sorted(c))
             if best is None or (len(cert), cert) < (len(best), best):
                 best = cert
@@ -543,112 +525,48 @@ def _smarandache_certificate(g: Magma) -> Optional[tuple[int, ...]]:
 
 def check_laws(g: Magma) -> LawProfile:
     """Evaluate every law exhaustively; relabeling never changes the result."""
-    t = g.table
-    k = g.order
-    witnesses = {}
-
-    def record(name, w):
-        if w is not None:
-            witnesses[name] = w
-        return w is None
-
-    commutative = record("commutative", _w_commutative(t, k))
-    associative = record("associative", _w_associative(t, k))
-    latin = record("latin_square", _w_latin(t, k))
-    has_identity = g.identity is not None
-    if not has_identity:
-        witnesses["has_identity"] = ()
-    moufang = record("moufang", _w_moufang(t, k))
-    left_bol = record("left_bol", _w_left_bol(t, k))
-    right_bol = record("right_bol", _w_right_bol(t, k))
-    wip = record("wip", _w_wip(t, k, g.identity))
-    left_alt = record("left_alternative", _w_left_alternative(t, k))
-    right_alt = record("right_alternative", _w_right_alternative(t, k))
-    p_groupoid = record("p_groupoid", _w_p_law(t, k))
-    idempotent = record("idempotent_law", _w_idempotent(t, k))
+    found = {"latin_square": _w_latin(g.table, g.order),
+             "has_identity": None if g.identity is not None else ()}
+    found.update((law, _law_witness(g, law)) for law in _LAWS)
+    witnesses = {law: w for law, w in found.items() if w is not None}
     cert = _smarandache_certificate(g)
     if cert is not None:
         witnesses["smarandache"] = cert
-    return LawProfile(
-        commutative=commutative,
-        associative=associative,
-        latin_square=latin,
-        has_identity=has_identity,
-        moufang=moufang,
-        left_bol=left_bol,
-        right_bol=right_bol,
-        wip=wip,
-        left_alternative=left_alt,
-        right_alternative=right_alt,
-        p_groupoid=p_groupoid,
-        idempotent_law=idempotent,
-        smarandache=cert is not None,
-        witnesses=witnesses,
-    )
+    return LawProfile(**{law: w is None for law, w in found.items()},
+                      smarandache=cert is not None, witnesses=witnesses)
 
 
 def loop_law_summary(g: Magma) -> dict:
     """The cheap law subset used by the loop sweep: quadratic checks only,
     plus WIP (cubic, but early-exiting)."""
-    t = g.table
-    k = g.order
     return {
-        "latin_square": _w_latin(t, k) is None,
+        "latin_square": _w_latin(g.table, g.order) is None,
         "has_identity": g.identity is not None,
-        "commutative": _w_commutative(t, k) is None,
-        "left_alternative": _w_left_alternative(t, k) is None,
-        "right_alternative": _w_right_alternative(t, k) is None,
-        "wip": _w_wip(t, k, g.identity) is None,
+        **{law: _law_witness(g, law) is None
+           for law in ("commutative", "left_alternative",
+                       "right_alternative", "wip")},
     }
 
 
 def validate_witness(g: Magma, law: str, witness: tuple) -> bool:
     """Re-evaluate a recorded witness: True when it still violates the law."""
     t = g.table
-    if law == "commutative":
-        x, y = witness
-        return t[x][y] != t[y][x]
-    if law == "associative":
-        x, y, z = witness
-        return t[t[x][y]][z] != t[x][t[y][z]]
     if law == "latin_square":
         kind, a, b, c = witness
         if kind == 0:
             return t[a][b] == t[a][c] and b != c
         return t[a][c] == t[b][c] and a != b
-    if law == "moufang":
-        x, y, z = witness
-        return t[t[x][y]][t[z][x]] != t[t[x][t[y][z]]][x]
-    if law == "left_bol":
-        x, y, z = witness
-        return t[x][t[y][t[x][z]]] != t[t[x][t[y][x]]][z]
-    if law == "right_bol":
-        x, y, z = witness
-        return t[t[t[x][y]][z]][y] != t[x][t[t[y][z]][y]]
-    if law == "wip":
-        if witness == ():
-            return g.identity is None
-        x, y, z = witness
-        e = g.identity
-        return (t[t[x][y]][z] == e) != (t[x][t[y][z]] == e)
-    if law == "left_alternative":
-        x, y = witness
-        return t[t[x][y]][y] != t[x][t[y][y]]
-    if law == "right_alternative":
-        x, y = witness
-        return t[x][t[x][y]] != t[t[x][x]][y]
-    if law == "p_groupoid":
-        x, y = witness
-        return t[t[x][y]][x] != t[x][t[y][x]]
-    if law == "idempotent_law":
-        (x,) = witness
-        return t[x][x] != x
+    if law in ("has_identity", "wip") and witness == ():
+        return g.identity is None
+    if law in _LAWS:
+        _, holds = _LAWS[law]
+        return not holds(_cayley(g), g.identity, *witness)
     if law == "smarandache":
         subset = frozenset(witness)
         return (
             2 <= len(subset) < g.order
             and closure_of(g, subset) == subset
-            and _associative_within(g.table, subset)
+            and _associative_within(g, subset)
         )
     raise SpecError(f"unknown law {law!r}")
 
@@ -681,8 +599,9 @@ def _is_closed(t, subset) -> bool:
     return all(t[x][y] in s for x in subset for y in subset)
 
 
-def _is_subgroup(t, subset) -> bool:
-    if not _is_closed(t, subset) or not _associative_within(t, subset):
+def _is_subgroup(g: Magma, subset) -> bool:
+    t = g.table
+    if not _is_closed(t, subset) or not _associative_within(g, subset):
         return False
     ident = None
     for e in subset:
@@ -729,8 +648,8 @@ def enumerate_substructures(
         if kind == "subloop":
             return g.identity in subset and _is_closed(t, subset)
         if kind == "subgroup":
-            return _is_subgroup(t, subset)
-        return _is_closed(t, subset) and _associative_within(t, subset)
+            return _is_subgroup(g, subset)
+        return _is_closed(t, subset) and _associative_within(g, subset)
 
     found = set()
     if mode == "exhaustive":

@@ -19,7 +19,7 @@ from .carriers import build_carrier, carrier_kinds, carrier_to_json, render_tabl
 from .domains import domain_from_json
 from .errors import DomainMismatchError, ParseError, SpecError
 from .expressions import eval_pair, parse_expression
-from .formalsums import PolyBasis, basis_token, make_spec
+from .formalsums import PolyBasis, _basis_op, basis_token, make_spec
 
 _EXIT_EXPECT = 1
 _EXIT_PARAMS = 2
@@ -149,7 +149,7 @@ def _write_trace(h, args, out):
     for g, cg in p.terms.items():
         for k, ck in q.terms.items():
             cprod = cg * ck
-            bk = analysis._basis_product(spec, g, k)
+            bk = _basis_op(spec, g, k)
             out.write(f"  {format_element(cg)}*{format_element(ck)} = "
                       f"{format_element(cprod)} ; "
                       f"{basis_token(spec, g)}*{basis_token(spec, k)} = "
@@ -193,15 +193,7 @@ def _cmd_classify(args, out):
     if query in _FINDING_QUERIES:
         report = _FINDING_QUERIES[query](h, args)
         exhaustive = report.exhaustive
-        if args.json:
-            out.write(report.to_json_str() + "\n")
-        else:
-            for f in report.findings:
-                out.write(f"{f.kind}: " + ", ".join(f.witness) + "\n")
-            out.write(f"findings: {len(report.findings)}\n")
-            out.write(f"exhaustive: {str(report.exhaustive).lower()}\n")
-        if args.expect is not None:
-            expect_ok = _check_report_expect(args.expect, report)
+        expect_ok = _write_findings(args, report, out)
     elif query == "semifield":
         c = analysis.classify_semiring(h)
         exhaustive = c.exhaustive
@@ -246,15 +238,7 @@ def _cmd_classify(args, out):
                       "candidate_kind": args.candidate_kind}
         report = analysis.smarandache_search(h, **kwargs)
         exhaustive = report.exhaustive
-        if args.json:
-            out.write(report.to_json_str() + "\n")
-        else:
-            for f in report.findings:
-                out.write(f"{f.kind}: " + ", ".join(f.witness) + "\n")
-            out.write(f"findings: {len(report.findings)}\n")
-            out.write(f"exhaustive: {str(report.exhaustive).lower()}\n")
-        if args.expect is not None:
-            expect_ok = _check_report_expect(args.expect, report)
+        expect_ok = _write_findings(args, report, out)
     else:
         raise SpecError(f"unknown query {query!r}")
     if args.require_exhaustive and not exhaustive:
@@ -262,6 +246,20 @@ def _cmd_classify(args, out):
     if not expect_ok:
         return _EXIT_EXPECT
     return 0
+
+
+def _write_findings(args, report, out):
+    """Print a findings report; returns whether its --expect property holds."""
+    if args.json:
+        out.write(report.to_json_str() + "\n")
+    else:
+        for f in report.findings:
+            out.write(f"{f.kind}: " + ", ".join(f.witness) + "\n")
+        out.write(f"findings: {len(report.findings)}\n")
+        out.write(f"exhaustive: {str(report.exhaustive).lower()}\n")
+    if args.expect is None:
+        return True
+    return _check_report_expect(args.expect, report)
 
 
 def _check_report_expect(prop, report):

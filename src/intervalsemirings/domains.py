@@ -424,10 +424,6 @@ def dom_mul(x: IntervalElem, y: IntervalElem) -> IntervalElem:
     return IntervalElem(d, _scalar_mul(d, x.a, y.a))
 
 
-def is_zero(x: IntervalElem) -> bool:
-    return x == domain_zero(x.domain)
-
-
 # finiteness, enumeration, canonical order
 
 def is_finite_domain(d: DomainSpec) -> bool:
@@ -485,24 +481,6 @@ def canonical_pair(x: IntervalElem, y: IntervalElem) -> tuple[IntervalElem, Inte
 
 
 # classification helpers
-
-def characteristic(d: DomainSpec) -> int:
-    """Least c > 0 with c-fold 1+...+1 = 0, or 0 when none exists."""
-    if d.kind == ZN:
-        return d.n
-    if d.kind in (NAT, RAT) or d.kind in _LATTICE_KINDS:
-        return 0
-    return characteristic(d.base)
-
-
-def additively_idempotent(d: DomainSpec) -> bool:
-    """True when x + x = x for every element (lattice addition)."""
-    if d.kind in _LATTICE_KINDS:
-        return True
-    if d.kind in _NEUTRO_KINDS:
-        return additively_idempotent(d.base)
-    return False
-
 
 def is_strict_domain(d: DomainSpec) -> tuple[bool, Optional[tuple[IntervalElem, IntervalElem]]]:
     """Whether x + y = 0 forces x = y = 0.

@@ -169,49 +169,6 @@ def scale_matrix(c: IntervalElem, x: IntervalMatrix) -> IntervalMatrix:
     )
 
 
-_PATTERNS = ("diagonal", "upper-triangular", "lower-triangular", "scalar", "zero-pattern")
-
-
-def subset_predicate(
-    m: IntervalMatrix, kind: str, mask: Optional[tuple[int, ...]] = None
-) -> bool:
-    """Membership tests for the standard structural matrix subsets.
-
-    zero-pattern takes a 0/1 mask over the row-major entries and demands
-    zeros wherever the mask is 0; the other kinds require square shape.
-    """
-    if kind not in _PATTERNS:
-        raise SpecError(f"unknown matrix pattern {kind!r}; known: {list(_PATTERNS)}")
-    z = domains.domain_zero(m.domain)
-    if kind == "zero-pattern":
-        if mask is None or len(mask) != len(m.entries):
-            raise SpecError("zero-pattern needs a 0/1 mask matching the entry count")
-        return all(bool(b) or e == z for b, e in zip(mask, m.entries))
-    if m.shape[0] != SQUARE:
-        raise SpecError(f"pattern {kind!r} requires a square matrix")
-    n = m.n
-    if kind == "diagonal" or kind == "scalar":
-        ok = all(
-            m.entries[i * n + j] == z
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        )
-        if kind == "scalar":
-            d0 = m.entries[0]
-            ok = ok and all(m.entries[i * n + i] == d0 for i in range(n))
-        return ok
-    if kind == "upper-triangular":
-        return all(
-            m.entries[i * n + j] == z for i in range(n) for j in range(i)
-        )
-    return all(
-        m.entries[i * n + j] == z
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-
-
 def render_matrix(m: IntervalMatrix) -> str:
     """Bracketed literal form accepted back by the expression parser."""
     lits = [domains.format_element(e) for e in m.entries]

@@ -477,6 +477,48 @@ def test_verify_axioms_needs_finite_handle():
         verify_axioms(dh(nat_interval()))
 
 
+class TableHandle:
+    """Stand-in handle over explicit add/mul tables on 0..k-1 (zero is 0)."""
+
+    zero = 0
+
+    def __init__(self, add, mul):
+        self.add_table = add
+        self.mul_table = mul
+
+    def elements(self):
+        return list(range(len(self.add_table)))
+
+    def add(self, x, y):
+        return self.add_table[x][y]
+
+    def mul(self, x, y):
+        return self.mul_table[x][y]
+
+
+_MAX3 = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
+_ZERO3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("add, mul, witness", [
+    # the zero row fails at 2 and the zero column at 1: the row is checked
+    # in full first
+    ([[0, 1, 0], [0, 1, 2], [2, 2, 2]], _ZERO3, ("zero-identity", 2)),
+    ([[0, 1, 2], [1, 1, 1], [2, 2, 2]], _ZERO3,
+     ("addition-not-commutative", 1, 2)),
+    ([[0, 1, 2], [1, 1, 0], [2, 0, 0]], _ZERO3,
+     ("addition-not-associative", 1, 1, 2)),
+    (_MAX3, [[0, 2, 1], [2, 0, 2], [0, 0, 2]],
+     ("not-left-distributive", 0, 1, 2)),
+    # scanned as (y, z, x), reported as (x, y, z); the first violation in
+    # (x, y, z) order would be (0, 0, 2)
+    (_MAX3, [[1, 2, 2], [1, 1, 2], [0, 0, 2]],
+     ("not-right-distributive", 1, 0, 1)),
+], ids=lambda v: v[0] if isinstance(v[0], str) else None)
+def test_verify_axioms_failure_witness(add, mul, witness):
+    assert verify_axioms(TableHandle(add, mul)) == (False, witness)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

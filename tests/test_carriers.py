@@ -1,4 +1,5 @@
 import math
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,3 +273,71 @@ def test_smarandache_magma_flag():
     assert p.smarandache
     subset = p.witnesses["smarandache"]
     assert 2 <= len(subset) < 6
+
+
+# ---------------------------------------------------------------------------
+# law witnesses against a brute-force reference on the raw table
+
+# each law as a predicate on the tuple table t with identity e
+_REFERENCE_LAWS = {
+    "commutative": (2, lambda t, e, x, y: t[x][y] == t[y][x]),
+    "associative": (3, lambda t, e, x, y, z: t[t[x][y]][z] == t[x][t[y][z]]),
+    "moufang": (3, lambda t, e, x, y, z:
+                t[t[x][y]][t[z][x]] == t[t[x][t[y][z]]][x]),
+    "left_bol": (3, lambda t, e, x, y, z:
+                 t[x][t[y][t[x][z]]] == t[t[x][t[y][x]]][z]),
+    "right_bol": (3, lambda t, e, x, y, z:
+                  t[t[t[x][y]][z]][y] == t[x][t[t[y][z]][y]]),
+    "wip": (3, lambda t, e, x, y, z:
+            (t[t[x][y]][z] == e) == (t[x][t[y][z]] == e)),
+    "left_alternative": (2, lambda t, e, x, y: t[t[x][y]][y] == t[x][t[y][y]]),
+    "right_alternative": (2, lambda t, e, x, y: t[x][t[x][y]] == t[t[x][x]][y]),
+    "p_groupoid": (2, lambda t, e, x, y: t[t[x][y]][x] == t[x][t[y][x]]),
+    "idempotent_law": (1, lambda t, e, x: t[x][x] == x),
+}
+
+
+def _reference_witnesses(g):
+    """Every law's first violation, scanned with itertools.product."""
+    t, k = g.table, g.order
+    e = next((e for e in range(k)
+              if all(t[e][x] == x and t[x][e] == x for x in range(k))), None)
+    out = {}
+    for law, (arity, holds) in _REFERENCE_LAWS.items():
+        if law == "wip" and e is None:
+            out[law] = ()
+            continue
+        out[law] = next((xs for xs in product(range(k), repeat=arity)
+                         if not holds(t, e, *xs)), None)
+    out["has_identity"] = None if e is not None else ()
+    # a repeated value in a row (kind 0) or column (kind 1), with the
+    # position of its first occurrence
+    cols = list(zip(*t))
+    out["latin_square"] = next(chain(
+        ((0, x, t[x].index(t[x][y]), y)
+         for x, y in product(range(k), repeat=2) if t[x].index(t[x][y]) < y),
+        ((1, cols[y].index(cols[y][x]), x, y)
+         for y, x in product(range(k), repeat=2)
+         if cols[y].index(cols[y][x]) < x)), None)
+    return out
+
+
+_LAW_MAGMAS = (
+    [build_loop(n, m) for n in range(5, 16, 2) for m in loop_parameters(n)]
+    + [build_groupoid(n, t, u) for n in range(2, 7) for t in range(n)
+       for u in range(n) if (t, u) != (0, 0)]
+    + [symmetric_group(3), dihedral_group(4), symmetric_semigroup(3),
+       mult_semigroup_zn(12)]
+)
+
+
+@pytest.mark.parametrize(
+    "g", _LAW_MAGMAS,
+    ids=lambda g: f"{g.meta.kind}{g.meta.params}".replace(" ", ""))
+def test_law_witnesses_match_brute_force(g):
+    p = check_laws(g)
+    for law, w in _reference_witnesses(g).items():
+        assert getattr(p, law) == (w is None), law
+        assert p.witnesses.get(law) == w, law
+    for law, w in p.witnesses.items():
+        assert validate_witness(g, law, w), law
