@@ -6,6 +6,9 @@ matrices).  Finite handles within the enumeration guard are scanned
 exhaustively; infinite or oversized handles fall back to structural arguments
 (reported with ``exhaustive=True`` only when the argument actually decides the
 query) or to pattern instantiations (reported with ``exhaustive=False``).
+The element scans run on the handle's compiled integer tables (``tables``)
+and render their witnesses from ``elements()``; subset checks, closures and
+homomorphisms run on the element objects.
 """
 
 from dataclasses import dataclass
@@ -15,6 +18,7 @@ import json
 
 import numpy as np
 
+from . import tables
 from .carriers import (
     Magma,
     _law_witness,
@@ -120,6 +124,7 @@ class SemiringHandle:
         self.spec = spec
         self.shape = shape
         self._elements = None
+        self._tables = None
         if kind == "domain":
             self.zero = domain_zero(domain)
             self.one = dom_units(domain).one
@@ -184,14 +189,17 @@ class SemiringHandle:
     def is_enumerable(self):
         return self.is_finite() and self.size() <= _ENUM_GUARD
 
-    def elements(self):
-        """All elements in canonical order (guarded)."""
-        if self._elements is not None:
-            return self._elements
+    def _require_enumerable(self):
         if not self.is_finite():
             raise SpecError("cannot enumerate an infinite handle")
         if self.size() > _ENUM_GUARD:
             raise SpecError(f"enumeration guard exceeded ({self.size()} elements)")
+
+    def elements(self):
+        """All elements in canonical order, ascending by key (guarded)."""
+        if self._elements is not None:
+            return self._elements
+        self._require_enumerable()
         if self.kind == "domain":
             out = domain_elements(self.domain)
         elif self.kind == "formal-sum":
@@ -199,12 +207,18 @@ class SemiringHandle:
         else:
             slots = self._slot_count()
             dom = domain_elements(self.domain)
-            mk, n = self.shape
             out = []
             for combo in itertools.product(dom, repeat=slots):
                 out.append(IntervalMatrix(self.domain, self.shape, tuple(combo)))
         self._elements = out
         return out
+
+    def tables(self):
+        """Integer add/mul tables over elements() order (compiled once)."""
+        if self._tables is None:
+            self._require_enumerable()
+            self._tables = tables.Tables(self)
+        return self._tables
 
     def render(self, x):
         if self.kind == "domain":
@@ -218,11 +232,9 @@ class SemiringHandle:
         if self.kind == "domain":
             return element_key(x)
         if self.kind == "formal-sum":
-            d = self.spec.coefficients
             if basis_is_finite(self.spec.basis):
                 return tuple(element_key(x.coeff(k)) for k in basis_keys(self.spec))
             return tuple((k, element_key(c)) for k, c in x.terms.items())
-        d = x.domain
         return tuple(element_key(e) for e in x.entries)
 
     def pair(self, x, y):
@@ -276,10 +288,6 @@ def _wit(h, *items):
     return tuple(it if isinstance(it, str) else h.render(it) for it in items)
 
 
-def _sorted_elements(h):
-    return sorted(h.elements(), key=h.key)
-
-
 def _first_nonzero_scalar(d):
     """Smallest nonzero coefficient whose square is nonzero, if one exists."""
     if d.kind == NAT:
@@ -308,32 +316,18 @@ def find_zero_divisors(h, budget=None):
     query = f"zero-divisors on {h.describe()}"
     if not h.is_enumerable():
         return _zero_divisor_patterns(h, query)
-    elems = _sorted_elements(h)
-    zero = h.zero
-    nz = [x for x in elems if x != zero]
+    hits, scanned, exhaustive = tables.zero_divisors(h.tables(), budget)
+    return _report(query, _index_findings(h, hits), exhaustive, scanned)
+
+
+def _index_findings(h, hits):
+    """Findings from (kind, index, ...) tuples over elements() order."""
+    elems = h.elements()
     findings = []
-    scanned = 0
-    exhaustive = True
-    for i, x in enumerate(nz):
-        for y in nz[i:]:
-            if budget is not None and scanned >= budget:
-                exhaustive = False
-                break
-            scanned += 1
-            xy = h.mul(x, y)
-            yx = xy if x == y else h.mul(y, x)
-            if xy == zero and yx == zero:
-                a, b = h.pair(x, y)
-                findings.append(Finding("zero-divisor", _wit(h, a, b), (a, b)))
-            elif xy == zero:
-                findings.append(Finding("one-sided-zero-divisor",
-                                        _wit(h, x, y), (x, y)))
-            elif yx == zero:
-                findings.append(Finding("one-sided-zero-divisor",
-                                        _wit(h, y, x), (y, x)))
-        if not exhaustive:
-            break
-    return _report(query, findings, exhaustive, scanned)
+    for kind, *idx in hits:
+        xs = tuple(elems[i] for i in idx)
+        findings.append(Finding(kind, _wit(h, *xs), xs))
+    return findings
 
 
 def _domain_zero_divisor_pair(d):
@@ -443,13 +437,9 @@ def find_idempotents(h):
     query = f"idempotents on {h.describe()}"
     if not h.is_enumerable():
         return _idempotent_patterns(h, query)
-    findings = []
-    scanned = 0
-    for x in _sorted_elements(h):
-        scanned += 1
-        if h.mul(x, x) == x:
-            findings.append(Finding("idempotent", _wit(h, x), (x,)))
-    return _report(query, findings, True, scanned)
+    hits, scanned = tables.idempotents(h.tables())
+    return _report(query, _index_findings(h, [("idempotent", x) for x in hits]),
+                   True, scanned)
 
 
 def _domain_idempotents_structural(d):
@@ -534,17 +524,9 @@ def find_units(h):
         raise SpecError("units are undefined without a multiplicative identity")
     if not h.is_enumerable():
         raise SpecError("unit enumeration requires a finite handle")
-    elems = _sorted_elements(h)
-    one = h.one
-    findings = []
-    scanned = 0
-    for x in elems:
-        for y in elems:
-            scanned += 1
-            if h.mul(x, y) == one and h.mul(y, x) == one:
-                findings.append(Finding("unit", _wit(h, x, y), (x, y)))
-                break
-    return _report(query, findings, True, scanned)
+    hits, scanned = tables.units(h.tables())
+    return _report(query, _index_findings(h, [("unit",) + p for p in hits]),
+                   True, scanned)
 
 
 def find_nilpotents(h, max_index=8):
@@ -558,27 +540,21 @@ def find_nilpotents(h, max_index=8):
         raise SpecError("max_index must be an integer between 2 and 8")
     if not h.is_enumerable():
         raise SpecError("nilpotent enumeration requires a finite handle")
-    zero = h.zero
-    findings = []
-    scanned = 0
-    for x in _sorted_elements(h):
-        if x == zero:
-            continue
-        p = x
-        for idx in range(2, max_index + 1):
-            scanned += 1
-            p = h.mul(p, x)
-            if p == zero:
-                findings.append(Finding(f"nilpotent-index-{idx}",
-                                        _wit(h, x), (x,)))
-                break
-    return _report(query, findings, True, scanned)
+    hits, scanned = tables.nilpotents(h.tables(), max_index)
+    return _report(query, _index_findings(
+        h, [(f"nilpotent-index-{idx}", x) for x, idx in hits]), True, scanned)
 
 
 # ---------------------------------------------------------------------------
 # Smarandache special elements
 
-_S_KINDS = ("s-zero-divisor", "s-anti-zero-divisor", "s-idempotent", "s-unit")
+_S_SCANS = {
+    "s-zero-divisor": tables.s_zero_divisors,
+    "s-anti-zero-divisor": tables.s_anti_zero_divisors,
+    "s-idempotent": tables.s_idempotents,
+    "s-unit": tables.s_units,
+}
+_S_KINDS = tuple(_S_SCANS)
 
 
 def find_s_special(h, kind, budget=None):
@@ -604,164 +580,9 @@ def find_s_special(h, kind, budget=None):
         return _s_special_patterns(h, kind, query)
     if kind == "s-unit" and h.one is None:
         raise SpecError("s-units are undefined without a multiplicative identity")
-    elems = _sorted_elements(h)
-    zero = h.zero
-    nz = [x for x in elems if x != zero]
-    if kind == "s-zero-divisor":
-        return _scan_s_zero_divisors(h, query, nz, zero, budget)
-    if kind == "s-anti-zero-divisor":
-        return _scan_s_anti_zero_divisors(h, query, nz, zero, budget)
-    if kind == "s-idempotent":
-        return _scan_s_idempotents(h, query, nz, zero, budget)
-    return _scan_s_units(h, query, elems, budget)
-
-
-def _scan_s_zero_divisors(h, query, nz, zero, budget):
-    findings = []
-    scanned = 0
-    exhaustive = True
-    for i, a in enumerate(nz):
-        stop = False
-        for b in nz[i:]:
-            if budget is not None and scanned >= budget:
-                exhaustive = False
-                stop = True
-                break
-            scanned += 1
-            if h.mul(a, b) != zero and h.mul(b, a) != zero:
-                continue
-            aa, bb = (a, b) if h.mul(a, b) == zero else (b, a)
-            cert = _s_zd_certificate(h, aa, bb, nz, zero)
-            if cert is not None:
-                x, y = cert
-                findings.append(Finding("s-zero-divisor",
-                                        _wit(h, aa, bb, x, y), (aa, bb, x, y)))
-        if stop:
-            break
-    return _report(query, findings, exhaustive, scanned)
-
-
-def _s_zd_certificate(h, a, b, nz, zero):
-    for x in nz:
-        if x == a or x == b:
-            continue
-        if h.mul(a, x) != zero and h.mul(x, a) != zero:
-            continue
-        for y in nz:
-            if y == a or y == b or y == x:
-                continue
-            if h.mul(b, y) != zero and h.mul(y, b) != zero:
-                continue
-            if h.mul(x, y) != zero or h.mul(y, x) != zero:
-                return (x, y)
-    return None
-
-
-def _scan_s_anti_zero_divisors(h, query, nz, zero, budget):
-    findings = []
-    scanned = 0
-    exhaustive = True
-    for x in nz:
-        if budget is not None and scanned >= budget:
-            exhaustive = False
-            break
-        scanned += 1
-        cert = None
-        for y in nz:
-            if y == x:
-                continue
-            if h.mul(x, y) == zero:
-                continue
-            for a in nz:
-                if a == x or a == y:
-                    continue
-                if h.mul(a, x) == zero and h.mul(x, a) == zero:
-                    continue
-                for b in nz:
-                    if b == x or b == y:
-                        continue
-                    if h.mul(b, y) == zero and h.mul(y, b) == zero:
-                        continue
-                    if h.mul(a, b) == zero or h.mul(b, a) == zero:
-                        cert = (y, a, b)
-                        break
-                if cert:
-                    break
-            if cert:
-                break
-        if cert:
-            y, a, b = cert
-            findings.append(Finding("s-anti-zero-divisor",
-                                    _wit(h, x, y, a, b), (x, y, a, b)))
-    return _report(query, findings, exhaustive, scanned)
-
-
-def _scan_s_idempotents(h, query, nz, zero, budget):
-    findings = []
-    scanned = 0
-    exhaustive = True
-    one = h.one
-    for a in nz:
-        if budget is not None and scanned >= budget:
-            exhaustive = False
-            break
-        scanned += 1
-        if h.mul(a, a) != a or (one is not None and a == one):
-            continue
-        for b in nz + [zero]:
-            if b == a:
-                continue
-            if h.mul(b, b) != a:
-                continue
-            sends_b = h.mul(a, b) == b or h.mul(b, a) == b
-            sends_a = h.mul(b, a) == a or h.mul(a, b) == a
-            if sends_b != sends_a:
-                findings.append(Finding("s-idempotent",
-                                        _wit(h, a, b), (a, b)))
-                break
-    return _report(query, findings, exhaustive, scanned)
-
-
-def _scan_s_units(h, query, elems, budget):
-    findings = []
-    scanned = 0
-    exhaustive = True
-    one = h.one
-    for x in elems:
-        if x == one:
-            continue
-        if budget is not None and scanned >= budget:
-            exhaustive = False
-            break
-        scanned += 1
-        inv = None
-        for y in elems:
-            if h.mul(x, y) == one and h.mul(y, x) == one:
-                inv = y
-                break
-        if inv is None:
-            continue
-        cert = None
-        for a in elems:
-            if a == x or a == inv or a == one:
-                continue
-            if h.mul(x, a) != inv and h.mul(a, x) != inv:
-                continue
-            for b in elems:
-                if b == x or b == inv or b == one:
-                    continue
-                if h.mul(inv, b) != x and h.mul(b, inv) != x:
-                    continue
-                if h.mul(a, b) == one or h.mul(b, a) == one:
-                    cert = (a, b)
-                    break
-            if cert:
-                break
-        if cert:
-            a, b = cert
-            findings.append(Finding("s-unit", _wit(h, x, inv, a, b),
-                                    (x, inv, a, b)))
-    return _report(query, findings, exhaustive, scanned)
+    certs, scanned, exhaustive = _S_SCANS[kind](h.tables(), budget)
+    return _report(query, _index_findings(h, [(kind,) + c for c in certs]),
+                   exhaustive, scanned)
 
 
 def _support_matrix(h, positions, c):
@@ -870,7 +691,7 @@ def validate_s_certificate(h, kind, elements):
 
 
 # ---------------------------------------------------------------------------
-# subset-law scans, shared by classification and the subset checks
+# subset-law scans over element objects, shared by the subset checks
 
 
 def _pairs(members, distinct=False):
@@ -970,7 +791,7 @@ def check_substructure(h, subset, kind="subsemiring"):
         return (True, None)
     if not h.is_enumerable():
         raise SpecError("ideal absorption checks require a finite handle")
-    for s in _sorted_elements(h):
+    for s in h.elements():
         for p in ordered:
             if kind in ("ideal", "left-ideal") and h.mul(s, p) not in mset:
                 return (False, ("not-absorbing-left", s, p))
@@ -1017,25 +838,17 @@ def classify_semiring(h):
 
 
 def _classify_scan(h):
-    elems = _sorted_elements(h)
+    strict_w, commutative_w, has_one, zd_w = tables.classify(h.tables())
+    elems = h.elements()
     witnesses = {}
-
-    def least(pairs):
-        return min((h.pair(x, y) for x, y in pairs),
-                   key=lambda p: (h.key(p[0]), h.key(p[1])), default=None)
-
-    strict_w = least(_non_strict_pairs(h, elems))
     if strict_w is not None:
-        witnesses["strict"] = _wit(h, *strict_w)
-    commutative_w = next(_noncommuting_pairs(h, elems), None)
+        witnesses["strict"] = _wit(h, *(elems[i] for i in strict_w))
     if commutative_w is not None:
-        witnesses["commutative"] = _wit(h, *commutative_w)
-    has_one = _has_internal_identity(h, elems)
+        witnesses["commutative"] = _wit(h, *(elems[i] for i in commutative_w))
     if not has_one:
         witnesses["has_one"] = ("no element acts as a two-sided identity",)
-    zd_w = least(_zero_divisor_pairs(h, elems))
     if zd_w is not None:
-        witnesses["zero_divisor_free"] = _wit(h, *zd_w)
+        witnesses["zero_divisor_free"] = _wit(h, *(elems[i] for i in zd_w))
     return _finish_classification(h, strict_w is None, commutative_w is None,
                                   has_one, zd_w is None, witnesses)
 
@@ -1286,7 +1099,7 @@ def _subset_findings(h, subsets):
 
 def _smarandache_generated(h, query, seed_size):
     total = h.size()
-    elems = _sorted_elements(h)
+    elems = h.elements()
     zero = h.zero
     seen = set()
     hits = set()
@@ -1307,7 +1120,7 @@ def _smarandache_generated(h, query, seed_size):
 
 
 def _smarandache_exhaustive(h, query, max_subset):
-    elems = _sorted_elements(h)
+    elems = h.elements()
     zero = h.zero
     rest = [x for x in elems if x != zero]
     total = len(elems)
@@ -1423,7 +1236,7 @@ def check_homomorphism(f, src, dst, sample=None):
     The kernel lists checked elements mapping to zero.
     """
     if src.is_enumerable():
-        elems = _sorted_elements(src)
+        elems = src.elements()
         exhaustive = True
     else:
         elems = list(sample) if sample is not None else _default_sample(src)
@@ -1461,25 +1274,38 @@ def check_homomorphism(f, src, dst, sample=None):
 # axiom verification (vectorized over index tables)
 
 
+def _object_tables(h):
+    """(add, mul, zero, one) index tables and indices over h.elements(),
+    built with the handle's own add and mul (one is None without one)."""
+    elems = h.elements()
+    idx = {x: i for i, x in enumerate(elems)}
+    add = np.array([[idx[h.add(x, y)] for y in elems] for x in elems],
+                   dtype=np.intp)
+    mul = np.array([[idx[h.mul(x, y)] for y in elems] for x in elems],
+                   dtype=np.intp)
+    one = getattr(h, "one", None)
+    return add, mul, idx[h.zero], None if one is None else idx[one]
+
+
 def verify_axioms(h):
     """Exhaustively check additive commutativity/associativity, the zero
-    identity, and both distributive laws on a finite handle.
+    identity, both distributive laws, zero absorption and, when the handle
+    has a one, the identity laws of one on a finite handle.
 
-    Returns (ok, witness); the witness names the law and the elements.
+    Handles run on their compiled tables; other objects with elements(),
+    add, mul, zero (and optionally one) on tables built from their own
+    arithmetic.  Returns (ok, witness); the witness names the failing law
+    and the elements.
     """
-    elems = h.elements()
-    k = len(elems)
-    idx = {x: i for i, x in enumerate(elems)}
-    add = np.empty((k, k), dtype=np.int32)
-    mul = np.empty((k, k), dtype=np.int32)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            add[i, j] = idx[h.add(x, y)]
-            mul[i, j] = idx[h.mul(x, y)]
-    zero = idx[h.zero]
-    r = range(k)
+    if isinstance(h, SemiringHandle):
+        t = h.tables()
+        add, mul, zero, one = t.full("add"), t.full("mul"), t.zero, t.one
+    else:
+        add, mul, zero, one = _object_tables(h)
+    r = range(len(add))
 
     def failure(law, bad):
+        elems = h.elements()
         return (False, (law,) + tuple(elems[i] for i in bad))
 
     bad = (first_violation(r, 1, lambda x: add[zero, x] == x)
@@ -1503,6 +1329,15 @@ def verify_axioms(h):
     if bad:
         y, z, x = bad
         return failure("not-right-distributive", (x, y, z))
+    bad = (first_violation(r, 1, lambda x: mul[zero, x] == zero)
+           or first_violation(r, 1, lambda x: mul[x, zero] == zero))
+    if bad:
+        return failure("zero-absorption", bad)
+    if one is not None:
+        bad = (first_violation(r, 1, lambda x: mul[one, x] == x)
+               or first_violation(r, 1, lambda x: mul[x, one] == x))
+        if bad:
+            return failure("one-identity", bad)
     return (True, None)
 
 

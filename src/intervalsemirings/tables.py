@@ -1,0 +1,383 @@
+"""Integer Cayley tables of finite semiring handles, and the element scans.
+
+Every finite handle is a vector of n slots over a coefficient domain with q
+elements: a domain is one slot, a formal sum one slot per basis key, a
+matrix one slot per entry.  Both operations act through the q x q domain
+tables and a list of (left slot, right slot, out slot) triples: slot o of
+x (op) y is the domain sum of x[l] (op) y[r] over the op's triples
+(l, r, o), and zero where no triple lands.  Element i is the slot vector
+whose domain-element indices are the base-q digits of i, first slot most
+significant, which is the order of ``SemiringHandle.elements()``.
+
+The scans below work on element indices and return index tuples in the
+scan order each docstring states; ``analysis`` renders them.
+"""
+
+import numpy as np
+
+from . import domains
+from .errors import SpecError
+from .formalsums import _basis_op, basis_keys
+from .matrices import ROW
+
+# Largest table (or block of one) a query may allocate, in bytes.
+TABLE_BYTE_CAP = 1 << 26
+# Entries computed per row block while a table is built, so the digit
+# arrays of one block stay near 64 KB each.
+_BLOCK_ENTRIES = 1 << 13
+
+
+def _layout(h):
+    """(coefficient domain, slot count, triples per operation) of a handle."""
+    if h.kind == "domain":
+        return h.domain, 1, {"add": [(0, 0, 0)], "mul": [(0, 0, 0)]}
+    if h.kind == "formal-sum":
+        spec = h.spec
+        keys = basis_keys(spec)
+        slot = {g: s for s, g in enumerate(keys)}
+        diag = [(s, s, s) for s in range(len(keys))]
+        # a product landing on the absorbed zero basis has no slot: dropped
+        mul = [(slot[g], slot[k], slot[_basis_op(spec, g, k)])
+               for g in keys for k in keys if _basis_op(spec, g, k) in slot]
+        return spec.coefficients, len(keys), {"add": diag, "mul": mul}
+    mk, n = h.shape
+    if mk == ROW:
+        diag = [(s, s, s) for s in range(n)]
+        return h.domain, n, {"add": diag, "mul": diag}
+    diag = [(s, s, s) for s in range(n * n)]
+    mul = [(i * n + l, l * n + j, i * n + j)
+           for i in range(n) for j in range(n) for l in range(n)]
+    return h.domain, n * n, {"add": diag, "mul": mul}
+
+
+class Tables:
+    """Add/mul index tables of one finite handle, over elements() order.
+
+    Domain tables are built on first use, each from its own domain
+    operation.  Full k x k tables are built on the first query that needs
+    random access to every entry and kept; ``block`` computes a few rows or
+    columns without building the whole table.
+    """
+
+    def __init__(self, h):
+        domain, self.n, triples = _layout(h)
+        self._dom = domains.domain_elements(domain)
+        self._digit = {domains.element_key(x): i
+                       for i, x in enumerate(self._dom)}
+        self.q = len(self._dom)
+        self.k = self.q ** self.n
+        self.dtype = np.min_scalar_type(self.k - 1)
+        self._place = [self.q ** (self.n - 1 - s) for s in range(self.n)]
+        self._terms = {kind: [[(l, r) for l, r, o in t if o == s]
+                              for s in range(self.n)]
+                       for kind, t in triples.items()}
+        self._zero_digit = self._digit[
+            domains.element_key(domains.domain_zero(domain))]
+        self._dom_tables = {}
+        self._full = {}
+        self.zero = self.index(h, h.zero)
+        self.one = None if h.one is None else self.index(h, h.one)
+
+    def index(self, h, x):
+        """Position of element x of handle h in elements() order."""
+        key = h.key(x)
+        i = 0
+        for part in ((key,) if h.kind == "domain" else key):
+            i = i * self.q + self._digit[part]
+        return i
+
+    def _dom_table(self, kind):
+        table = self._dom_tables.get(kind)
+        if table is None:
+            f = domains.dom_add if kind == "add" else domains.dom_mul
+            digit = self._digit
+            table = np.array([[digit[domains.element_key(f(x, y))]
+                               for y in self._dom] for x in self._dom],
+                             dtype=np.intp)
+            self._dom_tables[kind] = table
+        return table
+
+    def op(self, kind, I, J):
+        """Indices of elements()[I] (kind) elements()[J], broadcasting I, J."""
+        I = np.asarray(I, dtype=np.intp)
+        J = np.asarray(J, dtype=np.intp)
+        table = self._dom_table(kind)
+        xs = [I // p % self.q for p in self._place]
+        ys = [J // p % self.q for p in self._place]
+        out = np.zeros(np.broadcast_shapes(I.shape, J.shape), dtype=np.intp)
+        for terms, place in zip(self._terms[kind], self._place):
+            acc = self._zero_digit
+            for m, (l, r) in enumerate(terms):
+                term = table[xs[l], ys[r]]
+                acc = term if m == 0 else self._dom_table("add")[acc, term]
+            out += acc * place
+        return out
+
+    def full(self, kind):
+        """The k x k table of ``kind``, built on first use and kept."""
+        table = self._full.get(kind)
+        if table is None:
+            every = np.arange(self.k)
+            table = self._full[kind] = self._compute(kind, every, every)
+        return table
+
+    def block(self, kind, rows, cols):
+        """Table entries at rows x cols, without building the full table."""
+        table = self._full.get(kind)
+        if table is not None:
+            return table[np.ix_(rows, cols)]
+        return self._compute(kind, rows, cols)
+
+    def _compute(self, kind, rows, cols):
+        nbytes = len(rows) * len(cols) * self.dtype.itemsize
+        if nbytes > TABLE_BYTE_CAP:
+            raise SpecError(
+                f"a {len(rows)}x{len(cols)} {kind} table over {self.k} "
+                f"elements needs {nbytes} bytes, above the {TABLE_BYTE_CAP}"
+                "-byte table cap")
+        out = np.empty((len(rows), len(cols)), dtype=self.dtype)
+        step = max(1, _BLOCK_ENTRIES // max(1, len(cols)))
+        for s in range(0, len(rows), step):
+            out[s:s + step] = self.op(kind, rows[s:s + step, None],
+                                      cols[None, :])
+        return out
+
+    def nonzero(self):
+        """Indices of the nonzero elements, in order."""
+        return np.delete(np.arange(self.k), self.zero)
+
+
+def _take(n, budget):
+    """How many of n scan steps a budget admits (all of them without one)."""
+    return n if budget is None else min(n, max(budget, 0))
+
+
+def _pair_scan(m, budget):
+    """(scanned, total, rows) of a row-major scan over the pairs (i, j),
+    i <= j < m, within a budget; rows is how many rows it enters."""
+    total = m * (m + 1) // 2
+    scanned = _take(total, budget)
+    r = np.arange(m)
+    # row r starts after r*m - r*(r-1)/2 pairs
+    rows = int(np.count_nonzero(r * m - r * (r - 1) // 2 < scanned))
+    return scanned, total, rows
+
+
+def _reached(m, rows, scanned):
+    """reached[i, j] for i < rows: pair (i, j) is among the first scanned."""
+    r = np.arange(m)
+    i = r[:rows, None]
+    # row i holds pairs (i, i), (i, i + 1), ... up to the budget
+    return (r >= i) & (r < i + scanned - (i * m - i * (i - 1) // 2))
+
+
+def _first(mask):
+    """Row-major first True position of a 2-D mask, or None."""
+    hits = np.flatnonzero(mask)
+    if not hits.size:
+        return None
+    return tuple(int(v) for v in np.unravel_index(hits[0], mask.shape))
+
+
+def zero_divisors(t, budget=None):
+    """([(kind, x, y)], scanned, exhaustive) of the zero-divisor pair scan.
+
+    Pairs x <= y of nonzero elements in row-major order; a two-sided pair
+    is reported larger index first, a one-sided one in its vanishing order.
+    """
+    if budget is None:
+        t.full("mul")   # the scan reaches every pair: build and keep it
+    nz = t.nonzero()
+    scanned, total, nrows = _pair_scan(len(nz), budget)
+    rows = nz[:nrows]
+    xy = t.block("mul", rows, nz) == t.zero
+    yx = t.block("mul", nz, rows).T == t.zero
+    reached = _reached(len(nz), nrows, scanned)
+    out = []
+    for i, j in zip(*np.nonzero(reached & (xy | yx))):
+        x, y = int(rows[i]), int(nz[j])
+        if xy[i, j] and yx[i, j]:
+            out.append(("zero-divisor", y, x))
+        elif xy[i, j]:
+            out.append(("one-sided-zero-divisor", x, y))
+        else:
+            out.append(("one-sided-zero-divisor", y, x))
+    return out, scanned, scanned == total
+
+
+def idempotents(t):
+    """([x with x*x = x], scanned)."""
+    every = np.arange(t.k)
+    return np.flatnonzero(t.op("mul", every, every) == every).tolist(), t.k
+
+
+def units(t):
+    """([(x, first two-sided inverse of x)], scanned)."""
+    mul = t.full("mul")
+    inverse = (mul == t.one) & (mul.T == t.one)
+    has = inverse.any(axis=1)
+    first = inverse.argmax(axis=1)
+    scanned = int(np.where(has, first + 1, t.k).sum())
+    return [(int(x), int(first[x])) for x in np.flatnonzero(has)], scanned
+
+
+def nilpotents(t, max_index):
+    """([(x, index)], scanned): left-nested powers of nonzero x up to
+    max_index, each x stopping at its first zero power."""
+    nz = t.nonzero()
+    power = nz.copy()
+    index = np.zeros(len(nz), dtype=np.intp)
+    live = np.arange(len(nz))
+    scanned = 0
+    for idx in range(2, max_index + 1):
+        scanned += len(live)
+        power[live] = t.op("mul", power[live], nz[live])
+        dead = power[live] == t.zero
+        index[live[dead]] = idx
+        live = live[~dead]
+    return [(int(nz[i]), int(index[i])) for i in np.flatnonzero(index)], \
+        scanned
+
+
+def _zero_products(t):
+    """Nonzero indices nz and z[i, j]: nz[i] * nz[j] = 0."""
+    nz = t.nonzero()
+    return nz, t.full("mul")[np.ix_(nz, nz)] == t.zero
+
+
+def s_zero_divisors(t, budget=None):
+    """([(a, b, x, y)], scanned, exhaustive) over anchor pairs a <= b.
+
+    An anchor with a zero product in some order is oriented so a*b = 0; its
+    certificate is the first x outside {a, b} with a*x or x*a zero, paired
+    with the first y outside {a, b, x} with b*y or y*b zero and x*y or y*x
+    nonzero.
+    """
+    nz, z = _zero_products(t)
+    either = z | z.T
+    some_nonzero = ~(z & z.T)
+    scanned, total, nrows = _pair_scan(len(nz), budget)
+    reached = _reached(len(nz), nrows, scanned)
+    pos = np.arange(len(nz))
+    out = []
+    for i, j in zip(*np.nonzero(reached & either[:nrows])):
+        a, b = (i, j) if z[i, j] else (j, i)
+        outside = (pos != a) & (pos != b)
+        xs = np.flatnonzero(either[a] & outside)
+        ys = np.flatnonzero(either[b] & outside)
+        hit = _first(some_nonzero[np.ix_(xs, ys)]
+                     & (xs[:, None] != ys[None, :]))
+        if hit is not None:
+            out.append(tuple(int(nz[p]) for p in (a, b, xs[hit[0]],
+                                                  ys[hit[1]])))
+    return out, scanned, scanned == total
+
+
+def s_anti_zero_divisors(t, budget=None):
+    """([(x, y, a, b)], scanned, exhaustive) over nonzero anchors x.
+
+    The certificate is the first y != x with x*y nonzero, then the first a
+    outside {x, y} with a*x or x*a nonzero, then the first b outside {x, y}
+    with b*y or y*b nonzero and a*b or b*a zero.
+    """
+    nz, z = _zero_products(t)
+    m = len(nz)
+    either = z | z.T
+    # b_of[y, b]: b != y and b*y or y*b nonzero
+    b_of = ~(z & z.T) & ~np.eye(m, dtype=bool)
+    # reach[y, a]: how many b of b_of[y] have a*b or b*a zero
+    reach = b_of.astype(np.intp) @ either.astype(np.intp)
+    scanned = _take(m, budget)
+    pos = np.arange(m)
+    out = []
+    for x in range(scanned):
+        a_ok = b_of[x] & (pos != x)             # a != x, a*x or x*a nonzero
+        ys = ~z[x] & (pos != x)
+        # drop b = x from every count, then require a != y
+        valid = ((reach - np.outer(b_of[:, x], either[x])) > 0) \
+            & a_ok[None, :] & ys[:, None] & (pos[:, None] != pos[None, :])
+        hit = _first(valid)
+        if hit is None:
+            continue
+        y, a = hit
+        b = np.flatnonzero(b_of[y] & (pos != x) & either[a])[0]
+        out.append(tuple(int(nz[p]) for p in (x, y, a, b)))
+    return out, scanned, scanned == m
+
+
+def s_idempotents(t, budget=None):
+    """([(a, b)], scanned, exhaustive) over nonzero anchors a.
+
+    a*a = a with a not the one; b is the first of the nonzero elements, then
+    zero, with b != a, b*b = a and exactly one of (a*b = b or b*a = b) and
+    (b*a = a or a*b = a).
+    """
+    mul = t.full("mul")
+    nz = t.nonzero()
+    square = np.diagonal(mul)
+    scanned = _take(len(nz), budget)
+    order = np.append(nz, t.zero)
+    out = []
+    for a in nz[:scanned]:
+        if square[a] != a or a == t.one:
+            continue
+        ab, ba = mul[a, order], mul[order, a]
+        sends_b = (ab == order) | (ba == order)
+        sends_a = (ba == a) | (ab == a)
+        ok = (order != a) & (square[order] == a) & (sends_b != sends_a)
+        if ok.any():
+            out.append((int(a), int(order[ok.argmax()])))
+    return out, scanned, scanned == len(nz)
+
+
+def s_units(t, budget=None):
+    """([(x, y, a, b)], scanned, exhaustive) over anchors x other than one.
+
+    y is the first two-sided inverse of x; a is the first element outside
+    {x, y, 1} with x*a or a*x equal to y, paired with the first b outside
+    {x, y, 1} with y*b or b*y equal to x and a*b or b*a equal to 1.
+    """
+    mul = t.full("mul")
+    one = mul == t.one
+    inverse = one & one.T
+    either = one | one.T
+    anchors = np.delete(np.arange(t.k), t.one)
+    scanned = _take(len(anchors), budget)
+    out = []
+    for x in anchors[:scanned]:
+        if not inverse[x].any():
+            continue
+        y = inverse[x].argmax()
+        every = np.arange(t.k)
+        outside = (every != x) & (every != y) & (every != t.one)
+        aa = np.flatnonzero(((mul[x] == y) | (mul[:, x] == y)) & outside)
+        bb = np.flatnonzero(((mul[y] == x) | (mul[:, y] == x)) & outside)
+        hit = _first(either[np.ix_(aa, bb)])
+        if hit is not None:
+            out.append((int(x), int(y), int(aa[hit[0]]), int(bb[hit[1]])))
+    return out, scanned, scanned == len(anchors)
+
+
+def classify(t):
+    """(strict, commutative, has_one, zero_divisor_free) witnesses by index.
+
+    strict: the pair (y, x), x <= y, other than (0, 0) with x + y = 0, least
+    as (y, x); commutative: the row-major first x < y with x*y != y*x;
+    has_one: whether some element is a two-sided identity (a bool);
+    zero_divisor_free: the least (y, x), nonzero x <= y, with x*y = y*x = 0.
+    Each witness is None when its law holds.
+    """
+    add, mul = t.full("add"), t.full("mul")
+    every = np.arange(t.k)
+    upper = every[:, None] <= every[None, :]
+    sums_zero = (add == t.zero) & upper
+    sums_zero[t.zero, t.zero] = False
+    strict = _first(sums_zero.T)
+    commutative = _first((mul != mul.T) & (every[:, None] < every[None, :]))
+    identity = (mul == every[None, :]) & (mul.T == every[None, :])
+    has_one = bool(identity.all(axis=1).any())
+    nonzero = every != t.zero
+    zd = (mul == t.zero) & (mul.T == t.zero) & upper \
+        & nonzero[:, None] & nonzero[None, :]
+    zero_divisor = _first(zd.T)
+    return strict, commutative, has_one, zero_divisor
