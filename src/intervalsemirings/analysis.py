@@ -6,9 +6,11 @@ matrices).  Finite handles within the enumeration guard are scanned
 exhaustively; infinite or oversized handles fall back to structural arguments
 (reported with ``exhaustive=True`` only when the argument actually decides the
 query) or to pattern instantiations (reported with ``exhaustive=False``).
-The element scans run on the handle's compiled integer tables (``tables``)
-and render their witnesses from ``elements()``; subset checks, closures and
-homomorphisms run on the element objects.
+The element scans, subset checks, closures and Smarandache searches run on
+the handle's compiled integer tables (``tables``) and render their
+witnesses from ``elements()``; a subset of a handle without tables (an
+infinite one) is checked on local tables built from object arithmetic.
+Homomorphism checks run on the element objects.
 """
 
 from dataclasses import dataclass
@@ -35,8 +37,6 @@ from .domains import (
     RAT,
     TABLE,
     ZN,
-    DomainSpec,
-    IntervalElem,
     dom_units,
     domain_elements,
     domain_size,
@@ -51,14 +51,11 @@ from .domains import (
 )
 from .errors import SpecError
 from .formalsums import (
-    FormalSum,
     PolyBasis,
-    SemiringSpec,
     _ENUM_GUARD,
     _basis_op,
     basis_is_finite,
     basis_keys,
-    basis_token,
     enumerate_elements,
     fs_one,
     fs_term,
@@ -333,8 +330,9 @@ def _index_findings(h, hits):
 def _domain_zero_divisor_pair(d):
     """Minimal nonzero pair with zero product in a finite domain, or None."""
     h = SemiringHandle.for_domain(d)
-    pair = next(_zero_divisor_pairs(h, domain_elements(d)), None)
-    return None if pair is None else h.pair(*pair)
+    t = h.tables()
+    pair = tables.zero_divisor_pair(tables.restrict(t, np.arange(t.k)))
+    return None if pair is None else h.pair(*(h.elements()[i] for i in pair))
 
 
 def _zero_divisor_patterns(h, query):
@@ -691,55 +689,6 @@ def validate_s_certificate(h, kind, elements):
 
 
 # ---------------------------------------------------------------------------
-# subset-law scans over element objects, shared by the subset checks
-
-
-def _pairs(members, distinct=False):
-    """Pairs (members[i], members[j]) with i <= j (i < j when distinct)."""
-    for i, x in enumerate(members):
-        for y in members[i + 1 if distinct else i:]:
-            yield x, y
-
-
-def _first_unclosed(h, members, mset):
-    """First (law, x, y) over members x, y whose sum or product leaves mset."""
-    for x in members:
-        for y in members:
-            if h.add(x, y) not in mset:
-                return ("not-closed-under-addition", x, y)
-            if h.mul(x, y) not in mset:
-                return ("not-closed-under-multiplication", x, y)
-    return None
-
-
-def _non_strict_pairs(h, members):
-    """Pairs other than (0, 0) whose sum is zero."""
-    zero = h.zero
-    return ((x, y) for x, y in _pairs(members)
-            if h.add(x, y) == zero and not (x == zero and y == zero))
-
-
-def _noncommuting_pairs(h, members):
-    """Distinct pairs whose products differ by order."""
-    return ((x, y) for x, y in _pairs(members, distinct=True)
-            if h.mul(x, y) != h.mul(y, x))
-
-
-def _zero_divisor_pairs(h, members):
-    """Pairs of nonzero members whose products vanish both ways."""
-    zero = h.zero
-    nz = [x for x in members if x != zero]
-    return ((x, y) for x, y in _pairs(nz)
-            if h.mul(x, y) == zero and h.mul(y, x) == zero)
-
-
-def _has_internal_identity(h, members):
-    """Whether some member acts as a two-sided identity on members."""
-    return any(all(h.mul(u, x) == x and h.mul(x, u) == x for x in members)
-               for u in members)
-
-
-# ---------------------------------------------------------------------------
 # substructures
 
 
@@ -775,29 +724,50 @@ def check_substructure(h, subset, kind="subsemiring"):
     if kind not in _SUB_KINDS:
         raise SpecError(f"unknown substructure kind {kind!r} "
                         f"(available: {', '.join(_SUB_KINDS)})")
-    members, nat_multiple = _materialize_pattern(h, subset)
+    members, _ = _materialize_pattern(h, subset)
     if members is None:
         # multiples of k in the nat domain: k*s + k*t and s*(k*t) are again
         # multiples of k, so every kind holds structurally
         return (True, None)
-    mset = set(members)
-    if h.zero not in mset:
+    if h.zero not in set(members):
         return (False, ("missing-zero",))
-    ordered = sorted(mset, key=h.key)
-    unclosed = _first_unclosed(h, ordered, mset)
+    s, ordered = _subset_tables(h, members)
+    unclosed = tables.first_unclosed(s)
     if unclosed is not None:
-        return (False, unclosed)
+        law, i, j = unclosed
+        return (False, (law, ordered[i], ordered[j]))
     if kind == "subsemiring":
         return (True, None)
     if not h.is_enumerable():
         raise SpecError("ideal absorption checks require a finite handle")
-    for s in h.elements():
-        for p in ordered:
-            if kind in ("ideal", "left-ideal") and h.mul(s, p) not in mset:
-                return (False, ("not-absorbing-left", s, p))
-            if kind in ("ideal", "right-ideal") and h.mul(p, s) not in mset:
-                return (False, ("not-absorbing-right", p, s))
-    return (True, None)
+    t = h.tables()
+    w = tables.first_not_absorbing(
+        t, [t.index(h, x) for x in ordered],
+        kind in ("ideal", "left-ideal"), kind in ("ideal", "right-ideal"))
+    if w is None:
+        return (True, None)
+    law, x, y = w
+    return (False, (law, h.elements()[x], h.elements()[y]))
+
+
+def _subset_tables(h, members):
+    """(local tables, members) of the distinct members in key order.
+
+    An enumerable handle slices its compiled tables; any other handle
+    builds them from m^2 object sums and products.
+    """
+    ordered = sorted(set(members), key=h.key)
+    if h.is_enumerable():
+        t = h.tables()
+        return tables.restrict(t, [t.index(h, x) for x in ordered]), ordered
+    pos = {x: i for i, x in enumerate(ordered)}
+    m = len(ordered)
+
+    def table(op):
+        return np.array([[pos.get(op(x, y), -1) for y in ordered]
+                         for x in ordered], dtype=np.intp).reshape(m, m)
+
+    return tables.Local(table(h.add), table(h.mul), pos.get(h.zero)), ordered
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +946,8 @@ def _classify_matrix_structural(h):
 
 
 def _closure_under_ops(h, seed, cap=_CLOSURE_CAP):
-    """Closure of seed under + and * (None if it exceeds the cap)."""
+    """Closure of seed under + and * (None if it exceeds the cap), on element
+    objects: only for handles without compiled tables (infinite ones)."""
     out = set(seed)
     frontier = list(seed)
     while frontier:
@@ -999,58 +970,11 @@ def semifield_within(h, subset):
     Returns (ok, reason).  Requires the handle zero inside, closure, strict
     addition, commutativity, an internal identity, and no zero divisors.
     """
-    members = sorted(set(subset), key=h.key)
-    mset = set(members)
-    if h.zero not in mset:
-        return (False, ("missing-zero",))
-    if len(members) < 2:
-        return (False, ("trivial",))
-    unclosed = _first_unclosed(h, members, mset)
-    if unclosed is not None:
-        return (False, unclosed)
-    w = next(_non_strict_pairs(h, members), None)
-    if w is not None:
-        return (False, ("not-strict",) + w)
-    w = next(_noncommuting_pairs(h, members), None)
-    if w is not None:
-        return (False, ("not-commutative",) + w)
-    if not _has_internal_identity(h, members):
-        return (False, ("no-internal-identity",))
-    w = next(_zero_divisor_pairs(h, members), None)
-    if w is not None:
-        return (False, ("zero-divisor",) + w)
-    return (True, None)
-
-
-def _is_s_subsemiring(h, members, total_size):
-    """P closed with zero, containing a proper semifield T; returns T or None."""
-    mset = set(members)
-    if h.zero not in mset or _first_unclosed(h, members, mset) is not None:
-        return None
-    for t in _semifield_candidates_within(h, members):
-        if len(t) < len(mset):
-            return t
-    return None
-
-
-def _semifield_candidates_within(h, members):
-    """Generated semifield subsets of the member set, smallest first."""
-    mset = set(members)
-    seen = set()
-    out = []
-    singles = [frozenset((h.zero, x)) for x in members]
-    pairs = [frozenset((h.zero, x, y))
-             for x, y in itertools.combinations(members, 2)]
-    for seed in singles + pairs:
-        c = _closure_under_ops(h, seed, cap=len(mset))
-        if c is None or not c <= mset or c in seen:
-            continue
-        seen.add(c)
-        ok, _ = semifield_within(h, c)
-        if ok:
-            out.append(c)
-    out.sort(key=lambda c: (len(c), tuple(sorted(h.key(x) for x in c))))
-    return out
+    s, members = _subset_tables(h, subset)
+    w = tables.semifield_failure(s)
+    if w is None:
+        return (True, None)
+    return (False, w[:1] + tuple(members[i] for i in w[1:]))
 
 
 def smarandache_search(h, mode="generated", *, seed_size=2, max_subset=None,
@@ -1074,134 +998,67 @@ def smarandache_search(h, mode="generated", *, seed_size=2, max_subset=None,
         if h.size() > _EXHAUSTIVE_SUBSET_LIMIT:
             raise SpecError("exhaustive subset search is limited to handles "
                             f"with at most {_EXHAUSTIVE_SUBSET_LIMIT} elements")
-        return _smarandache_exhaustive(h, query, max_subset)
-    if mode != "generated":
+        hits, scanned = tables.exhaustive_semifields(h.tables(), max_subset)
+    elif mode == "generated":
+        hits, scanned = tables.generated_semifields(h.tables(), seed_size)
+    else:
         raise SpecError(f"unknown search mode {mode!r}")
-    return _smarandache_generated(h, query, seed_size)
+    return _report(query, _index_findings(
+        h, [("semifield-subset",) + c for c in hits]),
+        mode == "exhaustive", scanned)
 
 
-def _qualifies(h, c, total):
-    if not 2 <= len(c) < total:
-        return False
-    ok, _ = semifield_within(h, c)
-    return ok
-
-
-def _subset_findings(h, subsets):
-    out = []
-    for c in sorted(subsets, key=lambda c: (len(c),
-                                            tuple(sorted(h.key(x) for x in c)))):
-        ordered = sorted(c, key=h.key)
-        out.append(Finding("semifield-subset", _wit(h, *ordered),
-                           tuple(ordered)))
-    return out
-
-
-def _smarandache_generated(h, query, seed_size):
-    total = h.size()
-    elems = h.elements()
-    zero = h.zero
-    seen = set()
-    hits = set()
-    scanned = 0
-    seeds = [frozenset((zero, x)) for x in elems]
-    if seed_size >= 2:
-        seeds += [frozenset((zero, x, y))
-                  for x, y in itertools.combinations(elems, 2)]
-    for seed in seeds:
-        c = _closure_under_ops(h, seed, cap=total)
-        scanned += 1
-        if c is None or c in seen:
-            continue
-        seen.add(c)
-        if _qualifies(h, c, total):
-            hits.add(c)
-    return _report(query, _subset_findings(h, hits), False, scanned)
-
-
-def _smarandache_exhaustive(h, query, max_subset):
-    elems = h.elements()
-    zero = h.zero
-    rest = [x for x in elems if x != zero]
-    total = len(elems)
-    cap = max_subset if max_subset is not None else total - 1
-    hits = []
-    scanned = 0
-    for r in range(1, min(cap, total - 1)):
-        for combo in itertools.combinations(rest, r):
-            s = frozenset((zero,) + combo)
-            scanned += 1
-            if _qualifies(h, s, total):
-                hits.append(s)
-    return _report(query, _subset_findings(h, hits), True, scanned)
+_CANDIDATE_KINDS = ("semifield-subset", "s-subsemiring", "s-ideal",
+                    "s-pseudo-subsemiring", "s-pseudo-ideal")
 
 
 def _evaluate_candidate(h, members, kind):
+    if kind not in _CANDIDATE_KINDS:
+        raise SpecError(f"unknown candidate kind {kind!r}")
     query = f"{kind} candidate on {h.describe()}"
-    mset = set(members)
-    ordered = sorted(mset, key=h.key)
-    if kind == "semifield-subset":
-        ok, reason = semifield_within(h, ordered)
-        proper = (not h.is_finite()) or len(mset) < h.size()
-        if ok and proper:
-            return _report(query, [Finding("semifield-subset",
-                                           _wit(h, *ordered),
-                                           tuple(ordered))], True, 0)
-        return _report(query, [], True, 0)
-    if kind == "s-subsemiring":
-        t = _is_s_subsemiring(h, ordered, len(mset))
-        if t is not None:
-            ts = sorted(t, key=h.key)
-            return _report(query, [Finding("s-subsemiring", _wit(h, *ts),
-                                           tuple(ts))], True, 0)
-        return _report(query, [], True, 0)
-    if kind == "s-ideal":
-        t = _is_s_subsemiring(h, ordered, len(mset))
-        if t is None:
-            return _report(query, [], True, 0)
-        for a_set in _semifield_candidates_within(h, ordered):
-            if all(h.mul(p, a) in a_set and h.mul(a, p) in a_set
-                   for p in ordered for a in a_set):
-                aord = sorted(a_set, key=h.key)
-                return _report(query, [Finding("s-ideal", _wit(h, *aord),
-                                               tuple(aord))], True, 0)
-        return _report(query, [], True, 0)
+    s, ordered = _subset_tables(h, members)
     if kind == "s-pseudo-subsemiring":
-        p = _pseudo_superset(h, mset)
-        if p is not None:
-            pord = sorted(p, key=h.key)
-            return _report(query, [Finding("s-pseudo-subsemiring",
-                                           _wit(h, *pord), tuple(pord))],
-                           True, 0)
+        found = _pseudo_superset(h, set(ordered))
+    else:
+        if kind == "semifield-subset":
+            proper = (not h.is_finite()) or len(ordered) < h.size()
+            ok = proper and tables.semifield_failure(s) is None
+            at = range(s.k) if ok else None
+        elif kind == "s-subsemiring":
+            at = tables.s_subsemiring(s)
+        else:
+            # a semifield subset A of the candidate P with P*A and A*P in A
+            # (s-ideal, P an S-subsemiring) or in P (s-pseudo-ideal, P
+            # inside a closed proper superset)
+            own = kind == "s-ideal"
+            base = tables.s_subsemiring(s) if own else \
+                _pseudo_superset(h, set(ordered))
+            at = None if base is None else next(
+                (a for a in tables.semifield_subsets(s)
+                 if tables.absorbs(s, a, a if own else range(s.k))), None)
+        found = None if at is None else [ordered[i] for i in at]
+    if found is None:
         return _report(query, [], True, 0)
-    if kind == "s-pseudo-ideal":
-        if _pseudo_superset(h, mset) is None:
-            return _report(query, [], True, 0)
-        for a_set in _semifield_candidates_within(h, ordered):
-            if all(h.mul(p, a) in mset and h.mul(a, p) in mset
-                   for p in ordered for a in a_set):
-                aord = sorted(a_set, key=h.key)
-                return _report(query, [Finding("s-pseudo-ideal",
-                                               _wit(h, *aord), tuple(aord))],
-                               True, 0)
-        return _report(query, [], True, 0)
-    raise SpecError(f"unknown candidate kind {kind!r}")
+    return _report(query, [Finding(kind, _wit(h, *found), tuple(found))],
+                   True, 0)
 
 
 def _pseudo_superset(h, mset):
-    """A closed superset of mset that is a semifield or an S-subsemiring."""
-    seed = frozenset(mset | {h.zero})
-    c = _closure_under_ops(h, seed)
-    if c is None:
+    """A closed superset of mset that is a proper semifield or S-subsemiring,
+    as members in key order, or None."""
+    seed = mset | {h.zero}
+    if h.is_enumerable():
+        t = h.tables()
+        c = tables.closure(t, [t.index(h, x) for x in seed], _CLOSURE_CAP)
+        c = None if c is None else [h.elements()[i] for i in c]
+    else:
+        c = _closure_under_ops(h, seed)
+    if c is None or (h.is_finite() and len(c) >= h.size()):
         return None
-    total = h.size() if h.is_finite() else None
-    ok, _ = semifield_within(h, c)
-    if ok and (total is None or len(c) < total):
-        return c
-    ordered = sorted(c, key=h.key)
-    if _is_s_subsemiring(h, ordered, len(c)) is not None:
-        if total is None or len(c) < total:
-            return c
+    s, ordered = _subset_tables(h, c)
+    if tables.semifield_failure(s) is None or \
+            tables.s_subsemiring(s) is not None:
+        return ordered
     return None
 
 
@@ -1443,21 +1300,21 @@ def _sweep_neutro_prime(primes=(3, 5, 7, 11, 13)):
     scanned = 0
     for p in primes:
         h = SemiringHandle.for_domain(neutro_pure(zn_interval(p)))
-        zero = h.zero
-        rest = [x for x in domain_elements(h.domain) if x != zero]
+        t = h.tables()
+        t.full("add")   # every subset reads both tables: build and keep them
+        t.full("mul")
+        rest = t.nonzero().tolist()
         combos = itertools.chain.from_iterable(
             itertools.combinations(rest, r) for r in range(1, len(rest)))
         closed_subset = None
         for combo in combos:
             scanned += 1
-            s = {zero, *combo}
-            if _first_unclosed(h, combo, s) is None:
-                closed_subset = s
+            c = sorted((t.zero,) + combo)
+            if tables.first_unclosed(tables.restrict(t, c)) is None:
+                closed_subset = c
                 break
         if closed_subset:
-            w = tuple(format_element(x)
-                      for x in sorted(closed_subset,
-                                      key=element_key))
+            w = tuple(format_element(h.elements()[i]) for i in closed_subset)
             return ([Finding("counterexample", (f"p={p}",) + w)],
                     scanned, False)
         findings.append(Finding("instance", (f"p={p}", "pass")))

@@ -10,8 +10,14 @@ whose domain-element indices are the base-q digits of i, first slot most
 significant, which is the order of ``SemiringHandle.elements()``.
 
 The scans below work on element indices and return index tuples in the
-scan order each docstring states; ``analysis`` renders them.
+scan order each docstring states; ``analysis`` renders them.  Subsets are
+checked on their local tables (:class:`Local`), sliced from the compiled
+tables or, on a handle without them, built from object arithmetic; the
+subset searches (closures, semifield subsets, the Smarandache searches)
+run on the same tables.
 """
+
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -125,16 +131,12 @@ class Tables:
         """Table entries at rows x cols, without building the full table."""
         table = self._full.get(kind)
         if table is not None:
-            return table[np.ix_(rows, cols)]
+            return table[rows[:, None], cols]
         return self._compute(kind, rows, cols)
 
     def _compute(self, kind, rows, cols):
-        nbytes = len(rows) * len(cols) * self.dtype.itemsize
-        if nbytes > TABLE_BYTE_CAP:
-            raise SpecError(
-                f"a {len(rows)}x{len(cols)} {kind} table over {self.k} "
-                f"elements needs {nbytes} bytes, above the {TABLE_BYTE_CAP}"
-                "-byte table cap")
+        _check_bytes(f"a {len(rows)}x{len(cols)} {kind} table", self.k,
+                     len(rows) * len(cols) * self.dtype.itemsize)
         out = np.empty((len(rows), len(cols)), dtype=self.dtype)
         step = max(1, _BLOCK_ENTRIES // max(1, len(cols)))
         for s in range(0, len(rows), step):
@@ -145,6 +147,13 @@ class Tables:
     def nonzero(self):
         """Indices of the nonzero elements, in order."""
         return np.delete(np.arange(self.k), self.zero)
+
+
+def _check_bytes(what, k, nbytes):
+    """Refuse, before allocating, anything over the table byte cap."""
+    if nbytes > TABLE_BYTE_CAP:
+        raise SpecError(f"{what} over {k} elements needs {nbytes} bytes, "
+                        f"above the {TABLE_BYTE_CAP}-byte table cap")
 
 
 def _take(n, budget):
@@ -173,10 +182,10 @@ def _reached(m, rows, scanned):
 
 def _first(mask):
     """Row-major first True position of a 2-D mask, or None."""
-    hits = np.flatnonzero(mask)
-    if not hits.size:
+    i = int(mask.argmax()) if mask.size else 0
+    if not mask.size or not mask.flat[i]:
         return None
-    return tuple(int(v) for v in np.unravel_index(hits[0], mask.shape))
+    return divmod(i, mask.shape[1])
 
 
 def zero_divisors(t, budget=None):
@@ -280,8 +289,11 @@ def s_anti_zero_divisors(t, budget=None):
     outside {x, y} with a*x or x*a nonzero, then the first b outside {x, y}
     with b*y or y*b nonzero and a*b or b*a zero.
     """
+    m = t.k - 1
+    # the two operands of the count matmul, cast to intp, and its product
+    _check_bytes("the s-anti-zero-divisor count matrices", t.k,
+                 3 * m * m * np.dtype(np.intp).itemsize)
     nz, z = _zero_products(t)
-    m = len(nz)
     either = z | z.T
     # b_of[y, b]: b != y and b*y or y*b nonzero
     b_of = ~(z & z.T) & ~np.eye(m, dtype=bool)
@@ -367,6 +379,8 @@ def classify(t):
     zero_divisor_free: the least (y, x), nonzero x <= y, with x*y = y*x = 0.
     Each witness is None when its law holds.
     """
+    # about five k x k boolean masks are alive at once
+    _check_bytes("classification masks", t.k, 5 * t.k * t.k)
     add, mul = t.full("add"), t.full("mul")
     every = np.arange(t.k)
     upper = every[:, None] <= every[None, :]
@@ -381,3 +395,213 @@ def classify(t):
         & nonzero[:, None] & nonzero[None, :]
     zero_divisor = _first(zd.T)
     return strict, commutative, has_one, zero_divisor
+
+
+# ---------------------------------------------------------------------------
+# subsets: local tables, the subset-law scans, closures and searches
+
+
+class Local:
+    """Add/mul tables of a subset of k members in ascending element order.
+
+    Entry [i, j] is the position of member i (op) member j among the
+    members, or -1 where it leaves the subset; zero is the position of the
+    handle's zero, or None when it is not a member.
+    """
+
+    def __init__(self, add, mul, zero):
+        self.add, self.mul, self.zero = add, mul, zero
+        self.k = len(add)
+
+    def block(self, kind, rows, cols):
+        table = self.add if kind == "add" else self.mul
+        return table[rows[:, None], cols]
+
+
+def restrict(t, idx):
+    """Local tables of the members idx, ascending positions in t (the
+    compiled tables or a Local)."""
+    idx = np.asarray(idx, dtype=np.intp)
+    # position of every index of t among the members; the extra last entry
+    # is what a -1 (outside) of a Local reads
+    pos = np.full(t.k + 1, -1, dtype=np.intp)
+    pos[idx] = np.arange(len(idx))
+    zero = None if t.zero is None or pos[t.zero] < 0 else int(pos[t.zero])
+    return Local(pos[t.block("add", idx, idx)], pos[t.block("mul", idx, idx)],
+                 zero)
+
+
+def closure(t, seed, cap):
+    """Ascending positions of the closure of seed under + and * in t (the
+    compiled tables or a Local), or None once it has more than cap elements
+    or leaves a Local."""
+    # the extra last entry is what a -1 (outside) of a Local marks
+    member = np.zeros(t.k + 1, dtype=bool)
+    member[list(seed)] = True
+    s = np.flatnonzero(member)
+    while len(s) <= cap:
+        member[t.block("add", s, s)] = True
+        member[t.block("mul", s, s)] = True
+        if member[-1]:
+            return None
+        grown = np.flatnonzero(member)
+        if len(grown) == len(s):
+            return s
+        s = grown
+    return None
+
+
+def first_unclosed(s):
+    """Row-major first (law, i, j) whose sum or product leaves the subset,
+    addition checked before multiplication at each pair."""
+    out = s.add < 0
+    hit = _first(out | (s.mul < 0))
+    if hit is None:
+        return None
+    law = "addition" if out[hit] else "multiplication"
+    return (f"not-closed-under-{law}",) + hit
+
+
+def non_strict_pair(s):
+    """Row-major first (i, j), i <= j, other than (0, 0), summing to 0."""
+    sums_zero = s.add == s.zero
+    sums_zero[s.zero, s.zero] = False
+    return _first(np.triu(sums_zero))
+
+
+def noncommuting_pair(s):
+    """Row-major first (i, j), i < j, whose products differ by order."""
+    return _first(np.triu(s.mul != s.mul.T, 1))
+
+
+def has_identity(s):
+    """Whether some member acts as a two-sided identity on the members."""
+    pos = np.arange(s.k)
+    return bool(((s.mul == pos) & (s.mul.T == pos)).all(axis=1).any())
+
+
+def zero_divisor_pair(s):
+    """Row-major first (i, j), nonzero i <= j, with zero products both ways."""
+    z = (s.mul == s.zero) & (s.mul.T == s.zero)
+    z[s.zero, :] = z[:, s.zero] = False
+    return _first(np.triu(z))
+
+
+def semifield_failure(s):
+    """The first failing semifield law of a subset as (law, positions...):
+    zero, size, closure, strictness, commutativity, an identity and zero
+    divisors, in that order; None when the subset is a semifield."""
+    if s.zero is None:
+        return ("missing-zero",)
+    if s.k < 2:
+        return ("trivial",)
+    w = first_unclosed(s)
+    if w is not None:
+        return w
+    for law, scan in (("not-strict", non_strict_pair),
+                      ("not-commutative", noncommuting_pair)):
+        w = scan(s)
+        if w is not None:
+            return (law,) + w
+    if not has_identity(s):
+        return ("no-internal-identity",)
+    w = zero_divisor_pair(s)
+    return None if w is None else ("zero-divisor",) + w
+
+
+def _by_size(subsets):
+    """Position tuples ordered smallest first, then by positions."""
+    return sorted(subsets, key=lambda c: (len(c), c))
+
+
+def _semifield_closures(t, seed_size, proper):
+    """(semifield closures, seeds scanned) in t (the compiled tables or a
+    Local): the distinct closures of {0, x}, then (seed_size >= 2) of
+    {0, x, y} for x < y, that stay in t; proper ones only when asked."""
+    seeds = ((t.zero, x) for x in range(t.k))
+    if seed_size >= 2:
+        seeds = chain(seeds, ((t.zero, x, y)
+                              for x, y in combinations(range(t.k), 2)))
+    seen = set()
+    hits = []
+    scanned = 0
+    for seed in seeds:
+        scanned += 1
+        c = closure(t, seed, t.k)
+        if c is None:
+            continue
+        c = tuple(c.tolist())
+        if c in seen or (proper and len(c) == t.k):
+            continue
+        seen.add(c)
+        if semifield_failure(restrict(t, c)) is None:
+            hits.append(c)
+    return _by_size(hits), scanned
+
+
+def semifield_subsets(s):
+    """Semifield closures inside a subset with zero, as position tuples
+    ordered by size then positions (see _semifield_closures)."""
+    return [] if s.zero is None else _semifield_closures(s, 2, False)[0]
+
+
+def s_subsemiring(s):
+    """The first proper semifield subset of a closed subset with zero, as
+    positions, or None (also when the subset is not closed or lacks 0)."""
+    if s.zero is None or first_unclosed(s) is not None:
+        return None
+    return next((c for c in semifield_subsets(s) if len(c) < s.k), None)
+
+
+def absorbs(s, inner, into):
+    """Whether p*a and a*p land among the positions into for every member
+    p and every a in inner."""
+    # the extra False entry is what a -1 (outside) reads
+    target = np.zeros(s.k + 1, dtype=bool)
+    target[list(into)] = True
+    inner = list(inner)
+    return bool(target[s.mul[:, inner]].all()
+                and target[s.mul[inner, :]].all())
+
+
+def first_not_absorbing(t, idx, left, right):
+    """First (law, x, y) with s over every element, then p over the member
+    indices idx: s*p leaving the members (left) before p*s (right)."""
+    idx = np.asarray(idx, dtype=np.intp)
+    every = np.arange(t.k)
+    member = np.zeros(t.k, dtype=bool)
+    member[idx] = True
+    bad_left = ~member[t.block("mul", every, idx)] if left else False
+    bad_right = ~member[t.block("mul", idx, every).T] if right else False
+    hit = _first(bad_left | bad_right)
+    if hit is None:
+        return None
+    x, p = hit[0], int(idx[hit[1]])
+    if left and bad_left[hit]:
+        return ("not-absorbing-left", x, p)
+    return ("not-absorbing-right", p, x)
+
+
+def generated_semifields(t, seed_size):
+    """(proper semifield closures, seeds scanned) of the generated search."""
+    t.full("add")   # every closure reads both tables: build and keep them
+    t.full("mul")
+    return _semifield_closures(t, seed_size, True)
+
+
+def exhaustive_semifields(t, max_subset):
+    """(semifield subsets, subsets scanned) over {0} with every r nonzero
+    elements, r = 1, 2, ... below min(max_subset, k - 1)."""
+    t.full("add")
+    t.full("mul")
+    nz = t.nonzero().tolist()
+    top = t.k - 1 if max_subset is None else min(max_subset, t.k - 1)
+    hits = []
+    scanned = 0
+    for r in range(1, top):
+        for combo in combinations(nz, r):
+            scanned += 1
+            c = tuple(sorted((t.zero,) + combo))
+            if semifield_failure(restrict(t, c)) is None:
+                hits.append(c)
+    return _by_size(hits), scanned

@@ -5,6 +5,7 @@ arithmetic; the table scans must match them exactly, witnesses and
 ``pairs_scanned`` included.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -20,8 +21,10 @@ from intervalsemirings import (
     build_groupoid,
     build_loop,
     chain_lattice,
+    check_substructure,
     classify_semiring,
     cyclic_group,
+    element,
     find_idempotents,
     find_nilpotents,
     find_s_special,
@@ -29,21 +32,28 @@ from intervalsemirings import (
     find_zero_divisors,
     make_spec,
     mult_semigroup_zn,
+    nat_interval,
     neutro_mixed,
     neutro_pure,
+    rat_interval,
+    semifield_within,
+    smarandache_search,
     symmetric_semigroup,
     table_lattice,
+    theorem_sweep,
     verify_axioms,
     zn_interval,
 )
 from intervalsemirings import cli
 from intervalsemirings.analysis import (
     Finding,
+    _closure_under_ops,
     _finish_classification,
     _object_tables,
     _report,
     _wit,
 )
+from intervalsemirings.domains import element_key, format_element
 
 
 def dh(d):
@@ -399,6 +409,246 @@ def ref_classify(h):
 
 
 # ---------------------------------------------------------------------------
+# reference subset-law scans, subset checks and searches on element objects
+
+
+def _first_unclosed(h, members, mset):
+    for x in members:
+        for y in members:
+            if h.add(x, y) not in mset:
+                return ("not-closed-under-addition", x, y)
+            if h.mul(x, y) not in mset:
+                return ("not-closed-under-multiplication", x, y)
+    return None
+
+
+def _non_strict_pairs(h, members):
+    zero = h.zero
+    return ((x, y) for x, y in _pairs(members)
+            if h.add(x, y) == zero and not (x == zero and y == zero))
+
+
+def _noncommuting_pairs(h, members):
+    return ((x, y) for x, y in _pairs(members, distinct=True)
+            if h.mul(x, y) != h.mul(y, x))
+
+
+def _zero_divisor_pairs(h, members):
+    zero = h.zero
+    nz = [x for x in members if x != zero]
+    return ((x, y) for x, y in _pairs(nz)
+            if h.mul(x, y) == zero and h.mul(y, x) == zero)
+
+
+def _has_internal_identity(h, members):
+    return any(all(h.mul(u, x) == x and h.mul(x, u) == x for x in members)
+               for u in members)
+
+
+def ref_semifield_within(h, subset):
+    members = sorted(set(subset), key=h.key)
+    mset = set(members)
+    if h.zero not in mset:
+        return (False, ("missing-zero",))
+    if len(members) < 2:
+        return (False, ("trivial",))
+    unclosed = _first_unclosed(h, members, mset)
+    if unclosed is not None:
+        return (False, unclosed)
+    w = next(_non_strict_pairs(h, members), None)
+    if w is not None:
+        return (False, ("not-strict",) + w)
+    w = next(_noncommuting_pairs(h, members), None)
+    if w is not None:
+        return (False, ("not-commutative",) + w)
+    if not _has_internal_identity(h, members):
+        return (False, ("no-internal-identity",))
+    w = next(_zero_divisor_pairs(h, members), None)
+    if w is not None:
+        return (False, ("zero-divisor",) + w)
+    return (True, None)
+
+
+def ref_check_substructure(h, subset, kind):
+    mset = set(subset)
+    if h.zero not in mset:
+        return (False, ("missing-zero",))
+    ordered = sorted(mset, key=h.key)
+    unclosed = _first_unclosed(h, ordered, mset)
+    if unclosed is not None:
+        return (False, unclosed)
+    if kind == "subsemiring":
+        return (True, None)
+    for s in h.elements():
+        for p in ordered:
+            if kind in ("ideal", "left-ideal") and h.mul(s, p) not in mset:
+                return (False, ("not-absorbing-left", s, p))
+            if kind in ("ideal", "right-ideal") and h.mul(p, s) not in mset:
+                return (False, ("not-absorbing-right", p, s))
+    return (True, None)
+
+
+def _ref_is_s_subsemiring(h, members):
+    mset = set(members)
+    if h.zero not in mset or _first_unclosed(h, members, mset) is not None:
+        return None
+    for t in _ref_semifield_candidates_within(h, members):
+        if len(t) < len(mset):
+            return t
+    return None
+
+
+def _ref_semifield_candidates_within(h, members):
+    mset = set(members)
+    seen = set()
+    out = []
+    singles = [frozenset((h.zero, x)) for x in members]
+    pairs = [frozenset((h.zero, x, y))
+             for x, y in itertools.combinations(members, 2)]
+    for seed in singles + pairs:
+        c = _closure_under_ops(h, seed, cap=len(mset))
+        if c is None or not c <= mset or c in seen:
+            continue
+        seen.add(c)
+        ok, _ = ref_semifield_within(h, c)
+        if ok:
+            out.append(c)
+    out.sort(key=lambda c: (len(c), tuple(sorted(h.key(x) for x in c))))
+    return out
+
+
+def _ref_pseudo_superset(h, mset):
+    c = _closure_under_ops(h, frozenset(mset | {h.zero}))
+    if c is None:
+        return None
+    total = h.size() if h.is_finite() else None
+    ok, _ = ref_semifield_within(h, c)
+    if ok and (total is None or len(c) < total):
+        return c
+    if _ref_is_s_subsemiring(h, sorted(c, key=h.key)) is not None:
+        if total is None or len(c) < total:
+            return c
+    return None
+
+
+def ref_candidate(h, members, kind):
+    query = f"{kind} candidate on {h.describe()}"
+    mset = set(members)
+    ordered = sorted(mset, key=h.key)
+
+    def found(subset):
+        xs = tuple(sorted(subset, key=h.key))
+        return _report(query, [Finding(kind, _wit(h, *xs), xs)], True, 0)
+
+    if kind == "semifield-subset":
+        ok, _ = ref_semifield_within(h, ordered)
+        if ok and ((not h.is_finite()) or len(mset) < h.size()):
+            return found(ordered)
+    elif kind == "s-subsemiring":
+        t = _ref_is_s_subsemiring(h, ordered)
+        if t is not None:
+            return found(t)
+    elif kind == "s-ideal":
+        if _ref_is_s_subsemiring(h, ordered) is not None:
+            for a_set in _ref_semifield_candidates_within(h, ordered):
+                if all(h.mul(p, a) in a_set and h.mul(a, p) in a_set
+                       for p in ordered for a in a_set):
+                    return found(a_set)
+    elif kind == "s-pseudo-subsemiring":
+        p = _ref_pseudo_superset(h, mset)
+        if p is not None:
+            return found(p)
+    elif _ref_pseudo_superset(h, mset) is not None:
+        for a_set in _ref_semifield_candidates_within(h, ordered):
+            if all(h.mul(p, a) in mset and h.mul(a, p) in mset
+                   for p in ordered for a in a_set):
+                return found(a_set)
+    return _report(query, [], True, 0)
+
+
+def _ref_qualifies(h, c, total):
+    return 2 <= len(c) < total and ref_semifield_within(h, c)[0]
+
+
+def _ref_subset_findings(h, subsets):
+    out = []
+    for c in sorted(subsets, key=lambda c: (len(c),
+                                            tuple(sorted(h.key(x) for x in c)))):
+        ordered = sorted(c, key=h.key)
+        out.append(Finding("semifield-subset", _wit(h, *ordered),
+                           tuple(ordered)))
+    return out
+
+
+def ref_smarandache_generated(h, seed_size=2):
+    query = f"smarandache on {h.describe()}"
+    total = h.size()
+    elems = h.elements()
+    seen = set()
+    hits = set()
+    scanned = 0
+    seeds = [frozenset((h.zero, x)) for x in elems]
+    if seed_size >= 2:
+        seeds += [frozenset((h.zero, x, y))
+                  for x, y in itertools.combinations(elems, 2)]
+    for seed in seeds:
+        c = _closure_under_ops(h, seed, cap=total)
+        scanned += 1
+        if c is None or c in seen:
+            continue
+        seen.add(c)
+        if _ref_qualifies(h, c, total):
+            hits.add(c)
+    return _report(query, _ref_subset_findings(h, hits), False, scanned)
+
+
+def ref_smarandache_exhaustive(h, max_subset=None):
+    query = f"smarandache on {h.describe()}"
+    elems = h.elements()
+    rest = [x for x in elems if x != h.zero]
+    total = len(elems)
+    cap = max_subset if max_subset is not None else total - 1
+    hits = []
+    scanned = 0
+    for r in range(1, min(cap, total - 1)):
+        for combo in itertools.combinations(rest, r):
+            s = frozenset((h.zero,) + combo)
+            scanned += 1
+            if _ref_qualifies(h, s, total):
+                hits.append(s)
+    return _report(query, _ref_subset_findings(h, hits), True, scanned)
+
+
+def ref_sweep_neutro_prime(primes=(3, 5, 7, 11, 13)):
+    findings = []
+    scanned = 0
+    complete = True
+    for p in primes:
+        h = dh(neutro_pure(zn_interval(p)))
+        zero = h.zero
+        rest = [x for x in h.elements() if x != zero]
+        closed_subset = None
+        for r in range(1, len(rest)):
+            for combo in itertools.combinations(rest, r):
+                scanned += 1
+                s = {zero, *combo}
+                if _first_unclosed(h, combo, s) is None:
+                    closed_subset = s
+                    break
+            if closed_subset:
+                break
+        if closed_subset:
+            w = tuple(format_element(x)
+                      for x in sorted(closed_subset, key=element_key))
+            findings = [Finding("counterexample", (f"p={p}",) + w)]
+            complete = False
+            break
+        findings.append(Finding("instance", (f"p={p}", "pass")))
+    return _report("sweep neutro-prime-no-subsemiring", findings, complete,
+                   scanned)
+
+
+# ---------------------------------------------------------------------------
 # canonical order and compiled tables
 
 
@@ -558,3 +808,177 @@ def test_verify_axioms_absorption_and_identity_witness(mul, witness):
 def test_verify_axioms_new_laws_hold_on_table_lattice():
     assert verify_axioms(dh(BOOL4)) == (True, None)
     assert verify_axioms(fsh(BOOL4, cyclic_group(2))) == (True, None)
+
+
+# ---------------------------------------------------------------------------
+# subset checks, closures and Smarandache searches against their references
+
+SUB_KINDS = ("subsemiring", "ideal", "left-ideal", "right-ideal")
+CANDIDATE_KINDS = ("semifield-subset", "s-subsemiring", "s-ideal",
+                   "s-pseudo-subsemiring", "s-pseudo-ideal")
+SIZE = {name: build().size() for name, build in HANDLES.items()}
+# the reference subset checks are quadratic in members and, for ideals,
+# linear in elements; the reference searches close hundreds of seeds on
+# element objects, so they run on the smaller handles
+UPTO_81 = [name for name in HANDLES if SIZE[name] <= 81]
+UPTO_16 = [name for name in HANDLES if SIZE[name] <= 16]
+UPTO_9 = [name for name in HANDLES if SIZE[name] <= 9]
+
+
+def _draw_subset(data, h):
+    """A random subset, often with zero, sometimes closed under + and *."""
+    elems = h.elements()
+    picks = data.draw(st.lists(st.integers(0, len(elems) - 1), max_size=6))
+    subset = {elems[i] for i in picks}
+    if data.draw(st.booleans()):
+        subset.add(h.zero)
+    if data.draw(st.booleans()):
+        subset = set(_closure_under_ops(h, subset | {h.zero}, len(elems)))
+    return data.draw(st.permutations(sorted(subset, key=h.key)))
+
+
+@given(st.sampled_from(UPTO_81), st.data())
+@settings(max_examples=80, deadline=None)
+def test_subset_checks_match_reference(name, data):
+    h = HANDLES[name]()
+    subset = _draw_subset(data, h)
+    assert semifield_within(h, subset) == ref_semifield_within(h, subset)
+    for kind in SUB_KINDS:
+        assert check_substructure(h, subset, kind) == \
+            ref_check_substructure(h, subset, kind)
+
+
+@given(st.sampled_from(UPTO_16), st.sampled_from(CANDIDATE_KINDS),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_candidates_match_reference(name, kind, data):
+    h = HANDLES[name]()
+    subset = _draw_subset(data, h)
+    got = smarandache_search(h, candidate=subset, candidate_kind=kind)
+    assert got.to_json_str() == ref_candidate(h, subset, kind).to_json_str()
+
+
+@given(st.sampled_from(UPTO_16), st.sampled_from([1, 2]))
+@settings(max_examples=15, deadline=None)
+def test_generated_search_matches_reference(name, seed_size):
+    h = HANDLES[name]()
+    assert smarandache_search(h, seed_size=seed_size).to_json_str() == \
+        ref_smarandache_generated(h, seed_size).to_json_str()
+
+
+@pytest.mark.parametrize("build", [
+    # chain(3) is a semifield generated by {0, a1, 1}, which is not proper
+    lambda: dh(chain_lattice(3)),
+    HANDLES["chain(5)"],
+    HANDLES["row(2) bool4 [16]"],
+], ids=["chain(3)", "chain(5)", "row(2) bool4"])
+def test_generated_search_pinned_handles_match_reference(build):
+    h = build()
+    got = smarandache_search(h)
+    assert got.to_json_str() == ref_smarandache_generated(h).to_json_str()
+    assert got.findings
+
+
+@given(st.sampled_from(UPTO_9), st.sampled_from([None, 1, 2, 3, 5]))
+@settings(max_examples=20, deadline=None)
+def test_exhaustive_search_matches_reference(name, max_subset):
+    h = HANDLES[name]()
+    got = smarandache_search(h, mode="exhaustive", max_subset=max_subset)
+    assert got.to_json_str() == \
+        ref_smarandache_exhaustive(h, max_subset).to_json_str()
+
+
+def test_noncommutative_subsets_match_reference():
+    # strict and closed but not commutative: the whole of square(2) over
+    # chain(2), and its upper triangular matrices
+    h = mh(chain_lattice(2), (SQUARE, 2))
+    upper = [x for x in h.elements() if x.entries[2] == h.zero.entries[2]]
+    for subset in (h.elements(), upper):
+        got = semifield_within(h, subset)
+        assert got == ref_semifield_within(h, subset)
+        assert got[1][0] == "not-commutative"
+    for kind in CANDIDATE_KINDS:
+        assert smarandache_search(
+            h, candidate=upper, candidate_kind=kind).to_json_str() == \
+            ref_candidate(h, upper, kind).to_json_str()
+
+
+@pytest.mark.parametrize("h, values", [
+    (dh(nat_interval()), (0, 1, 2)),
+    (dh(nat_interval(2)), (0, 2)),
+    (dh(rat_interval()), (0, 1)),
+    (dh(nat_interval()), (1, 2)),
+], ids=["nat", "nat(multiple=2)", "rat", "nat-without-zero"])
+def test_infinite_subsets_match_reference(h, values):
+    # no compiled tables: the local tables come from object arithmetic
+    subset = [element(h.domain, v) for v in values]
+    assert semifield_within(h, subset) == ref_semifield_within(h, subset)
+    assert check_substructure(h, subset, "subsemiring") == \
+        ref_check_substructure(h, subset, "subsemiring")
+    for kind in CANDIDATE_KINDS:
+        got = smarandache_search(h, candidate=subset, candidate_kind=kind)
+        assert got.to_json_str() == \
+            ref_candidate(h, subset, kind).to_json_str()
+    assert h._tables is None
+
+
+def test_neutro_prime_sweep_matches_reference():
+    got = theorem_sweep("neutro-prime-no-subsemiring")
+    assert got.to_json_str() == ref_sweep_neutro_prime().to_json_str()
+    assert got.budget_spent == {"pairs_scanned": 5194}
+    # zn(4) and zn(6) are not fields: a closed subset halts the sweep
+    got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 4, 6))
+    assert got.to_json_str() == \
+        ref_sweep_neutro_prime((3, 4, 6)).to_json_str()
+    assert got.findings[0].kind == "counterexample"
+
+
+def test_generated_search_at_81_elements():
+    # 81 singles and 3240 pairs; the object search did not finish in 8 min
+    h = mh(zn_interval(3), (SQUARE, 2))
+    r = smarandache_search(h)
+    assert r.budget_spent == {"pairs_scanned": 3321}
+    assert r.findings == () and not r.exhaustive
+    r = smarandache_search(mh(chain_lattice(3), (SQUARE, 2)))
+    assert r.budget_spent == {"pairs_scanned": 3321}
+    assert len(r.findings) == 386
+    assert r.findings[0].witness == ("[[0, 0], [0, 0]]", "[[0, 0], [0, a1]]")
+    assert r.findings[-1].witness == (
+        "[[0, 0], [0, 0]]", "[[0, a1], [a1, 0]]", "[[0, 1], [1, 0]]",
+        "[[a1, 0], [0, a1]]", "[[a1, a1], [a1, a1]]", "[[a1, 1], [1, a1]]",
+        "[[1, 0], [0, 1]]", "[[1, a1], [a1, 1]]", "[[1, 1], [1, 1]]")
+
+
+def test_generated_search_over_the_cap_is_refused(tmp_path):
+    # 6561 elements pass the size guard, but the tables would not fit
+    h = fsh(zn_interval(3), cyclic_group(8))
+    with pytest.raises(SpecError) as err:
+        smarandache_search(h)
+    assert "6561 elements" in str(err.value)
+    assert h.tables()._full == {}
+    assert h._elements is None
+
+    spec = tmp_path / "zn3-c8.json"
+    spec.write_text(json.dumps({
+        "schema": "1", "coefficients": {"kind": "zn-interval", "n": 3},
+        "basis": {"kind": "cyclic", "k": 8}}))
+    code = cli.main(["classify", "--spec", str(spec), "--query",
+                     "smarandache"], out=_Sink(), err=_Sink())
+    assert code == 2
+
+
+def test_scan_memory_estimates_are_refused_before_allocating():
+    # 4096 elements: each full table fits (32 MiB), five masks do not
+    h = fsh(zn_interval(2), cyclic_group(12))
+    with pytest.raises(SpecError) as err:
+        classify_semiring(h)
+    assert f"{5 * 4096 * 4096} bytes" in str(err.value)
+    assert h.tables()._full == {}
+    assert h._elements is None
+    # 2187 elements: three intp count matrices over 2186 nonzero elements
+    h = fsh(zn_interval(3), cyclic_group(7))
+    with pytest.raises(SpecError) as err:
+        find_s_special(h, "s-anti-zero-divisor")
+    nbytes = 3 * 2186 * 2186 * np.dtype(np.intp).itemsize
+    assert f"{nbytes} bytes" in str(err.value)
+    assert h.tables()._full == {}
