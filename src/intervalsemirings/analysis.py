@@ -8,9 +8,10 @@ exhaustively; infinite or oversized handles fall back to structural arguments
 query) or to pattern instantiations (reported with ``exhaustive=False``).
 The element scans, subset checks, closures and Smarandache searches run on
 the handle's compiled integer tables (``tables``) and render their
-witnesses from ``elements()``; a subset of a handle without tables (an
-infinite one) is checked on local tables built from object arithmetic.
-Homomorphism checks run on the element objects.
+witnesses from ``elements()``; a given subset of an infinite handle, or
+one of m members in a domain of more than m^2 elements (whose tables would
+enumerate the whole domain), is checked on local tables built from its own
+m^2 object operations.  Homomorphism checks run on the element objects.
 """
 
 from dataclasses import dataclass
@@ -74,6 +75,7 @@ from .matrices import (
 _GENERATED_GUARD = 1 << 14
 _EXHAUSTIVE_SUBSET_LIMIT = 20
 _CLOSURE_CAP = 4096
+_SWEEP_BATCH = 1024
 
 
 def _describe_domain_short(d):
@@ -330,8 +332,8 @@ def _index_findings(h, hits):
 def _domain_zero_divisor_pair(d):
     """Minimal nonzero pair with zero product in a finite domain, or None."""
     h = SemiringHandle.for_domain(d)
-    t = h.tables()
-    pair = tables.zero_divisor_pair(tables.restrict(t, np.arange(t.k)))
+    hits, _, _ = tables.zero_divisors(h.tables())
+    pair = next((xy for kind, *xy in hits if kind == "zero-divisor"), None)
     return None if pair is None else h.pair(*(h.elements()[i] for i in pair))
 
 
@@ -750,21 +752,31 @@ def check_substructure(h, subset, kind="subsemiring"):
     return (False, (law, h.elements()[x], h.elements()[y]))
 
 
-def _subset_tables(h, members):
-    """(local tables, members) of the distinct members in key order.
+def _sliced(h, m):
+    """Whether a subset of m members of h is checked on slices of its
+    compiled tables.
 
-    An enumerable handle slices its compiled tables; any other handle
-    builds them from m^2 object sums and products.
+    An enumerable formal-sum or matrix handle compiles tables over a small
+    coefficient domain.  A domain handle's tables enumerate all k elements,
+    which pays once the subset's m^2 operations reach k; a smaller subset
+    costs its own m^2 object operations, as on an infinite handle.
     """
+    return h.is_enumerable() and (h.kind != "domain" or m * m >= h.size())
+
+
+def _subset_tables(h, members):
+    """(local tables, members) of the distinct members in key order,
+    sliced from the compiled tables or built from m^2 object sums and
+    products (see _sliced)."""
     ordered = sorted(set(members), key=h.key)
-    if h.is_enumerable():
+    if _sliced(h, len(ordered)):
         t = h.tables()
         return tables.restrict(t, [t.index(h, x) for x in ordered]), ordered
     pos = {x: i for i, x in enumerate(ordered)}
     m = len(ordered)
 
     def table(op):
-        return np.array([[pos.get(op(x, y), -1) for y in ordered]
+        return np.array([[pos.get(op(x, y), m) for y in ordered]
                          for x in ordered], dtype=np.intp).reshape(m, m)
 
     return tables.Local(table(h.add), table(h.mul), pos.get(h.zero)), ordered
@@ -947,7 +959,8 @@ def _classify_matrix_structural(h):
 
 def _closure_under_ops(h, seed, cap=_CLOSURE_CAP):
     """Closure of seed under + and * (None if it exceeds the cap), on element
-    objects: only for handles without compiled tables (infinite ones)."""
+    objects: only where the seed is not sliced from compiled tables (on
+    infinite handles and small seeds in large domains, see _sliced)."""
     out = set(seed)
     frontier = list(seed)
     while frontier:
@@ -1047,7 +1060,7 @@ def _pseudo_superset(h, mset):
     """A closed superset of mset that is a proper semifield or S-subsemiring,
     as members in key order, or None."""
     seed = mset | {h.zero}
-    if h.is_enumerable():
+    if _sliced(h, len(seed)):
         t = h.tables()
         c = tables.closure(t, [t.index(h, x) for x in seed], _CLOSURE_CAP)
         c = None if c is None else [h.elements()[i] for i in c]
@@ -1301,17 +1314,22 @@ def _sweep_neutro_prime(primes=(3, 5, 7, 11, 13)):
     for p in primes:
         h = SemiringHandle.for_domain(neutro_pure(zn_interval(p)))
         t = h.tables()
-        t.full("add")   # every subset reads both tables: build and keep them
-        t.full("mul")
         rest = t.nonzero().tolist()
-        combos = itertools.chain.from_iterable(
-            itertools.combinations(rest, r) for r in range(1, len(rest)))
         closed_subset = None
-        for combo in combos:
-            scanned += 1
-            c = sorted((t.zero,) + combo)
-            if tables.first_unclosed(tables.restrict(t, c)) is None:
-                closed_subset = c
+        # the subsets {0} + combo, r nonzero members at a time, checked a
+        # batch of combos (in order) at once
+        for r in range(1, len(rest)):
+            combos = itertools.combinations(rest, r)
+            while batch := list(itertools.islice(combos, _SWEEP_BATCH)):
+                rows = np.sort(np.insert(np.array(batch), 0, t.zero, axis=1),
+                               axis=1)
+                ok = tables.closed(t, rows)
+                if ok.any():
+                    closed_subset = rows[ok.argmax()].tolist()
+                    scanned += int(ok.argmax()) + 1
+                    break
+                scanned += len(rows)
+            if closed_subset:
                 break
         if closed_subset:
             w = tuple(format_element(h.elements()[i]) for i in closed_subset)

@@ -59,10 +59,11 @@ def _layout(h):
 class Tables:
     """Add/mul index tables of one finite handle, over elements() order.
 
-    Domain tables are built on first use, each from its own domain
-    operation.  Full k x k tables are built on the first query that needs
-    random access to every entry and kept; ``block`` computes a few rows or
-    columns without building the whole table.
+    Domain tables are built once enough entries are asked for (see
+    ``_dom_op``), each from its own domain operation.  Full k x k tables
+    are built on the first query that needs random access to every entry
+    and kept; ``block`` computes a few rows or columns without building the
+    whole table.
     """
 
     def __init__(self, h):
@@ -80,6 +81,7 @@ class Tables:
         self._zero_digit = self._digit[
             domains.element_key(domains.domain_zero(domain))]
         self._dom_tables = {}
+        self._dom_spent = {"add": 0, "mul": 0}
         self._full = {}
         self.zero = self.index(h, h.zero)
         self.one = None if h.one is None else self.index(h, h.one)
@@ -92,30 +94,50 @@ class Tables:
             i = i * self.q + self._digit[part]
         return i
 
-    def _dom_table(self, kind):
+    def _dom_op(self, kind, x, y):
+        """Digits of x (kind) y in the coefficient domain, broadcasting.
+
+        The q x q domain table is built at once when it has no more entries
+        than a block, and otherwise once the pairs asked for reach its q^2
+        entries; never when it does not fit the byte cap.  Until then each
+        pair runs the domain operation, so a few entries of a large domain
+        cost a few operations and neither route costs more than twice the
+        other.
+        """
         table = self._dom_tables.get(kind)
         if table is None:
-            f = domains.dom_add if kind == "add" else domains.dom_mul
-            digit = self._digit
-            table = np.array([[digit[domains.element_key(f(x, y))]
-                               for y in self._dom] for x in self._dom],
-                             dtype=np.intp)
-            self._dom_tables[kind] = table
-        return table
+            x, y = np.broadcast_arrays(x, y)
+            self._dom_spent[kind] += x.size
+            size = self.q * self.q
+            fits = size * np.dtype(np.intp).itemsize <= TABLE_BYTE_CAP
+            pays = size <= _BLOCK_ENTRIES or self._dom_spent[kind] >= size
+            if not (fits and pays):
+                return self._dom_direct(kind, x, y)
+            every = np.arange(self.q)
+            table = self._dom_tables[kind] = \
+                self._dom_direct(kind, every[:, None], every[None, :])
+        return table[x, y]
+
+    def _dom_direct(self, kind, x, y):
+        f = domains.dom_add if kind == "add" else domains.dom_mul
+        x, y = np.broadcast_arrays(x, y)
+        dom, digit = self._dom, self._digit
+        out = [digit[domains.element_key(f(dom[a], dom[b]))]
+               for a, b in zip(x.flat, y.flat)]
+        return np.array(out, dtype=np.intp).reshape(x.shape)
 
     def op(self, kind, I, J):
         """Indices of elements()[I] (kind) elements()[J], broadcasting I, J."""
         I = np.asarray(I, dtype=np.intp)
         J = np.asarray(J, dtype=np.intp)
-        table = self._dom_table(kind)
         xs = [I // p % self.q for p in self._place]
         ys = [J // p % self.q for p in self._place]
         out = np.zeros(np.broadcast_shapes(I.shape, J.shape), dtype=np.intp)
         for terms, place in zip(self._terms[kind], self._place):
             acc = self._zero_digit
             for m, (l, r) in enumerate(terms):
-                term = table[xs[l], ys[r]]
-                acc = term if m == 0 else self._dom_table("add")[acc, term]
+                term = self._dom_op(kind, xs[l], ys[r])
+                acc = term if m == 0 else self._dom_op("add", acc, term)
             out += acc * place
         return out
 
@@ -198,6 +220,8 @@ def zero_divisors(t, budget=None):
         t.full("mul")   # the scan reaches every pair: build and keep it
     nz = t.nonzero()
     scanned, total, nrows = _pair_scan(len(nz), budget)
+    # the reached rows in both orders and about three masks derived from them
+    _check_bytes("zero-divisor masks", t.k, 5 * nrows * len(nz))
     rows = nz[:nrows]
     xy = t.block("mul", rows, nz) == t.zero
     yx = t.block("mul", nz, rows).T == t.zero
@@ -222,6 +246,7 @@ def idempotents(t):
 
 def units(t):
     """([(x, first two-sided inverse of x)], scanned)."""
+    _check_bytes("unit masks", t.k, 3 * t.k * t.k)
     mul = t.full("mul")
     inverse = (mul == t.one) & (mul.T == t.one)
     has = inverse.any(axis=1)
@@ -262,6 +287,8 @@ def s_zero_divisors(t, budget=None):
     with the first y outside {a, b, x} with b*y or y*b zero and x*y or y*x
     nonzero.
     """
+    # z, its gathered block, either, and z & z.T before it is negated
+    _check_bytes("s-zero-divisor masks", t.k, 4 * (t.k - 1) ** 2)
     nz, z = _zero_products(t)
     either = z | z.T
     some_nonzero = ~(z & z.T)
@@ -349,6 +376,7 @@ def s_units(t, budget=None):
     {x, y, 1} with x*a or a*x equal to y, paired with the first b outside
     {x, y, 1} with y*b or b*y equal to x and a*b or b*a equal to 1.
     """
+    _check_bytes("s-unit masks", t.k, 3 * t.k * t.k)
     mul = t.full("mul")
     one = mul == t.one
     inverse = one & one.T
@@ -405,7 +433,7 @@ class Local:
     """Add/mul tables of a subset of k members in ascending element order.
 
     Entry [i, j] is the position of member i (op) member j among the
-    members, or -1 where it leaves the subset; zero is the position of the
+    members, or k where it leaves the subset; zero is the position of the
     handle's zero, or None when it is not a member.
     """
 
@@ -418,15 +446,27 @@ class Local:
         return table[rows[:, None], cols]
 
 
+def local_dtype(t, m):
+    """The entry type of the local tables of m members of t, after
+    refusing them if they, with what a scan derives, would pass the cap."""
+    dtype = np.min_scalar_type(m)
+    # two local tables, and the larger of the block each is gathered from
+    # (at most 4 bytes an entry) and the three masks a subset scan holds
+    _check_bytes(f"the local tables of {m} members", t.k,
+                 (2 * dtype.itemsize + 4) * m * m)
+    return dtype
+
+
 def restrict(t, idx):
     """Local tables of the members idx, ascending positions in t (the
     compiled tables or a Local)."""
     idx = np.asarray(idx, dtype=np.intp)
+    m = len(idx)
     # position of every index of t among the members; the extra last entry
-    # is what a -1 (outside) of a Local reads
-    pos = np.full(t.k + 1, -1, dtype=np.intp)
-    pos[idx] = np.arange(len(idx))
-    zero = None if t.zero is None or pos[t.zero] < 0 else int(pos[t.zero])
+    # is what an outside entry of a Local reads
+    pos = np.full(t.k + 1, m, dtype=local_dtype(t, m))
+    pos[idx] = np.arange(m)
+    zero = None if t.zero is None or pos[t.zero] == m else int(pos[t.zero])
     return Local(pos[t.block("add", idx, idx)], pos[t.block("mul", idx, idx)],
                  zero)
 
@@ -435,7 +475,7 @@ def closure(t, seed, cap):
     """Ascending positions of the closure of seed under + and * in t (the
     compiled tables or a Local), or None once it has more than cap elements
     or leaves a Local."""
-    # the extra last entry is what a -1 (outside) of a Local marks
+    # the extra last entry is what an outside entry of a Local marks
     member = np.zeros(t.k + 1, dtype=bool)
     member[list(seed)] = True
     s = np.flatnonzero(member)
@@ -451,11 +491,28 @@ def closure(t, seed, cap):
     return None
 
 
+def closed(t, rows):
+    """Whether each row of an (n, m) array of member indices is closed
+    under + and * in the compiled tables t."""
+    n, m = rows.shape
+    # a member mask per row, and each row's m x m block of either table
+    _check_bytes(f"closure checks of {n} subsets of {m}", t.k,
+                 n * (t.k + m * m * (t.dtype.itemsize + 1)))
+    at = np.arange(n)[:, None]
+    member = np.zeros((n, t.k), dtype=bool)
+    member[at, rows] = True
+    ok = np.ones(n, dtype=bool)
+    for kind in ("add", "mul"):
+        out = t.full(kind)[rows[:, :, None], rows[:, None, :]]
+        ok &= member[at[:, :, None], out].all(axis=(1, 2))
+    return ok
+
+
 def first_unclosed(s):
     """Row-major first (law, i, j) whose sum or product leaves the subset,
     addition checked before multiplication at each pair."""
-    out = s.add < 0
-    hit = _first(out | (s.mul < 0))
+    out = s.add == s.k
+    hit = _first(out | (s.mul == s.k))
     if hit is None:
         return None
     law = "addition" if out[hit] else "multiplication"
@@ -556,7 +613,7 @@ def s_subsemiring(s):
 def absorbs(s, inner, into):
     """Whether p*a and a*p land among the positions into for every member
     p and every a in inner."""
-    # the extra False entry is what a -1 (outside) reads
+    # the extra False entry is what an outside entry reads
     target = np.zeros(s.k + 1, dtype=bool)
     target[list(into)] = True
     inner = list(inner)
@@ -584,6 +641,8 @@ def first_not_absorbing(t, idx, left, right):
 
 def generated_semifields(t, seed_size):
     """(proper semifield closures, seeds scanned) of the generated search."""
+    # a proper closure may hold all but one element: refuse its tables now
+    local_dtype(t, t.k - 1)
     t.full("add")   # every closure reads both tables: build and keep them
     t.full("mul")
     return _semifield_closures(t, seed_size, True)

@@ -44,10 +44,11 @@ from intervalsemirings import (
     verify_axioms,
     zn_interval,
 )
-from intervalsemirings import cli
+from intervalsemirings import analysis, cli, tables
 from intervalsemirings.analysis import (
     Finding,
     _closure_under_ops,
+    _domain_zero_divisor_pair,
     _finish_classification,
     _object_tables,
     _report,
@@ -982,3 +983,148 @@ def test_scan_memory_estimates_are_refused_before_allocating():
     nbytes = 3 * 2186 * 2186 * np.dtype(np.intp).itemsize
     assert f"{nbytes} bytes" in str(err.value)
     assert h.tables()._full == {}
+
+
+# ---------------------------------------------------------------------------
+# cost on large domains and the memory of local tables
+
+
+def test_subsets_of_a_large_domain_cost_their_own_operations():
+    # 50000 elements: a domain table would be 50000^2 entries
+    h = dh(zn_interval(50000))
+    subset = [element(h.domain, v) for v in (0, 1, 25000)]
+    assert semifield_within(h, subset) == ref_semifield_within(h, subset)
+    assert check_substructure(h, subset, "subsemiring") == \
+        ref_check_substructure(h, subset, "subsemiring")
+    for kind in CANDIDATE_KINDS:
+        assert smarandache_search(
+            h, candidate=subset, candidate_kind=kind).to_json_str() == \
+            ref_candidate(h, subset, kind).to_json_str()
+    assert h._tables is None
+    # absorption reads every element, through k x m direct operations
+    for kind in ("ideal", "left-ideal", "right-ideal"):
+        assert check_substructure(h, subset, kind) == \
+            ref_check_substructure(h, subset, kind)
+    assert h.tables()._dom_tables == {} and h.tables()._full == {}
+    # 4 members of 12 elements: 16 operations pay for the compiled tables
+    h = dh(zn_interval(12))
+    subset = [element(h.domain, v) for v in (0, 3, 6, 9)]
+    assert semifield_within(h, subset) == ref_semifield_within(h, subset)
+    assert h._tables is not None
+
+
+@pytest.mark.parametrize("n", [2000, 12000])
+def test_domain_table_is_built_only_when_it_pays_and_fits(n):
+    # k idempotent products on a domain of k: well under the k^2 entries
+    # of its table, which past 2896 elements is over the cap as well
+    h = dh(zn_interval(n))
+    assert find_idempotents(h).to_json_str() == \
+        ref_idempotents(h).to_json_str()
+    assert h.tables()._dom_tables == {}
+
+
+def test_domain_table_is_built_once_the_entries_reach_it():
+    # zn(100): its 10000-entry table is larger than a block
+    h = mh(zn_interval(100), (ROW, 1))
+    t = h.tables()
+    t.op("mul", [1, 2], [3, 4])
+    assert "mul" not in t._dom_tables
+    assert np.array_equal(t.full("mul"), _object_tables(h)[1])
+    assert t._dom_tables["mul"].shape == (100, 100)
+    # zn(3): a 9-entry table is built on first use
+    t = fsh(zn_interval(3), cyclic_group(2)).tables()
+    t.op("mul", [1, 2], [3, 4])
+    assert t._dom_tables["mul"].shape == (3, 3)
+
+
+def test_domain_table_over_the_cap_is_never_built(monkeypatch):
+    # zn(20): the full table takes 400 bytes, the domain table 3200
+    monkeypatch.setattr(tables, "TABLE_BYTE_CAP", 1000)
+    h = dh(zn_interval(20))
+    assert np.array_equal(h.tables().full("mul"), _object_tables(h)[1])
+    assert h.tables()._dom_tables == {}
+
+
+def test_generated_search_refuses_its_local_tables_first(monkeypatch):
+    # square(2)/zn(3): each full table takes 6561 bytes, the local tables
+    # of a closure of 80 members (6 bytes an entry) 38400
+    monkeypatch.setattr(tables, "TABLE_BYTE_CAP", 10000)
+    h = mh(zn_interval(3), (SQUARE, 2))
+    with pytest.raises(SpecError) as err:
+        smarandache_search(h)
+    assert f"local tables of 80 members over 81 elements needs " \
+        f"{6 * 80 * 80} bytes" in str(err.value)
+    assert h.tables()._full == {}
+
+
+@pytest.mark.parametrize("d", [zn_interval(12), zn_interval(7), BOOL4,
+                               neutro_mixed(zn_interval(4)), chain_lattice(4)],
+                         ids=["zn(12)", "zn(7)", "bool4", "neutro-mixed(zn(4))",
+                              "chain(4)"])
+def test_domain_zero_divisor_pair_matches_reference(d):
+    h = dh(d)
+    want = next(_zero_divisor_pairs(h, h.elements()), None)
+    want = None if want is None else h.pair(*want)
+    assert _domain_zero_divisor_pair(d) == want
+
+
+def test_local_tables_use_the_small_entry_type_and_count_their_bytes():
+    h = mh(zn_interval(3), (SQUARE, 2))
+    t = h.tables()
+    s = tables.restrict(t, [0, 1, 2, 4])
+    assert s.add.dtype == s.mul.dtype == np.uint8
+    # 6561 elements: the local tables of 4000 members are refused by their
+    # estimate, before the compiled tables are even built
+    t = fsh(zn_interval(3), cyclic_group(8)).tables()
+    with pytest.raises(SpecError) as err:
+        tables.restrict(t, np.arange(4000))
+    assert f"{(2 * 2 + 4) * 4000 * 4000} bytes" in str(err.value)
+    assert t._full == {} and t._dom_tables == {}
+
+
+@pytest.mark.parametrize("batch", [1, 7, 1024])
+def test_neutro_prime_sweep_batches_match_reference(monkeypatch, batch):
+    monkeypatch.setattr(analysis, "_SWEEP_BATCH", batch)
+    got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 5, 7))
+    assert got.to_json_str() == ref_sweep_neutro_prime((3, 5, 7)).to_json_str()
+    got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 4, 6))
+    assert got.to_json_str() == \
+        ref_sweep_neutro_prime((3, 4, 6)).to_json_str()
+
+
+def test_scan_masks_are_counted_before_allocating():
+    # 6561 elements: the unit and S-certificate masks are refused before
+    # the (also oversized) full table is tried
+    h = fsh(zn_interval(3), cyclic_group(8))
+    for kind, nbytes in (("s-unit", 3 * 6561 * 6561),
+                         ("s-zero-divisor", 4 * 6560 * 6560)):
+        with pytest.raises(SpecError) as err:
+            find_s_special(h, kind)
+        assert f"{nbytes} bytes" in str(err.value)
+    with pytest.raises(SpecError) as err:
+        find_units(h)
+    assert f"{3 * 6561 * 6561} bytes" in str(err.value)
+    assert h.tables()._full == {}
+    # 4096 elements: the full table fits (32 MiB), five zero-divisor masks
+    # over the 4095 nonzero elements do not
+    h = mh(zn_interval(2), (ROW, 12))
+    with pytest.raises(SpecError) as err:
+        find_zero_divisors(h)
+    assert f"{5 * 4095 * 4095} bytes" in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["zn(2).C3 [8]", "row(3) zn(3) [27]",
+                                  "neutro-mixed(zn(4))"])
+def test_batched_closedness_matches_reference(name):
+    # every {0, x}, and the pairs with it: in characteristic 2 each {0, x}
+    # is closed under + and only some are closed under *
+    h = HANDLES[name]()
+    t = h.tables()
+    elems = h.elements()
+    for r in (1, 2):
+        rows = np.array([sorted((t.zero,) + c) for c in itertools.combinations(
+            t.nonzero().tolist(), r)])
+        want = [_first_unclosed(h, [elems[i] for i in row],
+                                {elems[i] for i in row}) is None
+                for row in rows]
+        assert tables.closed(t, rows).tolist() == want
