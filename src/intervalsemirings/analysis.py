@@ -38,8 +38,8 @@ from .domains import (
     RAT,
     TABLE,
     ZN,
-    dom_units,
     domain_elements,
+    domain_one,
     domain_size,
     domain_zero,
     element,
@@ -126,13 +126,13 @@ class SemiringHandle:
         self._tables = None
         if kind == "domain":
             self.zero = domain_zero(domain)
-            self.one = dom_units(domain).one
+            self.one = domain_one(domain)
         elif kind == "formal-sum":
             self.zero = fs_zero(spec)
             self.one = fs_one(spec)
         else:
             self.zero = zero_matrix(domain, shape)
-            if dom_units(domain).one is None:
+            if domain_one(domain) is None:
                 self.one = None
             else:
                 self.one = identity_matrix(domain, shape)
@@ -329,6 +329,16 @@ def _index_findings(h, hits):
     return findings
 
 
+def _strict_domain(d):
+    """is_strict_domain(d), with the witness of a finite d read from its
+    compiled tables (refused over the enumeration guard or the table cap)."""
+    if not is_finite_domain(d):
+        return is_strict_domain(d)
+    h = SemiringHandle.for_domain(d)
+    w = tables.zero_sum_pair(h.tables())
+    return w is None, None if w is None else tuple(h.elements()[i] for i in w)
+
+
 def _domain_zero_divisor_pair(d):
     """Minimal nonzero pair with zero product in a finite domain, or None."""
     h = SemiringHandle.for_domain(d)
@@ -341,8 +351,9 @@ def _zero_divisor_patterns(h, query):
     if h.kind == "domain":
         # nat, rat, and neutrosophic domains over them have no zero divisors:
         # products and the I-coefficient combination ad+bc+bd are sums of
-        # products of nonnegatives, zero only when a factor is zero.
-        return _report(query, [], True, 0)
+        # products of nonnegatives, zero only when a factor is zero.  A
+        # finite domain here is over the enumeration guard: nothing decided.
+        return _report(query, [], not is_finite_domain(h.domain), 0)
     if h.kind == "formal-sum":
         return _formal_sum_zero_divisor_patterns(h, query)
     return _matrix_zero_divisor_patterns(h, query)
@@ -368,35 +379,20 @@ def _formal_sum_zero_divisor_patterns(h, query):
         z = g.absorbing_index()
         c = _first_nonzero_scalar(d)
         if c is not None:
-            done = False
-            for gi in keys:
-                for hj in keys:
-                    if g.op(gi, hj) == z:
-                        x = fs_term(spec, gi, c)
-                        y = fs_term(spec, hj, c)
-                        pr = h.mul(x, y)
-                        if pr == h.zero and h.mul(y, x) == h.zero:
-                            a, b = h.pair(x, y)
-                            findings.append(
-                                Finding("zero-divisor", _wit(h, a, b), (a, b)))
-                            done = True
-                            break
-                if done:
-                    break
+            terms = ((fs_term(spec, gi, c), fs_term(spec, hj, c))
+                     for gi in keys for hj in keys if g.op(gi, hj) == z)
+            pair = next(((x, y) for x, y in terms if h.mul(x, y) == h.zero
+                         and h.mul(y, x) == h.zero), None)
+            if pair is not None:
+                a, b = h.pair(*pair)
+                findings.append(Finding("zero-divisor", _wit(h, a, b), (a, b)))
     if findings:
         return _report(query, findings, False, 0)
     # No findings: structurally complete only over a strict, zero-divisor-free
     # coefficient domain (coefficients of a product are sums of nonzero
-    # products, hence nonzero).
-    strict, _ = is_strict_domain(d)
-    if strict:
-        if is_finite_domain(d):
-            zdfree = _domain_zero_divisor_pair(d) is None
-        else:
-            zdfree = True
-        if zdfree:
-            return _report(query, [], True, 0)
-    return _report(query, [], False, 0)
+    # products, hence nonzero); a finite domain has no zero divisors here,
+    # since its pair would be a finding.
+    return _report(query, [], _strict_domain(d)[0], 0)
 
 
 def _matrix_zero_divisor_patterns(h, query):
@@ -413,18 +409,9 @@ def _matrix_zero_divisor_patterns(h, query):
     c = _first_nonzero_scalar(d)
     if c is None:
         return _report(query, [], False, 0)
-    zero = domain_zero(d)
-    slots = h._slot_count()
-    ex = [zero] * slots
-    ey = [zero] * slots
-    if mk == ROW:
-        ex[0] = c
-        ey[1] = c
-    else:
-        ex[0] = c        # entry (0, 0)
-        ey[n + 1] = c    # entry (1, 1)
-    x = IntervalMatrix(d, h.shape, tuple(ex))
-    y = IntervalMatrix(d, h.shape, tuple(ey))
+    # entries 0 and 1 of a row; entries (0, 0) and (1, 1) of a square
+    x = _support_matrix(h, (0,), c)
+    y = _support_matrix(h, (1 if mk == ROW else n + 1,), c)
     findings = []
     if h.mul(x, y) == h.zero and h.mul(y, x) == h.zero:
         a, b = h.pair(x, y)
@@ -445,7 +432,7 @@ def find_idempotents(h):
 def _domain_idempotents_structural(d):
     """(elements, complete) for an infinite domain."""
     zero = domain_zero(d)
-    one = dom_units(d).one
+    one = domain_one(d)
     if d.kind in (NAT, RAT):
         # a*a = a over nonnegative integers or rationals forces a in {0, 1}.
         out = [zero]
@@ -495,20 +482,17 @@ def _idempotent_patterns(h, query):
         return _report(query, findings, False, 0)
     # matrices: diagonal 0/1 patterns when the domain has a one
     d = h.domain
-    one = dom_units(d).one
+    one = domain_one(d)
     zero = domain_zero(d)
     choices = [zero] if one is None else [zero, one]
     mk, n = h.shape
     count = len(choices) ** n
     if count <= 256:
         for combo in itertools.product(choices, repeat=n):
-            if mk == ROW:
-                x = IntervalMatrix(d, h.shape, tuple(combo))
-            else:
-                entries = [zero] * (n * n)
-                for i, c in enumerate(combo):
-                    entries[i * n + i] = c
-                x = IntervalMatrix(d, h.shape, tuple(entries))
+            # the ones sit on a row's entries or on a square's diagonal
+            x = _support_matrix(h, [i if mk == ROW else i * n + i
+                                    for i, c in enumerate(combo) if c != zero],
+                                one)
             if h.mul(x, x) == x:
                 findings.append(Finding("idempotent", _wit(h, x), (x,)))
     complete = mk == ROW and d.kind in (NAT, RAT) and count <= 256
@@ -855,7 +839,8 @@ def _finish_classification(h, strict, commutative, has_one, zdfree, witnesses):
 
 
 def _classify_domain_structural(h):
-    d = h.domain
+    if is_finite_domain(h.domain):   # over the enumeration guard: refused
+        h._require_enumerable()
     witnesses = {}
     # nat/rat (and neutrosophic over them): sums and products of nonnegative
     # values vanish only when the inputs do
@@ -869,7 +854,7 @@ def _classify_formal_sum_structural(h):
     spec = h.spec
     d = spec.coefficients
     witnesses = {}
-    strict, sw = is_strict_domain(d)
+    strict, sw = _strict_domain(d)
     if not strict:
         a, b = sw
         x = fs_term(spec, _first_key(spec), a)
@@ -911,28 +896,17 @@ def _classify_matrix_structural(h):
     d = h.domain
     mk, n = h.shape
     witnesses = {}
-    strict, sw = is_strict_domain(d)
+    strict, sw = _strict_domain(d)
     if not strict:
         a, b = sw
-        slots = h._slot_count()
-        zero = domain_zero(d)
-        ea = [zero] * slots
-        eb = [zero] * slots
-        ea[0] = a
-        eb[0] = b
-        witnesses["strict"] = _wit(h, IntervalMatrix(d, h.shape, tuple(ea)),
-                                   IntervalMatrix(d, h.shape, tuple(eb)))
+        witnesses["strict"] = _wit(h, _support_matrix(h, (0,), a),
+                                   _support_matrix(h, (0,), b))
     commutative = True
     if mk == SQUARE and n >= 2:
         c = _first_nonzero_scalar(d)
         if c is not None:
-            zero = domain_zero(d)
-            ex = [zero] * (n * n)
-            ey = [zero] * (n * n)
-            ex[0] = c
-            ey[1] = c
-            x = IntervalMatrix(d, h.shape, tuple(ex))
-            y = IntervalMatrix(d, h.shape, tuple(ey))
+            x = _support_matrix(h, (0,), c)
+            y = _support_matrix(h, (1,), c)
             if h.mul(x, y) != h.mul(y, x):
                 commutative = False
                 witnesses["commutative"] = _wit(h, x, y)
@@ -991,7 +965,7 @@ def semifield_within(h, subset):
 
 
 def smarandache_search(h, mode="generated", *, seed_size=2, max_subset=None,
-                       candidate=None, candidate_kind=None, budget=None):
+                       candidate=None, candidate_kind=None):
     """Search for proper semifield subsets, or evaluate a candidate subset.
 
     Without a candidate the finding kind is "semifield-subset" and each

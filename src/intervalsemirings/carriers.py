@@ -61,42 +61,34 @@ class Magma:
 
     def absorbing_index(self) -> Optional[int]:
         """Index of the element z with z*x = x*z = z for all x, if any."""
-        cached = self.__dict__.get("_absorbing")
-        if cached is None:
-            cached = -1
-            for z in range(self.order):
-                row = self.table[z]
-                if all(
-                    row[x] == z and self.table[x][z] == z
-                    for x in range(self.order)
-                ):
-                    cached = z
-                    break
-            object.__setattr__(self, "_absorbing", cached)
-        return None if cached == -1 else cached
+        if "_absorbing" not in self.__dict__:
+            object.__setattr__(self, "_absorbing", _two_sided(
+                self.table, range(self.order), absorbing=True))
+        return self._absorbing
 
 
-def _find_identity(table) -> Optional[int]:
-    k = len(table)
-    for e in range(k):
-        if all(table[e][x] == x and table[x][e] == x for x in range(k)):
-            return e
-    return None
+def _two_sided(t, subset, absorbing=False) -> Optional[int]:
+    """First e of subset with e*x = x*e = x (an identity) or, when
+    absorbing, e*x = x*e = e, for every x of subset; None if none does."""
+    return next((e for e in subset
+                 if all(t[e][x] == t[x][e] == (e if absorbing else x)
+                        for x in subset)), None)
 
 
-def _finish(labels, table, meta: CarrierMeta) -> Magma:
+def _finish(labels, table, meta: CarrierMeta, interval: bool) -> Magma:
     labels = tuple(labels)
     table = tuple(tuple(row) for row in table)
     if meta.kind != "symmetric-semigroup" and len(labels) ** 2 > _MAX_TABLE_ENTRIES:
         raise SpecError(
             f"carrier table would exceed {_MAX_TABLE_ENTRIES} entries"
         )
-    return Magma(
+    g = Magma(
         elements=labels,
         table=table,
         meta=meta,
-        identity=_find_identity(table),
+        identity=_two_sided(table, range(len(table))),
     )
+    return with_interval_labels(g) if interval else g
 
 
 def with_interval_labels(g: Magma) -> Magma:
@@ -141,8 +133,7 @@ def build_loop(n: int, m: int, interval: bool = False) -> Magma:
                 r = (m * j - (m - 1) * i) % n
                 table[i][j] = r if r else n
     labels = ["e"] + [str(i) for i in range(1, k)]
-    g = _finish(labels, table, CarrierMeta("loop", (n, m)))
-    return with_interval_labels(g) if interval else g
+    return _finish(labels, table, CarrierMeta("loop", (n, m)), interval)
 
 
 def loop_parameters(n: int) -> list[int]:
@@ -166,8 +157,7 @@ def build_groupoid(n: int, t: int, u: int, interval: bool = False) -> Magma:
         raise SpecError("t and u may not both be 0 mod n")
     table = [[(t * a + u * b) % n for b in range(n)] for a in range(n)]
     labels = [str(a) for a in range(n)]
-    g = _finish(labels, table, CarrierMeta("groupoid", (n, t, u)))
-    return with_interval_labels(g) if interval else g
+    return _finish(labels, table, CarrierMeta("groupoid", (n, t, u)), interval)
 
 
 def cyclic_group(k: int, interval: bool = False) -> Magma:
@@ -175,8 +165,7 @@ def cyclic_group(k: int, interval: bool = False) -> Magma:
         raise SpecError("cyclic group order must be >= 1")
     table = [[(a + b) % k for b in range(k)] for a in range(k)]
     labels = ["e"] + [f"g{i}" for i in range(1, k)]
-    g = _finish(labels, table, CarrierMeta("cyclic", (k,)))
-    return with_interval_labels(g) if interval else g
+    return _finish(labels, table, CarrierMeta("cyclic", (k,)), interval)
 
 
 def dihedral_group(m: int, interval: bool = False) -> Magma:
@@ -201,8 +190,7 @@ def dihedral_group(m: int, interval: bool = False) -> Magma:
             labels.append("e" if i == 0 else f"r{i}")
         else:
             labels.append("s" if i == 0 else f"sr{i}")
-    g = _finish(labels, table, CarrierMeta("dihedral", (m,)))
-    return with_interval_labels(g) if interval else g
+    return _finish(labels, table, CarrierMeta("dihedral", (m,)), interval)
 
 
 def symmetric_group(k: int, interval: bool = False) -> Magma:
@@ -215,8 +203,7 @@ def symmetric_group(k: int, interval: bool = False) -> Magma:
         [index[tuple(q[p[x]] for x in range(k))] for q in perms] for p in perms
     ]
     labels = ["e"] + [f"p{i}" for i in range(1, len(perms))]
-    g = _finish(labels, table, CarrierMeta("symmetric-group", (k,)))
-    return with_interval_labels(g) if interval else g
+    return _finish(labels, table, CarrierMeta("symmetric-group", (k,)), interval)
 
 
 def symmetric_semigroup(k: int, interval: bool = False) -> Magma:
@@ -236,8 +223,7 @@ def symmetric_semigroup(k: int, interval: bool = False) -> Magma:
         [index[tuple(h[f[x]] for x in range(k))] for h in maps] for f in maps
     ]
     labels = ["e"] + [f"f{i}" for i in range(1, len(maps))]
-    g = _finish(labels, table, CarrierMeta("symmetric-semigroup", (k,)))
-    return with_interval_labels(g) if interval else g
+    return _finish(labels, table, CarrierMeta("symmetric-semigroup", (k,)), interval)
 
 
 def mult_semigroup_zn(n: int, interval: bool = False) -> Magma:
@@ -246,8 +232,7 @@ def mult_semigroup_zn(n: int, interval: bool = False) -> Magma:
         raise SpecError("mult-semigroup modulus n must be >= 2")
     table = [[(a * b) % n for b in range(n)] for a in range(n)]
     labels = [str(a) for a in range(n)]
-    g = _finish(labels, table, CarrierMeta("mult-semigroup", (n,)))
-    return with_interval_labels(g) if interval else g
+    return _finish(labels, table, CarrierMeta("mult-semigroup", (n,)), interval)
 
 
 def additive_group_zn(n: int, interval: bool = False) -> Magma:
@@ -255,8 +240,7 @@ def additive_group_zn(n: int, interval: bool = False) -> Magma:
         raise SpecError("additive-group modulus n must be >= 1")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     labels = [str(a) for a in range(n)]
-    g = _finish(labels, table, CarrierMeta("additive-group", (n,)))
-    return with_interval_labels(g) if interval else g
+    return _finish(labels, table, CarrierMeta("additive-group", (n,)), interval)
 
 
 def _is_prime(n: int) -> bool:
@@ -281,8 +265,7 @@ def mult_group_zp(p: int, interval: bool = False) -> Magma:
     res = list(range(1, p))
     table = [[(a * b) % p - 1 for b in res] for a in res]
     labels = [str(a) for a in res]
-    g = _finish(labels, table, CarrierMeta("mult-group", (p,)))
-    return with_interval_labels(g) if interval else g
+    return _finish(labels, table, CarrierMeta("mult-group", (p,)), interval)
 
 
 _STANDARD_BUILDERS = {
@@ -438,6 +421,31 @@ def first_violation(indices, arity, holds):
     return tuple(int(idx[p]) for p in np.unravel_index(np.argmin(ok), ok.shape))
 
 
+def closure(gathers, k, seed, cap):
+    """Ascending indices of the closure of seed in a table of k indices.
+
+    Each of ``gathers`` takes an ascending index array s and returns the
+    results of its operation over s x s, so both operand orders are covered.
+    Returns None once the closure has more than ``cap`` elements or reaches
+    index k, which a local subset table uses to mark results outside it.
+    """
+    import numpy as np  # on first use, as in first_violation
+
+    member = np.zeros(k + 1, dtype=bool)
+    member[list(seed)] = True
+    s = np.flatnonzero(member)
+    while len(s) <= cap:
+        for gather in gathers:
+            member[gather(s)] = True
+        if member[k]:
+            return None
+        grown = np.flatnonzero(member)
+        if len(grown) == len(s):
+            return s
+        s = grown
+    return None
+
+
 # The identity laws, each written once: name -> (arity, holds).  holds(t, e,
 # x, ...) takes the numpy Cayley table t, the identity index e and index
 # arrays; see LawProfile for the laws in product notation.
@@ -486,19 +494,9 @@ def _law_witness(g: Magma, law: str, subset=None):
 
 def closure_of(g: Magma, seed) -> frozenset:
     """Smallest subset containing seed and closed under the operation."""
-    t = g.table
-    current = set(seed)
-    frontier = list(current)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(current):
-                for v in (t[x][y], t[y][x]):
-                    if v not in current:
-                        current.add(v)
-                        nxt.append(v)
-        frontier = nxt
-    return frozenset(current)
+    t = _cayley(g)
+    return frozenset(
+        closure([lambda s: t[s[:, None], s]], g.order, seed, g.order).tolist())
 
 
 def _associative_within(g: Magma, subset) -> bool:
@@ -511,16 +509,9 @@ def _smarandache_certificate(g: Magma) -> Optional[tuple[int, ...]]:
     # itself closed, associative, proper, and of size >= 2; so scanning the
     # closures of all pairs (plus singles, whose closures may grow) decides
     # the flag exactly.
-    k = g.order
-    best = None
-    seeds = [(x,) for x in range(k)] + list(combinations(range(k), 2))
-    for seed in seeds:
-        c = closure_of(g, seed)
-        if 2 <= len(c) < k and _associative_within(g, c):
-            cert = tuple(sorted(c))
-            if best is None or (len(cert), cert) < (len(best), best):
-                best = cert
-    return best
+    return next((c for c in enumerate_substructures(g, "subsemigroup",
+                                                    mode="generated")
+                 if 2 <= len(c) < g.order), None)
 
 
 def check_laws(g: Magma) -> LawProfile:
@@ -603,11 +594,7 @@ def _is_subgroup(g: Magma, subset) -> bool:
     t = g.table
     if not _is_closed(t, subset) or not _associative_within(g, subset):
         return False
-    ident = None
-    for e in subset:
-        if all(t[e][x] == x and t[x][e] == x for x in subset):
-            ident = e
-            break
+    ident = _two_sided(t, subset)
     if ident is None:
         return False
     for x in subset:
@@ -662,10 +649,8 @@ def enumerate_substructures(
                     found.add(subset)
     else:
         seeds = [(x,) for x in range(k)] + list(combinations(range(k), 2))
-        for seed in seeds:
-            c = tuple(sorted(closure_of(g, seed)))
-            if len(c) <= max_size and admits(c):
-                found.add(c)
+        closures = {tuple(sorted(closure_of(g, seed))) for seed in seeds}
+        found = {c for c in closures if len(c) <= max_size and admits(c)}
     return sorted(found, key=lambda s: (len(s), s))
 
 

@@ -18,7 +18,7 @@ from .analysis import SemiringHandle
 from .carriers import build_carrier, carrier_kinds, carrier_to_json, render_table
 from .domains import domain_from_json
 from .errors import DomainMismatchError, ParseError, SpecError
-from .expressions import eval_pair, parse_expression
+from .expressions import eval_pair
 from .formalsums import PolyBasis, _basis_op, basis_token, make_spec
 
 _EXIT_EXPECT = 1
@@ -401,10 +401,6 @@ def main(argv=None, out=None, err=None):
         out.write("---\n")
         out.write(f"elapsed: {time.perf_counter() - t0:.6f}s\n")
     return code
-
-
-def run():
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

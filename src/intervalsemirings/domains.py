@@ -369,16 +369,6 @@ def domain_one(d: DomainSpec) -> Optional[IntervalElem]:
     return None if one is None else IntervalElem(d, one)
 
 
-@dataclass(frozen=True)
-class DomainUnits:
-    zero: IntervalElem
-    one: Optional[IntervalElem]
-
-
-def dom_units(d: DomainSpec) -> DomainUnits:
-    return DomainUnits(zero=domain_zero(d), one=domain_one(d))
-
-
 def _require_same_domain(x: IntervalElem, y: IntervalElem) -> None:
     if x.domain != y.domain:
         raise DomainMismatchError(

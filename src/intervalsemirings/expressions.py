@@ -31,7 +31,6 @@ from .formalsums import (
     resolve_basis_token,
 )
 from .matrices import (
-    ROW,
     identity_matrix,
     mat_add,
     mat_mul,

@@ -21,7 +21,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from . import domains
+from . import carriers, domains
 from .errors import SpecError
 from .formalsums import _basis_op, basis_keys
 from .matrices import ROW
@@ -145,6 +145,9 @@ class Tables:
         """The k x k table of ``kind``, built on first use and kept."""
         table = self._full.get(kind)
         if table is None:
+            self.check_table(kind, self.k, self.k)
+            # it asks for every domain entry: the domain table pays at once
+            self._dom_spent[kind] += self.k * self.k
             every = np.arange(self.k)
             table = self._full[kind] = self._compute(kind, every, every)
         return table
@@ -156,9 +159,13 @@ class Tables:
             return table[rows[:, None], cols]
         return self._compute(kind, rows, cols)
 
+    def check_table(self, kind, m, n):
+        """Refuse an m x n table of ``kind`` over the byte cap."""
+        _check_bytes(f"a {m}x{n} {kind} table", self.k,
+                     m * n * self.dtype.itemsize)
+
     def _compute(self, kind, rows, cols):
-        _check_bytes(f"a {len(rows)}x{len(cols)} {kind} table", self.k,
-                     len(rows) * len(cols) * self.dtype.itemsize)
+        self.check_table(kind, len(rows), len(cols))
         out = np.empty((len(rows), len(cols)), dtype=self.dtype)
         step = max(1, _BLOCK_ENTRIES // max(1, len(cols)))
         for s in range(0, len(rows), step):
@@ -216,12 +223,14 @@ def zero_divisors(t, budget=None):
     Pairs x <= y of nonzero elements in row-major order; a two-sided pair
     is reported larger index first, a one-sided one in its vanishing order.
     """
-    if budget is None:
-        t.full("mul")   # the scan reaches every pair: build and keep it
     nz = t.nonzero()
     scanned, total, nrows = _pair_scan(len(nz), budget)
+    if budget is None:   # the scan reaches every pair: the full table
+        t.check_table("mul", t.k, t.k)
     # the reached rows in both orders and about three masks derived from them
     _check_bytes("zero-divisor masks", t.k, 5 * nrows * len(nz))
+    if budget is None:
+        t.full("mul")   # build and keep it once both fit
     rows = nz[:nrows]
     xy = t.block("mul", rows, nz) == t.zero
     yx = t.block("mul", nz, rows).T == t.zero
@@ -398,6 +407,16 @@ def s_units(t, budget=None):
     return out, scanned, scanned == len(anchors)
 
 
+def zero_sum_pair(t):
+    """The least (y, x), x <= y, other than (0, 0), with x + y = 0, or None."""
+    # the sum mask and the upper-triangle mask
+    _check_bytes("strictness masks", t.k, 2 * t.k * t.k)
+    every = np.arange(t.k)
+    sums_zero = (t.full("add") == t.zero) & (every[:, None] <= every[None, :])
+    sums_zero[t.zero, t.zero] = False
+    return _first(sums_zero.T)
+
+
 def classify(t):
     """(strict, commutative, has_one, zero_divisor_free) witnesses by index.
 
@@ -409,12 +428,10 @@ def classify(t):
     """
     # about five k x k boolean masks are alive at once
     _check_bytes("classification masks", t.k, 5 * t.k * t.k)
-    add, mul = t.full("add"), t.full("mul")
+    strict = zero_sum_pair(t)
+    mul = t.full("mul")
     every = np.arange(t.k)
     upper = every[:, None] <= every[None, :]
-    sums_zero = (add == t.zero) & upper
-    sums_zero[t.zero, t.zero] = False
-    strict = _first(sums_zero.T)
     commutative = _first((mul != mul.T) & (every[:, None] < every[None, :]))
     identity = (mul == every[None, :]) & (mul.T == every[None, :])
     has_one = bool(identity.all(axis=1).any())
@@ -475,20 +492,8 @@ def closure(t, seed, cap):
     """Ascending positions of the closure of seed under + and * in t (the
     compiled tables or a Local), or None once it has more than cap elements
     or leaves a Local."""
-    # the extra last entry is what an outside entry of a Local marks
-    member = np.zeros(t.k + 1, dtype=bool)
-    member[list(seed)] = True
-    s = np.flatnonzero(member)
-    while len(s) <= cap:
-        member[t.block("add", s, s)] = True
-        member[t.block("mul", s, s)] = True
-        if member[-1]:
-            return None
-        grown = np.flatnonzero(member)
-        if len(grown) == len(s):
-            return s
-        s = grown
-    return None
+    return carriers.closure([lambda s: t.block("add", s, s),
+                             lambda s: t.block("mul", s, s)], t.k, seed, cap)
 
 
 def closed(t, rows):

@@ -594,3 +594,30 @@ def test_matrix_zd_comparison_counts():
         kinds[f.kind] = kinds.get(f.kind, 0) + 1
     assert kinds == {"zero-divisor": 18, "s-zero-divisor": 9, "zd-not-s": 9}
     assert r.exhaustive
+
+
+# ---------------------------------------------------------------------------
+# finite domains above the enumeration guard
+
+
+@pytest.mark.parametrize("d", [zn_interval(1 << 21),
+                               neutro_mixed(zn_interval(1100))],
+                         ids=["zn(2^21)", "neutro-mixed(zn(1100))"])
+def test_finite_domain_over_the_guard_is_not_decided_structurally(d):
+    # zn(2^21) has [0,2] * [0,2^20] = 0: no nonnegativity argument applies
+    h = dh(d)
+    assert h.is_finite() and not h.is_enumerable()
+    r = find_zero_divisors(h)
+    assert r.findings == () and not r.exhaustive
+    with pytest.raises(SpecError, match="enumeration guard"):
+        classify_semiring(h)
+
+
+@pytest.mark.parametrize("d", [nat_interval(), rat_interval(),
+                               neutro_mixed(nat_interval())],
+                         ids=["nat", "rat", "neutro-mixed(nat)"])
+def test_infinite_domains_keep_their_structural_verdicts(d):
+    r = find_zero_divisors(dh(d))
+    assert r.findings == () and r.exhaustive
+    c = classify_semiring(dh(d))
+    assert c.exhaustive and c.strict and c.zero_divisor_free

@@ -1,5 +1,5 @@
 import math
-from itertools import chain, product
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +27,7 @@ from intervalsemirings import (
     symmetric_semigroup,
     validate_witness,
 )
-from intervalsemirings.carriers import normalizers
+from intervalsemirings.carriers import _associative_within, normalizers
 
 
 def valid_loop_params(n):
@@ -341,3 +341,68 @@ def test_law_witnesses_match_brute_force(g):
         assert p.witnesses.get(law) == w, law
     for law, w in p.witnesses.items():
         assert validate_witness(g, law, w), law
+
+
+# ---------------------------------------------------------------------------
+# the magma searches against the object loops they replaced
+
+
+def ref_closure_of(g, seed):
+    """Set-frontier closure: close each new element against all members."""
+    t = g.table
+    current = set(seed)
+    frontier = list(current)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(current):
+                for v in (t[x][y], t[y][x]):
+                    if v not in current:
+                        current.add(v)
+                        nxt.append(v)
+        frontier = nxt
+    return frozenset(current)
+
+
+def ref_smarandache_certificate(g):
+    """Least (size, members) associative proper closure of a single or a
+    pair with at least two elements."""
+    k = g.order
+    best = None
+    seeds = [(x,) for x in range(k)] + list(combinations(range(k), 2))
+    for seed in seeds:
+        c = ref_closure_of(g, seed)
+        if 2 <= len(c) < k and _associative_within(g, c):
+            cert = tuple(sorted(c))
+            if best is None or (len(cert), cert) < (len(best), best):
+                best = cert
+    return best
+
+
+def ref_find_identity(table):
+    k = len(table)
+    for e in range(k):
+        if all(table[e][x] == x and table[x][e] == x for x in range(k)):
+            return e
+    return None
+
+
+def ref_absorbing_index(g):
+    for z in range(g.order):
+        if all(g.table[z][x] == z and g.table[x][z] == z
+               for x in range(g.order)):
+            return z
+    return None
+
+
+@pytest.mark.parametrize(
+    "g", _LAW_MAGMAS,
+    ids=lambda g: f"{g.meta.kind}{g.meta.params}".replace(" ", ""))
+def test_magma_searches_match_reference_loops(g):
+    k = g.order
+    for seed in [(x,) for x in range(k)] + list(combinations(range(k), 2)):
+        assert closure_of(g, seed) == ref_closure_of(g, seed), seed
+    assert check_laws(g).witnesses.get("smarandache") == \
+        ref_smarandache_certificate(g)
+    assert g.identity == ref_find_identity(g.table)
+    assert g.absorbing_index() == ref_absorbing_index(g)

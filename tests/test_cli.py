@@ -404,3 +404,28 @@ def test_subprocess_hash_seed_independence(tmp_path):
         assert r.returncode == 0
         outs.append(r.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("coefficients", [
+    {"kind": "zn-interval", "n": 2097152},
+    {"kind": "neutro-mixed", "base": {"kind": "zn-interval", "n": 1100}},
+], ids=["zn(2^21)", "neutro-mixed(zn(1100))"])
+def test_classify_does_not_decide_a_finite_domain_over_the_guard(
+        tmp_path, coefficients):
+    spec = write_spec(tmp_path, {"schema": "1", "coefficients": coefficients})
+    code, out, err = run_cli(["classify", "--spec", spec,
+                              "--query", "semifield"])
+    assert code == 2 and out == ""
+    assert "enumeration guard exceeded" in err
+    code, out, _ = run_cli(["classify", "--spec", spec, "--query",
+                            "zero-divisors", "--require-exhaustive"])
+    assert code == 5
+    assert "findings: 0" in out and "exhaustive: false" in out
+
+
+def test_classify_nat_zero_divisors_stay_exhaustive(tmp_path):
+    spec = write_spec(tmp_path, {"schema": "1",
+                                 "coefficients": {"kind": "nat-interval"}})
+    code, out, _ = run_cli(["classify", "--spec", spec, "--query",
+                            "zero-divisors", "--require-exhaustive"])
+    assert code == 0 and "exhaustive: true" in out

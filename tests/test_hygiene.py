@@ -1,0 +1,65 @@
+"""Source hygiene: no unused imports and no unreferenced private names.
+
+Both checks read the package modules with ``ast`` (``__init__.py`` only
+re-exports, so it is skipped as a module under test but still counts as a
+place that references names).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "intervalsemirings"
+TREES = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+MODULES = sorted(name for name in TREES if name != "__init__.py")
+
+
+def _imported(tree):
+    """Names an import binds anywhere in the module (``__future__`` aside)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update(a.asname or a.name for a in node.names)
+    return out
+
+
+def _referenced(tree):
+    """Names read, attributes taken, or imported by name in a module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def _private_definitions(tree):
+    """Private top-level functions, classes and assigned names."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in out if n.startswith("_") and not n.startswith("__")}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    tree = TREES[module]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(_imported(tree) - used) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_private_names_are_referenced(module):
+    everywhere = set().union(*(_referenced(t) for t in TREES.values()))
+    assert sorted(_private_definitions(TREES[module]) - everywhere) == []

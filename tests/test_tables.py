@@ -52,9 +52,14 @@ from intervalsemirings.analysis import (
     _finish_classification,
     _object_tables,
     _report,
+    _strict_domain,
     _wit,
 )
-from intervalsemirings.domains import element_key, format_element
+from intervalsemirings.domains import (
+    element_key,
+    format_element,
+    is_strict_domain,
+)
 
 
 def dh(d):
@@ -1128,3 +1133,32 @@ def test_batched_closedness_matches_reference(name):
                                 {elems[i] for i in row}) is None
                 for row in rows]
         assert tables.closed(t, rows).tolist() == want
+
+
+@pytest.mark.parametrize("d", [zn_interval(6), zn_interval(12),
+                               chain_lattice(3), BOOL4,
+                               neutro_mixed(zn_interval(4))],
+                         ids=["zn(6)", "zn(12)", "chain(3)", "bool4",
+                              "neutro-mixed(zn(4))"])
+def test_strictness_witness_from_tables_matches_object_scan(d):
+    assert _strict_domain(d) == is_strict_domain(d)
+
+
+def test_structural_classification_refuses_large_coefficient_domains():
+    # over the enumeration guard: refused before any domain operation
+    for h in (mh(zn_interval(1 << 21), (ROW, 1)),
+              fsh(zn_interval(1 << 21), PolyBasis())):
+        with pytest.raises(SpecError, match="enumeration guard exceeded"):
+            classify_semiring(h)
+    # under the guard, but the strictness masks of 6000 elements are over
+    # the table cap
+    with pytest.raises(SpecError, match=f"{2 * 6000 * 6000} bytes"):
+        classify_semiring(fsh(zn_interval(6000), PolyBasis()))
+
+
+def test_zero_divisor_scan_is_refused_before_building_its_table():
+    # 4096 elements: the full table fits (32 MiB), its masks do not
+    h = mh(zn_interval(2), (ROW, 12))
+    with pytest.raises(SpecError, match=f"{5 * 4095 * 4095} bytes"):
+        find_zero_divisors(h)
+    assert h.tables()._full == {}
