@@ -26,6 +26,7 @@ from .carriers import (
     Magma,
     _law_witness,
     build_loop,
+    closure,
     first_violation,
     loop_law_summary,
     loop_parameters,
@@ -124,6 +125,7 @@ class SemiringHandle:
         self.shape = shape
         self._elements = None
         self._tables = None
+        self._coefficients = None
         if kind == "domain":
             self.zero = domain_zero(domain)
             self.one = domain_one(domain)
@@ -218,6 +220,15 @@ class SemiringHandle:
             self._require_enumerable()
             self._tables = tables.Tables(self)
         return self._tables
+
+    def _coefficient_handle(self):
+        """The handle of a formal sum's or matrix's coefficient domain, made
+        once so that its compiled tables serve every question about it."""
+        if self._coefficients is None:
+            self._coefficients = SemiringHandle.for_domain(
+                self.spec.coefficients if self.kind == "formal-sum"
+                else self.domain)
+        return self._coefficients
 
     def render(self, x):
         if self.kind == "domain":
@@ -330,18 +341,20 @@ def _index_findings(h, hits):
 
 
 def _strict_domain(d):
-    """is_strict_domain(d), with the witness of a finite d read from its
-    compiled tables (refused over the enumeration guard or the table cap)."""
-    if not is_finite_domain(d):
-        return is_strict_domain(d)
-    h = SemiringHandle.for_domain(d)
+    """is_strict_domain of a domain d or a domain handle's domain, with the
+    witness of a finite one read from its compiled tables (refused over the
+    enumeration guard or the table cap)."""
+    h = d if isinstance(d, SemiringHandle) else SemiringHandle.for_domain(d)
+    if not is_finite_domain(h.domain):
+        return is_strict_domain(h.domain)
     w = tables.zero_sum_pair(h.tables())
     return w is None, None if w is None else tuple(h.elements()[i] for i in w)
 
 
 def _domain_zero_divisor_pair(d):
-    """Minimal nonzero pair with zero product in a finite domain, or None."""
-    h = SemiringHandle.for_domain(d)
+    """Minimal nonzero pair with zero product in a finite domain d (or a
+    domain handle's domain), or None."""
+    h = d if isinstance(d, SemiringHandle) else SemiringHandle.for_domain(d)
     hits, _, _ = tables.zero_divisors(h.tables())
     pair = next((xy for kind, *xy in hits if kind == "zero-divisor"), None)
     return None if pair is None else h.pair(*(h.elements()[i] for i in pair))
@@ -363,12 +376,10 @@ def _formal_sum_zero_divisor_patterns(h, query):
     spec = h.spec
     d = spec.coefficients
     findings = []
-    keys = None
-    if basis_is_finite(spec.basis):
-        keys = basis_keys(spec)
-    k0 = keys[0] if keys else 0
+    keys = basis_keys(spec) if basis_is_finite(spec.basis) else None
+    k0 = _first_key(spec)
     if is_finite_domain(d):
-        pair = _domain_zero_divisor_pair(d)
+        pair = _domain_zero_divisor_pair(h._coefficient_handle())
         if pair is not None:
             a, b = pair
             x = fs_term(spec, k0, a)
@@ -392,14 +403,14 @@ def _formal_sum_zero_divisor_patterns(h, query):
     # coefficient domain (coefficients of a product are sums of nonzero
     # products, hence nonzero); a finite domain has no zero divisors here,
     # since its pair would be a finding.
-    return _report(query, [], _strict_domain(d)[0], 0)
+    return _report(query, [], _strict_domain(h._coefficient_handle())[0], 0)
 
 
 def _matrix_zero_divisor_patterns(h, query):
     mk, n = h.shape
     d = h.domain
     if n == 1:
-        inner = find_zero_divisors(SemiringHandle.for_domain(d))
+        inner = find_zero_divisors(h._coefficient_handle())
         findings = []
         for f in inner.findings:
             mats = tuple(IntervalMatrix(d, h.shape, (e,)) for e in f.elements)
@@ -443,12 +454,9 @@ def _domain_idempotents_structural(d):
         # (a+bI)^2 = a+bI forces a in {0,1}; then b(b+2a-1) = 0 over
         # nonnegatives leaves [0,0], [0,I], [0,1] (pure: [0,0], [0,I]).
         out = [zero]
-        if d.kind == NEUTRO_PURE:
-            if d.base.multiple == 1:
-                out.append(element(d, 0, 1))
-        else:
-            if d.base.multiple == 1:
-                out.append(element(d, 0, 1))
+        if d.base.multiple == 1:
+            out.append(element(d, 0, 1))
+            if d.kind == NEUTRO_MIXED:
                 out.append(element(d, 1, 0))
         return out, True
     return [zero], False
@@ -581,14 +589,10 @@ def _support_matrix(h, positions, c):
 def _s_special_patterns(h, kind, query):
     if h.kind == "domain" and h.domain.kind in (NAT, RAT):
         d = h.domain
-        if kind in ("s-zero-divisor", "s-anti-zero-divisor"):
-            # both certificates need a vanishing product of nonzero elements
-            return _report(query, [], True, 0)
-        if kind == "s-idempotent":
-            # idempotents are only 0 and 1, both excluded as anchors
-            return _report(query, [], True, 0)
-        if d.kind == NAT:
-            # the only unit is 1, excluded as an anchor
+        if kind != "s-unit" or d.kind == NAT:
+            # the zero-divisor certificates need a vanishing product of
+            # nonzero elements; idempotents are only 0 and 1, and the only
+            # unit of nat is 1, all excluded as anchors
             return _report(query, [], True, 0)
         x = element(d, Fraction(2))
         y = element(d, Fraction(1, 2))
@@ -650,27 +654,19 @@ def validate_s_certificate(h, kind, elements):
         return _valid_s_anti(h, x, y, a, b)
     if kind == "s-idempotent":
         a, b = elements
-        if h.mul(a, a) != a or a == zero or (h.one is not None and a == h.one):
-            return False
-        if b == a or h.mul(b, b) != a:
-            return False
         sends_b = h.mul(a, b) == b or h.mul(b, a) == b
         sends_a = h.mul(b, a) == a or h.mul(a, b) == a
-        return sends_b != sends_a
+        return (h.mul(a, a) == a and a not in (zero, h.one) and b != a
+                and h.mul(b, b) == a and sends_b != sends_a)
     if kind == "s-unit":
         x, y, a, b = elements
         one = h.one
-        if one is None or x == one:
-            return False
-        if h.mul(x, y) != one or h.mul(y, x) != one:
-            return False
-        if a in (x, y, one) or b in (x, y, one):
-            return False
-        if h.mul(x, a) != y and h.mul(a, x) != y:
-            return False
-        if h.mul(y, b) != x and h.mul(b, y) != x:
-            return False
-        return h.mul(a, b) == one or h.mul(b, a) == one
+        return (one is not None and x != one
+                and h.mul(x, y) == one and h.mul(y, x) == one
+                and a not in (x, y, one) and b not in (x, y, one)
+                and (h.mul(x, a) == y or h.mul(a, x) == y)
+                and (h.mul(y, b) == x or h.mul(b, y) == x)
+                and (h.mul(a, b) == one or h.mul(b, a) == one))
     raise SpecError(f"unknown special-element kind {kind!r}")
 
 
@@ -804,19 +800,16 @@ def classify_semiring(h):
 
 
 def _classify_scan(h):
-    strict_w, commutative_w, has_one, zd_w = tables.classify(h.tables())
+    strict, commutative, has_one, zd = tables.classify(h.tables())
     elems = h.elements()
-    witnesses = {}
-    if strict_w is not None:
-        witnesses["strict"] = _wit(h, *(elems[i] for i in strict_w))
-    if commutative_w is not None:
-        witnesses["commutative"] = _wit(h, *(elems[i] for i in commutative_w))
+    found = {"strict": strict, "commutative": commutative,
+             "has_one": None if has_one else (), "zero_divisor_free": zd}
+    witnesses = {law: _wit(h, *(elems[i] for i in w))
+                 for law, w in found.items() if w is not None}
     if not has_one:
         witnesses["has_one"] = ("no element acts as a two-sided identity",)
-    if zd_w is not None:
-        witnesses["zero_divisor_free"] = _wit(h, *(elems[i] for i in zd_w))
-    return _finish_classification(h, strict_w is None, commutative_w is None,
-                                  has_one, zd_w is None, witnesses)
+    return _finish_classification(h, *(w is None for w in found.values()),
+                                  witnesses)
 
 
 def _classify_structural(h):
@@ -854,7 +847,7 @@ def _classify_formal_sum_structural(h):
     spec = h.spec
     d = spec.coefficients
     witnesses = {}
-    strict, sw = _strict_domain(d)
+    strict, sw = _strict_domain(h._coefficient_handle())
     if not strict:
         a, b = sw
         x = fs_term(spec, _first_key(spec), a)
@@ -896,7 +889,7 @@ def _classify_matrix_structural(h):
     d = h.domain
     mk, n = h.shape
     witnesses = {}
-    strict, sw = _strict_domain(d)
+    strict, sw = _strict_domain(h._coefficient_handle())
     if not strict:
         a, b = sw
         witnesses["strict"] = _wit(h, _support_matrix(h, (0,), a),
@@ -919,7 +912,7 @@ def _classify_matrix_structural(h):
         if zd.findings:
             witnesses["zero_divisor_free"] = zd.findings[0].witness
     else:
-        inner = classify_semiring(SemiringHandle.for_domain(d))
+        inner = classify_semiring(h._coefficient_handle())
         zdfree = inner.zero_divisor_free
         if not zdfree:
             witnesses["zero_divisor_free"] = inner.witnesses["zero_divisor_free"]
@@ -969,8 +962,10 @@ def smarandache_search(h, mode="generated", *, seed_size=2, max_subset=None,
     """Search for proper semifield subsets, or evaluate a candidate subset.
 
     Without a candidate the finding kind is "semifield-subset" and each
-    witness lists the subset.  Generated mode closes singles and pairs (with
-    zero adjoined) under both operations; exhaustive mode enumerates all
+    witness lists the subset.  Generated mode keeps the distinct closures
+    of {0, x} and {0, x, y} under both operations, skipping a pair whose
+    closure is that of {0, x} or {0, y} (``carriers.generated_closures``);
+    every seed counts in pairs_scanned.  Exhaustive mode enumerates all
     subsets of handles with at most 20 elements.  With a candidate, the
     candidate_kind selects the certificate: semifield-subset, s-subsemiring,
     s-ideal, s-pseudo-subsemiring, or s-pseudo-ideal.
@@ -1036,7 +1031,8 @@ def _pseudo_superset(h, mset):
     seed = mset | {h.zero}
     if _sliced(h, len(seed)):
         t = h.tables()
-        c = tables.closure(t, [t.index(h, x) for x in seed], _CLOSURE_CAP)
+        c = closure(tables.gathers(t), t.k, [t.index(h, x) for x in seed],
+                    _CLOSURE_CAP)
         c = None if c is None else [h.elements()[i] for i in c]
     else:
         c = _closure_under_ops(h, seed)
@@ -1097,19 +1093,11 @@ def check_homomorphism(f, src, dst, sample=None):
 
     if fmap(src.zero) != dst.zero:
         return HomReport(False, ("zero", src.zero), (), exhaustive)
-    witness = None
-    for x in elems:
-        for y in elems:
-            if fmap(src.add(x, y)) != dst.add(fmap(x), fmap(y)):
-                witness = ("add", x, y)
-                break
-            if fmap(src.mul(x, y)) != dst.mul(fmap(x), fmap(y)):
-                witness = ("mul", x, y)
-                break
-        if witness:
-            break
-    if witness is not None:
-        return HomReport(False, witness, (), exhaustive)
+    for x, y in itertools.product(elems, elems):
+        for op, src_op, dst_op in (("add", src.add, dst.add),
+                                   ("mul", src.mul, dst.mul)):
+            if fmap(src_op(x, y)) != dst_op(fmap(x), fmap(y)):
+                return HomReport(False, (op, x, y), (), exhaustive)
     kernel = tuple(x for x in elems if fmap(x) == dst.zero)
     return HomReport(True, None, kernel, exhaustive)
 

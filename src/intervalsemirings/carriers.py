@@ -446,6 +446,36 @@ def closure(gathers, k, seed, cap):
     return None
 
 
+def generated_closures(gathers, k, base, pairs):
+    """(distinct closures, seeds scanned) of base + (x,) for every index x
+    and, when pairs is set, of base + (x, y) for every x < y.
+
+    Closures are ascending index tuples, under ``gathers`` as in
+    ``closure``; one that leaves a local table is dropped.  The closure of
+    a pair is C(x) when y is in C(x), C(y) when x is in C(y), and otherwise
+    the closure of C(x) | C(y); it leaves whenever C(x) or C(y) does.
+    Every pair counts as scanned, pruned or not.
+    """
+    import numpy as np  # on first use, as in first_violation
+
+    # about k^2 bytes: under the k x k tables the caller already holds
+    member = np.zeros((k, k + 1), dtype=bool)
+    stays = np.zeros(k, dtype=bool)
+    found = set()
+    for x in range(k):
+        c = closure(gathers, k, base + (x,), k)
+        if c is not None:
+            member[x, c] = stays[x] = True
+            found.add(tuple(c.tolist()))
+    for x in np.flatnonzero(stays) if pairs else ():
+        rest = stays[x + 1:] & ~member[x, x + 1:k] & ~member[x + 1:, x]
+        for y in np.flatnonzero(rest) + x + 1:
+            c = closure(gathers, k, np.flatnonzero(member[x] | member[y]), k)
+            if c is not None:
+                found.add(tuple(c.tolist()))
+    return found, k + k * (k - 1) // 2 if pairs else k
+
+
 # The identity laws, each written once: name -> (arity, holds).  holds(t, e,
 # x, ...) takes the numpy Cayley table t, the identity index e and index
 # arrays; see LawProfile for the laws in product notation.
@@ -492,11 +522,15 @@ def _law_witness(g: Magma, law: str, subset=None):
     return first_violation(indices, arity, lambda *xs: holds(t, e, *xs))
 
 
+def _gathers(g: Magma):
+    """The products over s x s of g's Cayley table, for ``closure``."""
+    t = _cayley(g)
+    return [lambda s: t[s[:, None], s]]
+
+
 def closure_of(g: Magma, seed) -> frozenset:
     """Smallest subset containing seed and closed under the operation."""
-    t = _cayley(g)
-    return frozenset(
-        closure([lambda s: t[s[:, None], s]], g.order, seed, g.order).tolist())
+    return frozenset(closure(_gathers(g), g.order, seed, g.order).tolist())
 
 
 def _associative_within(g: Magma, subset) -> bool:
@@ -509,9 +543,10 @@ def _smarandache_certificate(g: Magma) -> Optional[tuple[int, ...]]:
     # itself closed, associative, proper, and of size >= 2; so scanning the
     # closures of all pairs (plus singles, whose closures may grow) decides
     # the flag exactly.
-    return next((c for c in enumerate_substructures(g, "subsemigroup",
-                                                    mode="generated")
-                 if 2 <= len(c) < g.order), None)
+    closures, _ = generated_closures(_gathers(g), g.order, (), True)
+    return min((c for c in closures if 2 <= len(c) < g.order
+                and _associative_within(g, c)),
+               key=lambda c: (len(c), c), default=None)
 
 
 def check_laws(g: Magma) -> LawProfile:
@@ -567,22 +602,13 @@ def associator_closure(g: Magma) -> tuple[int, ...]:
     if g.identity is None or _w_latin(g.table, g.order) is not None:
         raise SpecError("associator closure requires a loop")
     t = g.table
-    k = g.order
-    # pos[w][v] = a with w * a = v (rows are permutations)
-    pos = [[0] * k for _ in range(k)]
-    for w in range(k):
-        for a in range(k):
-            pos[w][t[w][a]] = a
-    assoc = set()
-    for x in range(k):
-        for y in range(k):
-            xy = t[x][y]
-            for z in range(k):
-                v = t[xy][z]
-                w = t[x][t[y][z]]
-                assoc.add(pos[w][v])
-    assoc.add(g.identity)
-    return tuple(sorted(closure_of(g, assoc)))
+    r = range(g.order)
+    # pos[w][v] = a with w * a = v (rows are permutations); the associator
+    # of (x, y, z) is pos[x(yz)][(xy)z]
+    pos = [{v: a for a, v in enumerate(row)} for row in t]
+    assoc = {pos[t[x][t[y][z]]][t[t[x][y]][z]]
+             for x in r for y in r for z in r}
+    return tuple(sorted(closure_of(g, assoc | {g.identity})))
 
 
 def _is_closed(t, subset) -> bool:
@@ -595,12 +621,8 @@ def _is_subgroup(g: Magma, subset) -> bool:
     if not _is_closed(t, subset) or not _associative_within(g, subset):
         return False
     ident = _two_sided(t, subset)
-    if ident is None:
-        return False
-    for x in subset:
-        if not any(t[x][y] == ident and t[y][x] == ident for y in subset):
-            return False
-    return True
+    return ident is not None and all(
+        any(t[x][y] == ident == t[y][x] for y in subset) for x in subset)
 
 
 def enumerate_substructures(
@@ -614,7 +636,9 @@ def enumerate_substructures(
     kind: "subloop" (closed, contains the identity; g must be a loop),
     "subgroup", or "subsemigroup". Exhaustive search enumerates all
     subsets up to max_size and is guarded to |g| <= 24; generated mode
-    closes every single element and unordered pair instead.
+    keeps the distinct closures of every single element and unordered pair
+    instead, closing a pair only when neither element lies in the other's
+    closure (``generated_closures``).
     """
     if kind not in ("subloop", "subgroup", "subsemigroup"):
         raise SpecError(f"unknown substructure kind {kind!r}")
@@ -648,8 +672,7 @@ def enumerate_substructures(
                 if admits(subset):
                     found.add(subset)
     else:
-        seeds = [(x,) for x in range(k)] + list(combinations(range(k), 2))
-        closures = {tuple(sorted(closure_of(g, seed))) for seed in seeds}
+        closures, _ = generated_closures(_gathers(g), k, (), True)
         found = {c for c in closures if len(c) <= max_size and admits(c)}
     return sorted(found, key=lambda s: (len(s), s))
 

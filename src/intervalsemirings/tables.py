@@ -17,7 +17,7 @@ subset searches (closures, semifield subsets, the Smarandache searches)
 run on the same tables.
 """
 
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -384,6 +384,14 @@ def s_units(t, budget=None):
     y is the first two-sided inverse of x; a is the first element outside
     {x, y, 1} with x*a or a*x equal to y, paired with the first b outside
     {x, y, 1} with y*b or b*y equal to x and a*b or b*a equal to 1.
+
+    Accepting only x*a = y finds the same certificates wherever that has
+    been checked.  On an associative handle x*a = y and a*x = y both say
+    a = y*y.  Over chain(2) the units of a loop semiring are its basis
+    elements g, each its own inverse, and g*a = g or a*g = g only for
+    a = 1.  The loop semirings of L_5(m), L_7(m) and L_9(m) over zn(2) are
+    not associative, and anchors of L_9(m) have an a that solves one side
+    only, but no such a is paired with a b.
     """
     _check_bytes("s-unit masks", t.k, 3 * t.k * t.k)
     mul = t.full("mul")
@@ -430,16 +438,12 @@ def classify(t):
     _check_bytes("classification masks", t.k, 5 * t.k * t.k)
     strict = zero_sum_pair(t)
     mul = t.full("mul")
+    s = Local(t.full("add"), mul, t.zero)
     every = np.arange(t.k)
-    upper = every[:, None] <= every[None, :]
-    commutative = _first((mul != mul.T) & (every[:, None] < every[None, :]))
-    identity = (mul == every[None, :]) & (mul.T == every[None, :])
-    has_one = bool(identity.all(axis=1).any())
     nonzero = every != t.zero
-    zd = (mul == t.zero) & (mul.T == t.zero) & upper \
-        & nonzero[:, None] & nonzero[None, :]
-    zero_divisor = _first(zd.T)
-    return strict, commutative, has_one, zero_divisor
+    zd = (mul == t.zero) & (mul.T == t.zero) & nonzero[:, None] \
+        & nonzero[None, :] & (every[:, None] <= every[None, :])
+    return strict, noncommuting_pair(s), has_identity(s), _first(zd.T)
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +492,10 @@ def restrict(t, idx):
                  zero)
 
 
-def closure(t, seed, cap):
-    """Ascending positions of the closure of seed under + and * in t (the
-    compiled tables or a Local), or None once it has more than cap elements
-    or leaves a Local."""
-    return carriers.closure([lambda s: t.block("add", s, s),
-                             lambda s: t.block("mul", s, s)], t.k, seed, cap)
+def gathers(t):
+    """The sums and products over s x s in t (the compiled tables or a
+    Local): closures under + and * run ``carriers.closure`` over them."""
+    return [lambda s: t.block("add", s, s), lambda s: t.block("mul", s, s)]
 
 
 def closed(t, rows):
@@ -578,27 +580,13 @@ def _by_size(subsets):
 
 def _semifield_closures(t, seed_size, proper):
     """(semifield closures, seeds scanned) in t (the compiled tables or a
-    Local): the distinct closures of {0, x}, then (seed_size >= 2) of
-    {0, x, y} for x < y, that stay in t; proper ones only when asked."""
-    seeds = ((t.zero, x) for x in range(t.k))
-    if seed_size >= 2:
-        seeds = chain(seeds, ((t.zero, x, y)
-                              for x, y in combinations(range(t.k), 2)))
-    seen = set()
-    hits = []
-    scanned = 0
-    for seed in seeds:
-        scanned += 1
-        c = closure(t, seed, t.k)
-        if c is None:
-            continue
-        c = tuple(c.tolist())
-        if c in seen or (proper and len(c) == t.k):
-            continue
-        seen.add(c)
-        if semifield_failure(restrict(t, c)) is None:
-            hits.append(c)
-    return _by_size(hits), scanned
+    Local): the distinct closures of {0, x} and (seed_size >= 2) of
+    {0, x, y} that stay in t (``carriers.generated_closures``); proper ones
+    only when asked."""
+    found, scanned = carriers.generated_closures(
+        gathers(t), t.k, (t.zero,), seed_size >= 2)
+    return _by_size(c for c in found if not (proper and len(c) == t.k)
+                    and semifield_failure(restrict(t, c)) is None), scanned
 
 
 def semifield_subsets(s):

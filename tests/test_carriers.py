@@ -1,6 +1,7 @@
 import math
 from itertools import chain, combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +28,12 @@ from intervalsemirings import (
     symmetric_semigroup,
     validate_witness,
 )
-from intervalsemirings.carriers import _associative_within, normalizers
+from intervalsemirings.carriers import (
+    _associative_within,
+    closure,
+    generated_closures,
+    normalizers,
+)
 
 
 def valid_loop_params(n):
@@ -406,3 +412,39 @@ def test_magma_searches_match_reference_loops(g):
         ref_smarandache_certificate(g)
     assert g.identity == ref_find_identity(g.table)
     assert g.absorbing_index() == ref_absorbing_index(g)
+
+
+# ---------------------------------------------------------------------------
+# the generated-closure search against closing every seed from scratch
+
+
+@st.composite
+def closure_tables(draw):
+    """(k, one or two k x k tables, base seed).  Entries are indices below
+    k, or, for a local table, may also be k: a result outside the subset."""
+    k = draw(st.integers(1, 7))
+    top = k if draw(st.booleans()) else k - 1
+    row = st.lists(st.integers(0, top), min_size=k, max_size=k)
+    ops = [np.array(draw(st.lists(row, min_size=k, max_size=k)),
+                    dtype=np.intp).reshape(k, k)
+           for _ in range(draw(st.integers(1, 2)))]
+    base = tuple(draw(st.lists(st.integers(0, k - 1), max_size=2)))
+    return k, ops, base
+
+
+@given(closure_tables(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_generated_closures_match_closing_every_seed(case, pairs):
+    k, ops, base = case
+    gathers = [lambda s, t=t: t[s[:, None], s] for t in ops]
+    seeds = [(x,) for x in range(k)]
+    if pairs:
+        seeds += list(combinations(range(k), 2))
+    want = set()
+    for seed in seeds:
+        c = closure(gathers, k, base + seed, k)
+        if c is not None:
+            want.add(tuple(c.tolist()))
+    got, scanned = generated_closures(gathers, k, base, pairs)
+    assert got == want
+    assert scanned == len(seeds) == k + (k * (k - 1) // 2 if pairs else 0)

@@ -63,3 +63,27 @@ def test_no_unused_imports(module):
 def test_private_names_are_referenced(module):
     everywhere = set().union(*(_referenced(t) for t in TREES.values()))
     assert sorted(_private_definitions(TREES[module]) - everywhere) == []
+
+
+def _module_level_imports(tree):
+    """Top-level packages a module imports when it is loaded, that is
+    outside every function body."""
+    out, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_carriers_imports_numpy_on_first_use():
+    # The package imports carriers before it compiles analysis; a numpy
+    # loaded by then adds about 3.5 MB to the peak memory of every short
+    # isl process (see carriers.first_violation).
+    assert "numpy" not in _module_level_imports(TREES["carriers.py"])

@@ -44,7 +44,7 @@ from intervalsemirings import (
     verify_axioms,
     zn_interval,
 )
-from intervalsemirings import analysis, cli, tables
+from intervalsemirings import analysis, cli, domains, tables
 from intervalsemirings.analysis import (
     Finding,
     _closure_under_ops,
@@ -1162,3 +1162,71 @@ def test_zero_divisor_scan_is_refused_before_building_its_table():
     with pytest.raises(SpecError, match=f"{5 * 4095 * 4095} bytes"):
         find_zero_divisors(h)
     assert h.tables()._full == {}
+
+
+# ---------------------------------------------------------------------------
+# the generated search at 243 elements, the coefficient domain compiled once,
+# and the two sides of an S-unit's a
+
+
+def test_generated_search_at_243_elements():
+    # 243 singles and 29403 pairs; the report is the one the search gave
+    # when it closed every pair from scratch
+    h = fsh(zn_interval(3), cyclic_group(5))
+    assert smarandache_search(h).to_json_str() == (
+        '{"query": "smarandache on formal-sum[zn(3); cyclic(5)]", '
+        '"exhaustive": false, "findings": [], '
+        '"budget": {"pairs_scanned": 29646}}')
+
+
+@pytest.mark.parametrize("build, pattern_sums", [
+    (lambda: fsh(chain_lattice(300), PolyBasis()), 0),
+    # the commutativity pattern multiplies two 2 x 2 matrices both ways
+    (lambda: mh(chain_lattice(300), (SQUARE, 2)), 16),
+], ids=["poly", "square(2)"])
+def test_structural_classification_compiles_the_domain_once(
+        monkeypatch, build, pattern_sums):
+    built, sums = [], []
+    init, dom_add = tables.Tables.__init__, domains.dom_add
+
+    def counted_init(self, h):
+        built.append(h.describe())
+        init(self, h)
+
+    def counted_add(x, y):
+        sums.append(None)
+        return dom_add(x, y)
+
+    monkeypatch.setattr(tables.Tables, "__init__", counted_init)
+    monkeypatch.setattr(domains, "dom_add", counted_add)
+    h = build()
+    want = '"strict": true, "commutative": %s' % (
+        "true" if h.kind == "formal-sum" else "false")
+    assert want in json.dumps(classify_semiring(h).to_json())
+    # one strictness scan of the 300 x 300 domain table, reused by the
+    # zero-divisor question
+    assert built == ["chain(300)"]
+    assert len(sums) == 300 * 300 + pattern_sums
+
+
+@pytest.mark.parametrize("n, m", [(7, 3), (9, 2)])
+def test_s_unit_a_solving_one_side_only_never_completes(n, m):
+    # see tables.s_units: on these nonassociative, noncommutative loop
+    # semirings accepting only x*a = y would give the same certificates
+    h = fsh(zn_interval(2), build_loop(n, m))
+    t = h.tables()
+    mul = t.full("mul")
+    one = mul == t.one
+    every = np.arange(t.k)
+    one_sided = 0
+    for x, y in tables.units(t)[0]:
+        if x == t.one:
+            continue
+        outside = (every != x) & (every != y) & (every != t.one)
+        left, right = mul[x] == y, mul[:, x] == y
+        bs = ((mul[y] == x) | (mul[:, y] == x)) & outside
+        completes = (one | one.T)[:, bs].any(axis=1) & outside
+        one_sided += int(np.count_nonzero(left != right))
+        assert not (completes & (left != right)).any(), x
+    assert (one_sided > 0) == (n == 9)
+    assert find_s_special(h, "s-unit").findings
