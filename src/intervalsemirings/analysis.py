@@ -53,6 +53,7 @@ from .domains import (
 )
 from .errors import SpecError
 from .formalsums import (
+    FormalSum,
     PolyBasis,
     _ENUM_GUARD,
     _basis_op,
@@ -60,7 +61,6 @@ from .formalsums import (
     basis_keys,
     enumerate_elements,
     fs_one,
-    fs_term,
     fs_zero,
     semiring_size,
 )
@@ -222,8 +222,11 @@ class SemiringHandle:
         return self._tables
 
     def _coefficient_handle(self):
-        """The handle of a formal sum's or matrix's coefficient domain, made
-        once so that its compiled tables serve every question about it."""
+        """The handle of a formal sum's or matrix's coefficient domain (a
+        domain handle's own), made once so that its compiled tables serve
+        every question about it."""
+        if self.kind == "domain":
+            return self
         if self._coefficients is None:
             self._coefficients = SemiringHandle.for_domain(
                 self.spec.coefficients if self.kind == "formal-sum"
@@ -304,11 +307,34 @@ def _first_nonzero_scalar(d):
         return element(d, d.multiple)
     if d.kind == RAT:
         return element(d, Fraction(1))
+    if not is_finite_domain(d):
+        # the base's choice as an I-multiple: the least nonzero key, as the
+        # finite loop below would pick it; (cI)^2 = c^2 I is nonzero
+        c = _first_nonzero_scalar(d.base).a
+        return element(d, c) if d.kind == NEUTRO_PURE else element(d, 0, c)
     zero = domain_zero(d)
     for c in domain_elements(d):
         if c != zero and c * c != zero:
             return c
     return None
+
+
+def _first_slot(h):
+    """Basis key or entry position of a formal sum's or matrix's first slot."""
+    if h.kind == "formal-sum" and basis_is_finite(h.spec.basis):
+        return next(iter(basis_keys(h.spec)), 0)
+    return 0
+
+
+def _support(h, slots, c):
+    """The formal sum or matrix of h with coefficient c at the given basis
+    keys or entry positions and zero elsewhere."""
+    if h.kind == "formal-sum":
+        return FormalSum(h.spec, [(k, c) for k in slots])
+    entries = [domain_zero(h.domain)] * h._slot_count()
+    for p in slots:
+        entries[p] = c
+    return IntervalMatrix(h.domain, h.shape, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +402,18 @@ def _formal_sum_zero_divisor_patterns(h, query):
     spec = h.spec
     d = spec.coefficients
     findings = []
-    keys = basis_keys(spec) if basis_is_finite(spec.basis) else None
-    k0 = _first_key(spec)
     if is_finite_domain(d):
         pair = _domain_zero_divisor_pair(h._coefficient_handle())
         if pair is not None:
-            a, b = pair
-            x = fs_term(spec, k0, a)
-            y = fs_term(spec, k0, b)
+            x, y = (_support(h, (_first_slot(h),), c) for c in pair)
             findings.append(Finding("zero-divisor", _wit(h, x, y), (x, y)))
-    if spec.absorb_zero_basis and keys is not None:
+    if spec.absorb_zero_basis:
         g = spec.basis
         z = g.absorbing_index()
+        keys = basis_keys(spec)
         c = _first_nonzero_scalar(d)
         if c is not None:
-            terms = ((fs_term(spec, gi, c), fs_term(spec, hj, c))
+            terms = ((_support(h, (gi,), c), _support(h, (hj,), c))
                      for gi in keys for hj in keys if g.op(gi, hj) == z)
             pair = next(((x, y) for x, y in terms if h.mul(x, y) == h.zero
                          and h.mul(y, x) == h.zero), None)
@@ -413,7 +436,7 @@ def _matrix_zero_divisor_patterns(h, query):
         inner = find_zero_divisors(h._coefficient_handle())
         findings = []
         for f in inner.findings:
-            mats = tuple(IntervalMatrix(d, h.shape, (e,)) for e in f.elements)
+            mats = tuple(_support(h, (0,), e) for e in f.elements)
             findings.append(Finding(f.kind, _wit(h, *mats), mats))
         return _report(query, findings, inner.exhaustive,
                        inner.budget_spent["pairs_scanned"])
@@ -421,8 +444,8 @@ def _matrix_zero_divisor_patterns(h, query):
     if c is None:
         return _report(query, [], False, 0)
     # entries 0 and 1 of a row; entries (0, 0) and (1, 1) of a square
-    x = _support_matrix(h, (0,), c)
-    y = _support_matrix(h, (1 if mk == ROW else n + 1,), c)
+    x = _support(h, (0,), c)
+    y = _support(h, (1 if mk == ROW else n + 1,), c)
     findings = []
     if h.mul(x, y) == h.zero and h.mul(y, x) == h.zero:
         a, b = h.pair(x, y)
@@ -455,9 +478,10 @@ def _domain_idempotents_structural(d):
         # nonnegatives leaves [0,0], [0,I], [0,1] (pure: [0,0], [0,I]).
         out = [zero]
         if d.base.multiple == 1:
-            out.append(element(d, 0, 1))
-            if d.kind == NEUTRO_MIXED:
-                out.append(element(d, 1, 0))
+            if d.kind == NEUTRO_PURE:
+                out.append(element(d, 1))
+            else:
+                out += [element(d, 0, 1), element(d, 1, 0)]
         return out, True
     return [zero], False
 
@@ -483,7 +507,7 @@ def _idempotent_patterns(h, query):
             for k in basis_keys(spec):
                 if _basis_op(spec, k, k) == k:
                     for c in dom_idem:
-                        x = fs_term(spec, k, c)
+                        x = _support(h, (k,), c)
                         if h.mul(x, x) == x:
                             findings.append(
                                 Finding("idempotent", _wit(h, x), (x,)))
@@ -498,9 +522,8 @@ def _idempotent_patterns(h, query):
     if count <= 256:
         for combo in itertools.product(choices, repeat=n):
             # the ones sit on a row's entries or on a square's diagonal
-            x = _support_matrix(h, [i if mk == ROW else i * n + i
-                                    for i, c in enumerate(combo) if c != zero],
-                                one)
+            x = _support(h, [i if mk == ROW else i * n + i
+                             for i, c in enumerate(combo) if c != zero], one)
             if h.mul(x, x) == x:
                 findings.append(Finding("idempotent", _wit(h, x), (x,)))
     complete = mk == ROW and d.kind in (NAT, RAT) and count <= 256
@@ -577,13 +600,12 @@ def find_s_special(h, kind, budget=None):
                    exhaustive, scanned)
 
 
-def _support_matrix(h, positions, c):
-    d = h.domain
-    zero = domain_zero(d)
-    entries = [zero] * h._slot_count()
-    for p in positions:
-        entries[p] = c
-    return IntervalMatrix(d, h.shape, tuple(entries))
+# the least row length and the entry positions of each certificate element
+# a row matrix instantiates
+_S_ROW_PATTERNS = {
+    "s-zero-divisor": (6, ((0, 1), (2, 3), (4, 5), (0, 1, 5))),
+    "s-anti-zero-divisor": (4, ((0, 1, 2), (1, 2, 3), (0,), (3,))),
+}
 
 
 def _s_special_patterns(h, kind, query):
@@ -600,46 +622,15 @@ def _s_special_patterns(h, kind, query):
         b = element(d, Fraction(4))
         return _report(query, [Finding("s-unit", _wit(h, x, y, a, b),
                                        (x, y, a, b))], False, 0)
-    if h.kind == "matrix" and h.shape[0] == ROW:
-        n = h.shape[1]
+    if h.kind == "matrix" and h.shape[0] == ROW and kind in _S_ROW_PATTERNS:
+        least, supports = _S_ROW_PATTERNS[kind]
         c = _first_nonzero_scalar(h.domain)
-        if c is not None and kind == "s-zero-divisor" and n >= 6:
-            a = _support_matrix(h, (0, 1), c)
-            b = _support_matrix(h, (2, 3), c)
-            x = _support_matrix(h, (4, 5), c)
-            y = _support_matrix(h, (0, 1, 5), c)
-            if _valid_s_zd(h, a, b, x, y):
-                return _report(query, [Finding("s-zero-divisor",
-                                               _wit(h, a, b, x, y),
-                                               (a, b, x, y))], False, 0)
-        if c is not None and kind == "s-anti-zero-divisor" and n >= 4:
-            x = _support_matrix(h, (0, 1, 2), c)
-            y = _support_matrix(h, (1, 2, 3), c)
-            a = _support_matrix(h, (0,), c)
-            b = _support_matrix(h, (3,), c)
-            if _valid_s_anti(h, x, y, a, b):
-                return _report(query, [Finding("s-anti-zero-divisor",
-                                               _wit(h, x, y, a, b),
-                                               (x, y, a, b))], False, 0)
+        if c is not None and h.shape[1] >= least:
+            cert = tuple(_support(h, s, c) for s in supports)
+            if validate_s_certificate(h, kind, cert):
+                return _report(query, [Finding(kind, _wit(h, *cert), cert)],
+                               False, 0)
     return _report(query, [], False, 0)
-
-
-def _valid_s_zd(h, a, b, x, y):
-    zero = h.zero
-    return (h.mul(a, b) == zero
-            and x not in (a, b, zero) and y not in (a, b, zero) and x != y
-            and (h.mul(a, x) == zero or h.mul(x, a) == zero)
-            and (h.mul(b, y) == zero or h.mul(y, b) == zero)
-            and (h.mul(x, y) != zero or h.mul(y, x) != zero))
-
-
-def _valid_s_anti(h, x, y, a, b):
-    zero = h.zero
-    return (h.mul(x, y) != zero
-            and a not in (zero, x, y) and b not in (zero, x, y)
-            and (h.mul(a, x) != zero or h.mul(x, a) != zero)
-            and (h.mul(b, y) != zero or h.mul(y, b) != zero)
-            and (h.mul(a, b) == zero or h.mul(b, a) == zero))
 
 
 def validate_s_certificate(h, kind, elements):
@@ -647,11 +638,18 @@ def validate_s_certificate(h, kind, elements):
     zero = h.zero
     if kind == "s-zero-divisor":
         a, b, x, y = elements
-        return _valid_s_zd(h, a, b, x, y) and (h.mul(a, b) == zero
-                                               or h.mul(b, a) == zero)
+        return (h.mul(a, b) == zero
+                and x not in (a, b, zero) and y not in (a, b, zero) and x != y
+                and (h.mul(a, x) == zero or h.mul(x, a) == zero)
+                and (h.mul(b, y) == zero or h.mul(y, b) == zero)
+                and (h.mul(x, y) != zero or h.mul(y, x) != zero))
     if kind == "s-anti-zero-divisor":
         x, y, a, b = elements
-        return _valid_s_anti(h, x, y, a, b)
+        return (h.mul(x, y) != zero
+                and a not in (zero, x, y) and b not in (zero, x, y)
+                and (h.mul(a, x) != zero or h.mul(x, a) != zero)
+                and (h.mul(b, y) != zero or h.mul(y, b) != zero)
+                and (h.mul(a, b) == zero or h.mul(b, a) == zero))
     if kind == "s-idempotent":
         a, b = elements
         sends_b = h.mul(a, b) == b or h.mul(b, a) == b
@@ -812,14 +810,6 @@ def _classify_scan(h):
                                   witnesses)
 
 
-def _classify_structural(h):
-    if h.kind == "domain":
-        return _classify_domain_structural(h)
-    if h.kind == "formal-sum":
-        return _classify_formal_sum_structural(h)
-    return _classify_matrix_structural(h)
-
-
 def _finish_classification(h, strict, commutative, has_one, zdfree, witnesses):
     semifield = strict and commutative and has_one and zdfree
     if not semifield:
@@ -831,93 +821,47 @@ def _finish_classification(h, strict, commutative, has_one, zdfree, witnesses):
                           witnesses, True)
 
 
-def _classify_domain_structural(h):
-    if is_finite_domain(h.domain):   # over the enumeration guard: refused
-        h._require_enumerable()
+def _classify_structural(h):
+    """Classify a handle that is not enumerable: an infinite domain, or a
+    formal sum or matrix as slots over its coefficient domain.  A finite
+    domain here is over the enumeration guard and is refused, as is a
+    coefficient domain whose strictness cannot be read from its tables."""
     witnesses = {}
-    # nat/rat (and neutrosophic over them): sums and products of nonnegative
-    # values vanish only when the inputs do
-    has_one = h.one is not None
-    if not has_one:
-        witnesses["has_one"] = ("no multiplicative identity in this domain",)
-    return _finish_classification(h, True, True, has_one, True, witnesses)
-
-
-def _classify_formal_sum_structural(h):
-    spec = h.spec
-    d = spec.coefficients
-    witnesses = {}
+    # a sum of slot vectors is zero only where the coefficient sums are:
+    # a zero sum of nonzero coefficients, put in the first slot, is a
+    # witness, and nat/rat (neutrosophic over them) have none
     strict, sw = _strict_domain(h._coefficient_handle())
     if not strict:
-        a, b = sw
-        x = fs_term(spec, _first_key(spec), a)
-        y = fs_term(spec, _first_key(spec), b)
-        witnesses["strict"] = _wit(h, x, y)
+        witnesses["strict"] = _wit(
+            h, *(_support(h, (_first_slot(h),), c) for c in sw))
+    # one pair of unit slots that may not commute: a basis pair that does
+    # not, or the first two entries of a square matrix
+    pair = None
+    if h.kind == "formal-sum" and isinstance(h.spec.basis, Magma):
+        pair = _law_witness(h.spec.basis, "commutative")
+    elif h.kind == "matrix" and h.shape[0] == SQUARE and h.shape[1] >= 2:
+        pair = (0, 1)
     commutative = True
-    if isinstance(spec.basis, Magma):
-        w = _law_witness(spec.basis, "commutative")
-        if w is not None:
-            c = _first_nonzero_scalar(d)
-            if c is not None:
-                x = fs_term(spec, w[0], c)
-                y = fs_term(spec, w[1], c)
-                if h.mul(x, y) != h.mul(y, x):
-                    commutative = False
-                    witnesses["commutative"] = _wit(h, x, y)
+    c = None if pair is None else _first_nonzero_scalar(
+        h._coefficient_handle().domain)
+    if c is not None:
+        x, y = (_support(h, (p,), c) for p in pair)
+        if h.mul(x, y) != h.mul(y, x):
+            commutative = False
+            witnesses["commutative"] = _wit(h, x, y)
     has_one = h.one is not None
     if not has_one:
         witnesses["has_one"] = (
-            "no identity: needs both a coefficient 1 and a basis identity",)
+            "no identity: needs both a coefficient 1 and a basis identity"
+            if h.kind == "formal-sum"
+            else "no multiplicative identity in this domain",)
     zd = find_zero_divisors(h)
     if zd.findings:
-        zdfree = False
         witnesses["zero_divisor_free"] = zd.findings[0].witness
-    elif zd.exhaustive:
-        zdfree = True
-    else:
+    elif not zd.exhaustive:
         raise SpecError("classification undecided for this handle")
-    return _finish_classification(h, strict, commutative, has_one, zdfree,
-                                  witnesses)
-
-
-def _first_key(spec):
-    keys = basis_keys(spec) if basis_is_finite(spec.basis) else None
-    return keys[0] if keys else 0
-
-
-def _classify_matrix_structural(h):
-    d = h.domain
-    mk, n = h.shape
-    witnesses = {}
-    strict, sw = _strict_domain(h._coefficient_handle())
-    if not strict:
-        a, b = sw
-        witnesses["strict"] = _wit(h, _support_matrix(h, (0,), a),
-                                   _support_matrix(h, (0,), b))
-    commutative = True
-    if mk == SQUARE and n >= 2:
-        c = _first_nonzero_scalar(d)
-        if c is not None:
-            x = _support_matrix(h, (0,), c)
-            y = _support_matrix(h, (1,), c)
-            if h.mul(x, y) != h.mul(y, x):
-                commutative = False
-                witnesses["commutative"] = _wit(h, x, y)
-    has_one = h.one is not None
-    if not has_one:
-        witnesses["has_one"] = ("no multiplicative identity in this domain",)
-    if n >= 2:
-        zd = _matrix_zero_divisor_patterns(h, "")
-        zdfree = not zd.findings
-        if zd.findings:
-            witnesses["zero_divisor_free"] = zd.findings[0].witness
-    else:
-        inner = classify_semiring(h._coefficient_handle())
-        zdfree = inner.zero_divisor_free
-        if not zdfree:
-            witnesses["zero_divisor_free"] = inner.witnesses["zero_divisor_free"]
-    return _finish_classification(h, strict, commutative, has_one, zdfree,
-                                  witnesses)
+    return _finish_classification(h, strict, commutative, has_one,
+                                  not zd.findings, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -999,8 +943,9 @@ def _evaluate_candidate(h, members, kind):
         raise SpecError(f"unknown candidate kind {kind!r}")
     query = f"{kind} candidate on {h.describe()}"
     s, ordered = _subset_tables(h, members)
+    decided = True
     if kind == "s-pseudo-subsemiring":
-        found = _pseudo_superset(h, set(ordered))
+        found, decided = _pseudo_superset(h, set(ordered))
     else:
         if kind == "semifield-subset":
             proper = (not h.is_finite()) or len(ordered) < h.size()
@@ -1013,21 +958,20 @@ def _evaluate_candidate(h, members, kind):
             # (s-ideal, P an S-subsemiring) or in P (s-pseudo-ideal, P
             # inside a closed proper superset)
             own = kind == "s-ideal"
-            base = tables.s_subsemiring(s) if own else \
+            base, decided = (tables.s_subsemiring(s), True) if own else \
                 _pseudo_superset(h, set(ordered))
             at = None if base is None else next(
                 (a for a in tables.semifield_subsets(s)
                  if tables.absorbs(s, a, a if own else range(s.k))), None)
         found = None if at is None else [ordered[i] for i in at]
-    if found is None:
-        return _report(query, [], True, 0)
-    return _report(query, [Finding(kind, _wit(h, *found), tuple(found))],
-                   True, 0)
+    return _report(query, [] if found is None else [
+        Finding(kind, _wit(h, *found), tuple(found))], decided, 0)
 
 
 def _pseudo_superset(h, mset):
-    """A closed superset of mset that is a proper semifield or S-subsemiring,
-    as members in key order, or None."""
+    """(superset, decided): the closure of mset and 0 when it is a proper
+    semifield or S-subsemiring, as members in key order, or None; a closure
+    past the cap decides nothing."""
     seed = mset | {h.zero}
     if _sliced(h, len(seed)):
         t = h.tables()
@@ -1037,12 +981,12 @@ def _pseudo_superset(h, mset):
     else:
         c = _closure_under_ops(h, seed)
     if c is None or (h.is_finite() and len(c) >= h.size()):
-        return None
+        return None, c is not None
     s, ordered = _subset_tables(h, c)
     if tables.semifield_failure(s) is None or \
             tables.s_subsemiring(s) is not None:
-        return ordered
-    return None
+        return ordered, True
+    return None, True
 
 
 # ---------------------------------------------------------------------------
@@ -1188,44 +1132,39 @@ def _primes_upto(n):
     return out
 
 
+# Each sweep yields (label, failure, scanned, elements) per instance: the
+# failure is None when the instance passes, else the certificate after its
+# label; scanned is what the instance cost.
+
+
 def _sweep_zn_prime_clean(pmax=97):
-    findings = []
-    scanned = 0
     for p in _primes_upto(pmax):
         h = SemiringHandle.for_domain(zn_interval(p))
+        label = (f"p={p}",)
         zd = find_zero_divisors(h)
-        scanned += zd.budget_spent["pairs_scanned"]
+        scanned = zd.budget_spent["pairs_scanned"]
         if zd.findings or not zd.exhaustive:
             w = zd.findings[0].witness if zd.findings else ()
-            return ([Finding("counterexample",
-                             (f"p={p}", "zero divisor found") + w)],
-                    scanned, False)
+            yield label, ("zero divisor found",) + w, scanned, ()
+            return
         idem = find_idempotents(h)
         scanned += idem.budget_spent["pairs_scanned"]
-        idset = {f.witness[0] for f in idem.findings}
-        if idset != {"[0,0]", "[0,1]"}:
-            return ([Finding("counterexample",
-                             (f"p={p}", "unexpected idempotents")
-                             + tuple(sorted(idset)))], scanned, False)
+        idset = tuple(sorted({f.witness[0] for f in idem.findings}))
+        if idset != ("[0,0]", "[0,1]"):
+            yield label, ("unexpected idempotents",) + idset, scanned, ()
+            return
         units = find_units(h)
         scanned += units.budget_spent["pairs_scanned"]
-        if len(units.findings) != p - 1:
-            return ([Finding("counterexample",
-                             (f"p={p}",
-                              f"unit count {len(units.findings)} != {p - 1}"))],
-                    scanned, False)
-        findings.append(Finding("instance", (f"p={p}", "pass")))
-    return findings, scanned, True
+        count = len(units.findings)
+        yield label, None if count == p - 1 else (
+            f"unit count {count} != {p - 1}",), scanned, ()
 
 
 def _sweep_loop_laws(nmin=5, nmax=25):
-    findings = []
-    scanned = 0
     for n in range(nmin, nmax + 1, 2):
         for m in loop_parameters(n):
             g = build_loop(n, m)
             s = loop_law_summary(g)
-            scanned += 1
             checks = [
                 ("order", g.order == n + 1),
                 ("latin-square", s["latin_square"]),
@@ -1237,18 +1176,11 @@ def _sweep_loop_laws(nmin=5, nmax=25):
                 ("not-both-alternatives",
                  not (s["left_alternative"] and s["right_alternative"])),
             ]
-            bad = [name for name, ok in checks if not ok]
-            if bad:
-                return ([Finding("counterexample",
-                                 (f"n={n}", f"m={m}") + tuple(bad))],
-                        scanned, False)
-            findings.append(Finding("instance", (f"n={n}", f"m={m}", "pass")))
-    return findings, scanned, True
+            bad = tuple(name for name, ok in checks if not ok)
+            yield (f"n={n}", f"m={m}"), bad or None, 1, ()
 
 
 def _sweep_zn_composite_zd(nmax=100):
-    findings = []
-    scanned = 0
     primes = set(_primes_upto(nmax))
     for n in range(4, nmax + 1):
         if n in primes:
@@ -1257,27 +1189,26 @@ def _sweep_zn_composite_zd(nmax=100):
         p = next(q for q in _primes_upto(n) if n % q == 0)
         x = element(d, p)
         y = element(d, n // p)
-        scanned += 1
         zero = domain_zero(d)
-        if x == zero or y == zero or x * y != zero:
-            return ([Finding("counterexample",
-                             (f"n={n}", format_element(x),
-                              format_element(y)))], scanned, False)
-        findings.append(Finding("instance",
-                                (f"n={n}", format_element(x),
-                                 format_element(y), "pass"),
-                                (x, y)))
-    return findings, scanned, True
+        ok = x != zero and y != zero and x * y == zero
+        yield ((f"n={n}", format_element(x), format_element(y)),
+               None if ok else (), 1, (x, y))
 
 
 def _sweep_neutro_prime(primes=(3, 5, 7, 11, 13)):
-    findings = []
-    scanned = 0
+    # refused before any p is swept: the subsets {0} + combo of p - 1
+    # nonzero elements number nearly 2^(p-1), which passes the guard G
+    # exactly when p - 1 >= G.bit_length()
+    for p in primes:
+        if p - 1 >= _ENUM_GUARD.bit_length():
+            raise SpecError(f"enumeration guard exceeded (p={p}: 2^{p - 1} "
+                            f"subsets, guard {_ENUM_GUARD})")
     for p in primes:
         h = SemiringHandle.for_domain(neutro_pure(zn_interval(p)))
         t = h.tables()
         rest = t.nonzero().tolist()
         closed_subset = None
+        scanned = 0
         # the subsets {0} + combo, r nonzero members at a time, checked a
         # batch of combos (in order) at once
         for r in range(1, len(rest)):
@@ -1293,12 +1224,9 @@ def _sweep_neutro_prime(primes=(3, 5, 7, 11, 13)):
                 scanned += len(rows)
             if closed_subset:
                 break
-        if closed_subset:
-            w = tuple(format_element(h.elements()[i]) for i in closed_subset)
-            return ([Finding("counterexample", (f"p={p}",) + w)],
-                    scanned, False)
-        findings.append(Finding("instance", (f"p={p}", "pass")))
-    return findings, scanned, True
+        failure = None if closed_subset is None else tuple(
+            format_element(h.elements()[i]) for i in closed_subset)
+        yield (f"p={p}",), failure, scanned, ()
 
 
 _SWEEPS = {
@@ -1319,8 +1247,16 @@ def theorem_sweep(name, **params):
     if name not in _SWEEPS:
         raise SpecError(f"unknown sweep {name!r} "
                         f"(available: {', '.join(sorted(_SWEEPS))})")
-    findings, scanned, complete = _SWEEPS[name](**params)
-    return _report(f"sweep {name}", findings, complete, scanned)
+    query = f"sweep {name}"
+    findings = []
+    scanned = 0
+    for label, failure, spent, elems in _SWEEPS[name](**params):
+        scanned += spent
+        if failure is not None:
+            return _report(query, [Finding("counterexample", label + failure)],
+                           False, scanned)
+        findings.append(Finding("instance", label + ("pass",), elems))
+    return _report(query, findings, True, scanned)
 
 
 def sweep_passed(report):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from intervalsemirings import analysis
 from intervalsemirings import (
     PolyBasis,
     ROW,
@@ -548,6 +549,110 @@ def test_sweep_neutro_prime():
 def test_unknown_sweep():
     with pytest.raises(SpecError):
         theorem_sweep("goldbach")
+
+
+# Each sweep's counterexample path, forced by a wrong answer from the query
+# it calls; the reports are pinned as the sweeps first produced them.
+
+
+def _wrong_at_p5(query):
+    """The analysis query, answering zn(5) with a false zero divisor or
+    with its last finding dropped."""
+    real = getattr(analysis, query)
+
+    def wrong(h):
+        r = real(h)
+        if h.domain.n != 5:
+            return r
+        findings = r.findings[:-1]
+        if query == "find_zero_divisors":
+            x = element(h.domain, 2)
+            findings = [analysis.Finding("zero-divisor", ("[0,2]", "[0,2]"),
+                                         (x, x))]
+        return analysis._report(r.query, findings, r.exhaustive,
+                                r.budget_spent["pairs_scanned"])
+    return wrong
+
+
+@pytest.mark.parametrize("query, witness, scanned", [
+    ("find_zero_divisors", ["p=5", "zero divisor found", "[0,2]", "[0,2]"],
+     31),
+    ("find_idempotents", ["p=5", "unexpected idempotents", "[0,0]"], 36),
+    ("find_units", ["p=5", "unit count 3 != 4"], 55),
+])
+def test_sweep_zn_prime_clean_counterexample(monkeypatch, query, witness,
+                                             scanned):
+    monkeypatch.setattr(analysis, query, _wrong_at_p5(query))
+    r = theorem_sweep("zn-prime-clean", pmax=11)
+    assert r.to_json() == {
+        "query": "sweep zn-prime-clean", "exhaustive": False,
+        "findings": [{"kind": "counterexample", "witness": witness}],
+        "budget": {"pairs_scanned": scanned}}
+
+
+def test_sweep_loop_laws_counterexample(monkeypatch):
+    real = analysis.loop_law_summary
+
+    def summary(g):
+        s = dict(real(g))
+        s["wip"] ^= g.order == 8
+        return s
+
+    monkeypatch.setattr(analysis, "loop_law_summary", summary)
+    assert theorem_sweep("loop-laws", nmin=5, nmax=9).to_json() == {
+        "query": "sweep loop-laws", "exhaustive": False,
+        "findings": [{"kind": "counterexample",
+                      "witness": ["n=7", "m=2", "wip"]}],
+        "budget": {"pairs_scanned": 4}}
+
+
+def test_sweep_composite_zd_counterexample(monkeypatch):
+    real = analysis.element
+    monkeypatch.setattr(analysis, "element", lambda d, a: real(
+        d, 3 if (d.n, a) == (8, 2) else a))
+    r = theorem_sweep("zn-composite-zd", nmax=12)
+    assert r.to_json() == {
+        "query": "sweep zn-composite-zd", "exhaustive": False,
+        "findings": [{"kind": "counterexample",
+                      "witness": ["n=8", "[0,3]", "[0,4]"]}],
+        "budget": {"pairs_scanned": 3}}
+    assert [f.elements for f in theorem_sweep(
+        "zn-composite-zd", nmax=6).findings] == [
+        (element(zn_interval(4), 2), element(zn_interval(4), 2)),
+        (element(zn_interval(6), 2), element(zn_interval(6), 3))]
+
+
+def test_sweep_neutro_prime_counterexample(monkeypatch):
+    real = analysis.tables.closed
+
+    def closed(t, rows):
+        ok = real(t, rows)
+        if t.k == 7:
+            ok[:] = rows[:, -1] > 3
+        return ok
+
+    monkeypatch.setattr(analysis.tables, "closed", closed)
+    assert theorem_sweep("neutro-prime-no-subsemiring").to_json() == {
+        "query": "sweep neutro-prime-no-subsemiring", "exhaustive": False,
+        "findings": [{"kind": "counterexample",
+                      "witness": ["p=7", "[0,0]", "[0,4I]"]}],
+        "budget": {"pairs_scanned": 20}}
+
+
+def test_sweep_neutro_prime_refuses_past_the_guard(monkeypatch):
+    # 2^(p-1) subsets: p = 21 is at the 2^20 guard, p = 23 past it; the
+    # refusal comes before p = 3 is swept
+    real = analysis.tables.closed
+    monkeypatch.setattr(analysis.tables, "closed", None)
+    with pytest.raises(SpecError, match=r"p=23: 2\^22 subsets"):
+        theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 23))
+    # at a guard of 16, p = 5 (2^4 subsets) is swept and n = 6 is not
+    monkeypatch.setattr(analysis.tables, "closed", real)
+    monkeypatch.setattr(analysis, "_ENUM_GUARD", 16)
+    assert sweep_passed(theorem_sweep("neutro-prime-no-subsemiring",
+                                      primes=(3, 5)))
+    with pytest.raises(SpecError, match=r"p=6: 2\^5 subsets"):
+        theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 5, 6))
 
 
 def test_unit_counts_match_totient():

@@ -429,3 +429,53 @@ def test_classify_nat_zero_divisors_stay_exhaustive(tmp_path):
     code, out, _ = run_cli(["classify", "--spec", spec, "--query",
                             "zero-divisors", "--require-exhaustive"])
     assert code == 0 and "exhaustive: true" in out
+
+
+NEUTRO_PURE_NAT = {"kind": "neutro-pure", "base": {"kind": "nat-interval"}}
+
+
+def test_classify_answers_on_neutrosophic_coefficients(tmp_path):
+    spec = write_spec(tmp_path, {"schema": "1",
+                                 "coefficients": NEUTRO_PURE_NAT})
+    code, out, _ = run_cli(["classify", "--spec", spec, "--query",
+                            "idempotents", "--json"])
+    assert code == 0
+    assert json.loads(out)["findings"] == [
+        {"kind": "idempotent", "witness": ["[0,0]"]},
+        {"kind": "idempotent", "witness": ["[0,1I]"]}]
+    spec = write_spec(tmp_path, {"schema": "1",
+                                 "coefficients": NEUTRO_PURE_NAT,
+                                 "matrix": {"shape": "row", "n": 2}})
+    code, out, _ = run_cli(["classify", "--spec", spec, "--query",
+                            "semifield", "--json"])
+    assert code == 0
+    assert json.loads(out)["witnesses"]["zero_divisor_free"] == [
+        "[[0,1I], [0,0]]", "[[0,0], [0,1I]]"]
+
+
+def test_verify_neutro_prime_refuses_past_the_guard():
+    code, out, err = run_cli(["verify", "neutro-prime-no-subsemiring",
+                              "--primes", "3,23"])
+    assert code == 2 and out == ""
+    assert "2^22 subsets" in err
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("script, args", [
+    ("survey_special_elements.py", ["--json"]),
+    ("sweep_loop_laws.py", ["--nmax", "9", "--json"]),
+])
+def test_script_prints_json_lines(script, args):
+    path = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))
+        if p)
+    r = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script),
+                        *args], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=path))
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines
+    for line in lines:
+        assert isinstance(json.loads(line), dict)

@@ -524,17 +524,19 @@ def _ref_semifield_candidates_within(h, members):
 
 
 def _ref_pseudo_superset(h, mset):
+    """(closed proper superset or None, decided): a closure past the cap
+    may still hold a proper semifield, so it decides nothing."""
     c = _closure_under_ops(h, frozenset(mset | {h.zero}))
     if c is None:
-        return None
+        return None, False
     total = h.size() if h.is_finite() else None
     ok, _ = ref_semifield_within(h, c)
     if ok and (total is None or len(c) < total):
-        return c
+        return c, True
     if _ref_is_s_subsemiring(h, sorted(c, key=h.key)) is not None:
         if total is None or len(c) < total:
-            return c
-    return None
+            return c, True
+    return None, True
 
 
 def ref_candidate(h, members, kind):
@@ -545,6 +547,8 @@ def ref_candidate(h, members, kind):
     def found(subset):
         xs = tuple(sorted(subset, key=h.key))
         return _report(query, [Finding(kind, _wit(h, *xs), xs)], True, 0)
+
+    decided = True
 
     if kind == "semifield-subset":
         ok, _ = ref_semifield_within(h, ordered)
@@ -561,15 +565,17 @@ def ref_candidate(h, members, kind):
                        for p in ordered for a in a_set):
                     return found(a_set)
     elif kind == "s-pseudo-subsemiring":
-        p = _ref_pseudo_superset(h, mset)
+        p, decided = _ref_pseudo_superset(h, mset)
         if p is not None:
             return found(p)
-    elif _ref_pseudo_superset(h, mset) is not None:
-        for a_set in _ref_semifield_candidates_within(h, ordered):
-            if all(h.mul(p, a) in mset and h.mul(a, p) in mset
-                   for p in ordered for a in a_set):
-                return found(a_set)
-    return _report(query, [], True, 0)
+    else:
+        p, decided = _ref_pseudo_superset(h, mset)
+        if p is not None:
+            for a_set in _ref_semifield_candidates_within(h, ordered):
+                if all(h.mul(p, a) in mset and h.mul(a, p) in mset
+                       for p in ordered for a in a_set):
+                    return found(a_set)
+    return _report(query, [], decided, 0)
 
 
 def _ref_qualifies(h, c, total):
@@ -820,8 +826,9 @@ def test_verify_axioms_new_laws_hold_on_table_lattice():
 # subset checks, closures and Smarandache searches against their references
 
 SUB_KINDS = ("subsemiring", "ideal", "left-ideal", "right-ideal")
-CANDIDATE_KINDS = ("semifield-subset", "s-subsemiring", "s-ideal",
-                   "s-pseudo-subsemiring", "s-pseudo-ideal")
+PSEUDO_KINDS = ("s-pseudo-subsemiring", "s-pseudo-ideal")
+CANDIDATE_KINDS = ("semifield-subset", "s-subsemiring", "s-ideal") + \
+    PSEUDO_KINDS
 SIZE = {name: build().size() for name, build in HANDLES.items()}
 # the reference subset checks are quadratic in members and, for ideals,
 # linear in elements; the reference searches close hundreds of seeds on
@@ -925,6 +932,8 @@ def test_infinite_subsets_match_reference(h, values):
         got = smarandache_search(h, candidate=subset, candidate_kind=kind)
         assert got.to_json_str() == \
             ref_candidate(h, subset, kind).to_json_str()
+        # the closure is infinite: past the cap, the pseudo kinds are open
+        assert got.exhaustive == (kind not in PSEUDO_KINDS)
     assert h._tables is None
 
 
@@ -1002,9 +1011,11 @@ def test_subsets_of_a_large_domain_cost_their_own_operations():
     assert check_substructure(h, subset, "subsemiring") == \
         ref_check_substructure(h, subset, "subsemiring")
     for kind in CANDIDATE_KINDS:
-        assert smarandache_search(
-            h, candidate=subset, candidate_kind=kind).to_json_str() == \
+        got = smarandache_search(h, candidate=subset, candidate_kind=kind)
+        assert got.to_json_str() == \
             ref_candidate(h, subset, kind).to_json_str()
+        # the closure of {0, 1} is all 50000 elements, past the cap
+        assert got.exhaustive == (kind not in PSEUDO_KINDS)
     assert h._tables is None
     # absorption reads every element, through k x m direct operations
     for kind in ("ideal", "left-ideal", "right-ideal"):
