@@ -26,6 +26,7 @@ from .carriers import (
     Magma,
     _law_witness,
     build_loop,
+    closed_subsets,
     closure,
     first_violation,
     loop_law_summary,
@@ -76,7 +77,6 @@ from .matrices import (
 _GENERATED_GUARD = 1 << 14
 _EXHAUSTIVE_SUBSET_LIMIT = 20
 _CLOSURE_CAP = 4096
-_SWEEP_BATCH = 1024
 
 
 def _describe_domain_short(d):
@@ -302,21 +302,22 @@ def _wit(h, *items):
 
 
 def _first_nonzero_scalar(d):
-    """Smallest nonzero coefficient whose square is nonzero, if one exists."""
+    """Smallest nonzero coefficient whose square is nonzero."""
+    if (d.base or d).kind == TABLE:
+        # explicit small tables, whose zero payload need not be 0
+        zero = domain_zero(d)
+        return next(c for c in domain_elements(d)
+                    if c != zero and c * c != zero)
     if d.kind == NAT:
         return element(d, d.multiple)
     if d.kind == RAT:
         return element(d, Fraction(1))
-    if not is_finite_domain(d):
-        # the base's choice as an I-multiple: the least nonzero key, as the
-        # finite loop below would pick it; (cI)^2 = c^2 I is nonzero
-        c = _first_nonzero_scalar(d.base).a
-        return element(d, c) if d.kind == NEUTRO_PURE else element(d, 0, c)
-    zero = domain_zero(d)
-    for c in domain_elements(d):
-        if c != zero and c * c != zero:
-            return c
-    return None
+    if d.kind in (ZN, CHAIN):
+        return element(d, 1)   # the least nonzero element, its own square
+    # the base's choice as an I-multiple, the least nonzero key as a scan
+    # would pick it; (cI)^2 = c^2 I is nonzero
+    c = _first_nonzero_scalar(d.base).a
+    return element(d, c) if d.kind == NEUTRO_PURE else element(d, 0, c)
 
 
 def _first_slot(h):
@@ -412,14 +413,13 @@ def _formal_sum_zero_divisor_patterns(h, query):
         z = g.absorbing_index()
         keys = basis_keys(spec)
         c = _first_nonzero_scalar(d)
-        if c is not None:
-            terms = ((_support(h, (gi,), c), _support(h, (hj,), c))
-                     for gi in keys for hj in keys if g.op(gi, hj) == z)
-            pair = next(((x, y) for x, y in terms if h.mul(x, y) == h.zero
-                         and h.mul(y, x) == h.zero), None)
-            if pair is not None:
-                a, b = h.pair(*pair)
-                findings.append(Finding("zero-divisor", _wit(h, a, b), (a, b)))
+        terms = ((_support(h, (gi,), c), _support(h, (hj,), c))
+                 for gi in keys for hj in keys if g.op(gi, hj) == z)
+        pair = next(((x, y) for x, y in terms if h.mul(x, y) == h.zero
+                     and h.mul(y, x) == h.zero), None)
+        if pair is not None:
+            a, b = h.pair(*pair)
+            findings.append(Finding("zero-divisor", _wit(h, a, b), (a, b)))
     if findings:
         return _report(query, findings, False, 0)
     # No findings: structurally complete only over a strict, zero-divisor-free
@@ -441,8 +441,6 @@ def _matrix_zero_divisor_patterns(h, query):
         return _report(query, findings, inner.exhaustive,
                        inner.budget_spent["pairs_scanned"])
     c = _first_nonzero_scalar(d)
-    if c is None:
-        return _report(query, [], False, 0)
     # entries 0 and 1 of a row; entries (0, 0) and (1, 1) of a square
     x = _support(h, (0,), c)
     y = _support(h, (1 if mk == ROW else n + 1,), c)
@@ -503,14 +501,14 @@ def _idempotent_patterns(h, query):
             dom_idem, _ = _domain_idempotents_structural(d)
             dom_idem = [c for c in dom_idem if c != domain_zero(d)]
         findings.append(Finding("idempotent", _wit(h, h.zero), (h.zero,)))
-        if basis_is_finite(spec.basis):
-            for k in basis_keys(spec):
-                if _basis_op(spec, k, k) == k:
-                    for c in dom_idem:
-                        x = _support(h, (k,), c)
-                        if h.mul(x, x) == x:
-                            findings.append(
-                                Finding("idempotent", _wit(h, x), (x,)))
+        # a free polynomial basis has the one idempotent key x^0
+        keys = [k for k in basis_keys(spec) if _basis_op(spec, k, k) == k] \
+            if basis_is_finite(spec.basis) else [0]
+        for k in keys:
+            for c in dom_idem:
+                x = _support(h, (k,), c)
+                if h.mul(x, x) == x:
+                    findings.append(Finding("idempotent", _wit(h, x), (x,)))
         return _report(query, findings, False, 0)
     # matrices: diagonal 0/1 patterns when the domain has a one
     d = h.domain
@@ -625,7 +623,7 @@ def _s_special_patterns(h, kind, query):
     if h.kind == "matrix" and h.shape[0] == ROW and kind in _S_ROW_PATTERNS:
         least, supports = _S_ROW_PATTERNS[kind]
         c = _first_nonzero_scalar(h.domain)
-        if c is not None and h.shape[1] >= least:
+        if h.shape[1] >= least:
             cert = tuple(_support(h, s, c) for s in supports)
             if validate_s_certificate(h, kind, cert):
                 return _report(query, [Finding(kind, _wit(h, *cert), cert)],
@@ -842,9 +840,8 @@ def _classify_structural(h):
     elif h.kind == "matrix" and h.shape[0] == SQUARE and h.shape[1] >= 2:
         pair = (0, 1)
     commutative = True
-    c = None if pair is None else _first_nonzero_scalar(
-        h._coefficient_handle().domain)
-    if c is not None:
+    if pair is not None:
+        c = _first_nonzero_scalar(h._coefficient_handle().domain)
         x, y = (_support(h, (p,), c) for p in pair)
         if h.mul(x, y) != h.mul(y, x):
             commutative = False
@@ -920,15 +917,17 @@ def smarandache_search(h, mode="generated", *, seed_size=2, max_subset=None,
     query = f"smarandache on {h.describe()}"
     if not h.is_finite() or h.size() > _GENERATED_GUARD:
         return _report(query, [], False, 0)
-    if mode == "exhaustive":
-        if h.size() > _EXHAUSTIVE_SUBSET_LIMIT:
-            raise SpecError("exhaustive subset search is limited to handles "
-                            f"with at most {_EXHAUSTIVE_SUBSET_LIMIT} elements")
-        hits, scanned = tables.exhaustive_semifields(h.tables(), max_subset)
-    elif mode == "generated":
-        hits, scanned = tables.generated_semifields(h.tables(), seed_size)
-    else:
+    if mode not in ("exhaustive", "generated"):
         raise SpecError(f"unknown search mode {mode!r}")
+    if mode == "exhaustive" and h.size() > _EXHAUSTIVE_SUBSET_LIMIT:
+        raise SpecError("exhaustive subset search is limited to handles "
+                        f"with at most {_EXHAUSTIVE_SUBSET_LIMIT} elements")
+    t = h.tables()
+    # a proper subset may hold all but one element: refuse its tables now
+    tables.local_dtype(t, t.k - 1)
+    top = t.k - 1 if mode == "generated" or max_subset is None \
+        else min(max_subset, t.k - 1)
+    hits, scanned = tables.semifields(t, mode, top, seed_size >= 2)
     return _report(query, _index_findings(
         h, [("semifield-subset",) + c for c in hits]),
         mode == "exhaustive", scanned)
@@ -975,8 +974,10 @@ def _pseudo_superset(h, mset):
     seed = mset | {h.zero}
     if _sliced(h, len(seed)):
         t = h.tables()
-        c = closure(tables.gathers(t), t.k, [t.index(h, x) for x in seed],
-                    _CLOSURE_CAP)
+        # blocks of the sums and products: no full table is built
+        c = closure([lambda s: t.block("add", s, s),
+                     lambda s: t.block("mul", s, s)],
+                    t.k, [t.index(h, x) for x in seed], _CLOSURE_CAP)
         c = None if c is None else [h.elements()[i] for i in c]
     else:
         c = _closure_under_ops(h, seed)
@@ -1063,10 +1064,35 @@ def _object_tables(h):
     return add, mul, idx[h.zero], None if one is None else idx[one]
 
 
+# The axioms verify_axioms checks, in order: (law, arity, holds, report),
+# where holds(add, mul, zero, one, *xs) takes index arrays and report
+# orders the scanned indices of a violation as its witness.  Right
+# distributivity is scanned in (y, z, x) order and reported as (x, y, z);
+# the laws of one come last, and a handle without one stops before them.
+_AXIOMS = (
+    ("zero-identity", 1, lambda A, M, e, u, x: A[e, x] == x, (0,)),
+    ("zero-identity", 1, lambda A, M, e, u, x: A[x, e] == x, (0,)),
+    ("addition-not-commutative", 2,
+     lambda A, M, e, u, x, y: A[x, y] == A[y, x], (0, 1)),
+    ("addition-not-associative", 3,
+     lambda A, M, e, u, x, y, z: A[A[x, y], z] == A[x, A[y, z]], (0, 1, 2)),
+    ("not-left-distributive", 3,
+     lambda A, M, e, u, x, y, z: M[x, A[y, z]] == A[M[x, y], M[x, z]],
+     (0, 1, 2)),
+    ("not-right-distributive", 3,
+     lambda A, M, e, u, y, z, x: M[A[y, z], x] == A[M[y, x], M[z, x]],
+     (2, 0, 1)),
+    ("zero-absorption", 1, lambda A, M, e, u, x: M[e, x] == e, (0,)),
+    ("zero-absorption", 1, lambda A, M, e, u, x: M[x, e] == e, (0,)),
+    ("one-identity", 1, lambda A, M, e, u, x: M[u, x] == x, (0,)),
+    ("one-identity", 1, lambda A, M, e, u, x: M[x, u] == x, (0,)),
+)
+
+
 def verify_axioms(h):
     """Exhaustively check additive commutativity/associativity, the zero
     identity, both distributive laws, zero absorption and, when the handle
-    has a one, the identity laws of one on a finite handle.
+    has a one, the identity laws of one on a finite handle (``_AXIOMS``).
 
     Handles run on their compiled tables; other objects with elements(),
     add, mul, zero (and optionally one) on tables built from their own
@@ -1075,45 +1101,17 @@ def verify_axioms(h):
     """
     if isinstance(h, SemiringHandle):
         t = h.tables()
-        add, mul, zero, one = t.full("add"), t.full("mul"), t.zero, t.one
+        ops = t.add, t.mul, t.zero, t.one
     else:
-        add, mul, zero, one = _object_tables(h)
-    r = range(len(add))
-
-    def failure(law, bad):
-        elems = h.elements()
-        return (False, (law,) + tuple(elems[i] for i in bad))
-
-    bad = (first_violation(r, 1, lambda x: add[zero, x] == x)
-           or first_violation(r, 1, lambda x: add[x, zero] == x))
-    if bad:
-        return failure("zero-identity", bad)
-    bad = first_violation(r, 2, lambda x, y: add[x, y] == add[y, x])
-    if bad:
-        return failure("addition-not-commutative", bad)
-    bad = first_violation(
-        r, 3, lambda x, y, z: add[add[x, y], z] == add[x, add[y, z]])
-    if bad:
-        return failure("addition-not-associative", bad)
-    bad = first_violation(
-        r, 3, lambda x, y, z: mul[x, add[y, z]] == add[mul[x, y], mul[x, z]])
-    if bad:
-        return failure("not-left-distributive", bad)
-    # right distributivity is scanned in (y, z, x) order, reported as (x, y, z)
-    bad = first_violation(
-        r, 3, lambda y, z, x: mul[add[y, z], x] == add[mul[y, x], mul[z, x]])
-    if bad:
-        y, z, x = bad
-        return failure("not-right-distributive", (x, y, z))
-    bad = (first_violation(r, 1, lambda x: mul[zero, x] == zero)
-           or first_violation(r, 1, lambda x: mul[x, zero] == zero))
-    if bad:
-        return failure("zero-absorption", bad)
-    if one is not None:
-        bad = (first_violation(r, 1, lambda x: mul[one, x] == x)
-               or first_violation(r, 1, lambda x: mul[x, one] == x))
+        ops = _object_tables(h)
+    r = range(len(ops[0]))
+    for law, arity, holds, report in _AXIOMS:
+        if law == "one-identity" and ops[3] is None:
+            break
+        bad = first_violation(r, arity, lambda *xs: holds(*ops, *xs))
         if bad:
-            return failure("one-identity", bad)
+            elems = h.elements()
+            return (False, (law,) + tuple(elems[bad[i]] for i in report))
     return (True, None)
 
 
@@ -1207,23 +1205,10 @@ def _sweep_neutro_prime(primes=(3, 5, 7, 11, 13)):
         h = SemiringHandle.for_domain(neutro_pure(zn_interval(p)))
         t = h.tables()
         rest = t.nonzero().tolist()
-        closed_subset = None
-        scanned = 0
-        # the subsets {0} + combo, r nonzero members at a time, checked a
-        # batch of combos (in order) at once
-        for r in range(1, len(rest)):
-            combos = itertools.combinations(rest, r)
-            while batch := list(itertools.islice(combos, _SWEEP_BATCH)):
-                rows = np.sort(np.insert(np.array(batch), 0, t.zero, axis=1),
-                               axis=1)
-                ok = tables.closed(t, rows)
-                if ok.any():
-                    closed_subset = rows[ok.argmax()].tolist()
-                    scanned += int(ok.argmax()) + 1
-                    break
-                scanned += len(rows)
-            if closed_subset:
-                break
+        # the first proper {0} + combo closed under + and *, if any
+        scanned, closed_subset = next(closed_subsets(
+            [t.add, t.mul], (t.zero,), rest, range(1, len(rest))),
+            (2 ** len(rest) - 2, None))
         failure = None if closed_subset is None else tuple(
             format_element(h.elements()[i]) for i in closed_subset)
         yield (f"p={p}",), failure, scanned, ()

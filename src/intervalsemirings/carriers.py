@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from typing import Optional
 
 from .errors import SpecError
@@ -476,6 +476,74 @@ def generated_closures(gathers, k, base, pairs):
     return found, k + k * (k - 1) // 2 if pairs else k
 
 
+def closed(tables, rows):
+    """Whether each row of an (n, m) index array is closed under every one
+    of ``tables``, k x k index arrays where k marks a result outside a
+    local table.  It takes up to about 9*n*m^2 bytes: the callers' limits
+    (24 magma elements, 20 semiring elements, the neutro-prime sweep's
+    guard) keep a batch of ``_SUBSET_BATCH`` rows under about 5 MB."""
+    import numpy as np  # on first use, as in first_violation
+
+    n = len(rows)
+    at = np.arange(n)[:, None]
+    member = np.zeros((n, len(tables[0]) + 1), dtype=bool)
+    member[at, rows] = True
+    ok = np.ones(n, dtype=bool)
+    for table in tables:
+        out = table[rows[:, :, None], rows[:, None, :]]
+        ok &= member[at[:, :, None], out].all(axis=(1, 2))
+    return ok
+
+
+_SUBSET_BATCH = 1024
+
+
+def closed_subsets(tables, base, pool, sizes):
+    """Lazily, (scanned, subset) for every base + c closed under
+    ``tables`` (as in ``closed``), c running over the r-combinations of
+    pool for each r in sizes, in ``combinations`` order, checked
+    ``_SUBSET_BATCH`` at a time.  The subset is ascending indices, and
+    scanned counts the subsets checked up to and including it."""
+    import numpy as np  # on first use, as in first_violation
+
+    scanned = 0
+    for r in sizes:
+        combos = combinations(pool, r)
+        while batch := list(islice(combos, _SUBSET_BATCH)):
+            rows = np.empty((len(batch), len(base) + r), dtype=np.intp)
+            rows[:, :len(base)] = base
+            rows[:, len(base):] = np.array(batch)
+            rows.sort(axis=1)
+            for i in np.flatnonzero(closed(tables, rows)):
+                yield scanned + int(i) + 1, tuple(rows[i].tolist())
+            scanned += len(rows)
+
+
+def _gathers(tables):
+    """The results over s x s of each of ``tables``, for ``closure``."""
+    return [lambda s, t=t: t[s[:, None], s] for t in tables]
+
+
+def substructures(tables, base, mode, top, pairs=True):
+    """(closed subsets containing base with at most top elements, sorted
+    by size then indices; scanned) under ``tables`` (as in ``closed``).
+
+    Generated mode keeps the closures of ``generated_closures``; any
+    other mode checks base + c for every c of 1 to top - |base| other
+    indices (``closed_subsets``), and scanned counts those subsets.
+    """
+    k = len(tables[0])
+    if mode == "generated":
+        found, scanned = generated_closures(_gathers(tables), k, base, pairs)
+    else:
+        pool = [x for x in range(k) if x not in base]
+        sizes = range(1, top - len(base) + 1)
+        found = [c for _, c in closed_subsets(tables, base, pool, sizes)]
+        scanned = sum(math.comb(len(pool), r) for r in sizes)
+    return sorted((c for c in found if len(c) <= top),
+                  key=lambda c: (len(c), c)), scanned
+
+
 # The identity laws, each written once: name -> (arity, holds).  holds(t, e,
 # x, ...) takes the numpy Cayley table t, the identity index e and index
 # arrays; see LawProfile for the laws in product notation.
@@ -522,15 +590,10 @@ def _law_witness(g: Magma, law: str, subset=None):
     return first_violation(indices, arity, lambda *xs: holds(t, e, *xs))
 
 
-def _gathers(g: Magma):
-    """The products over s x s of g's Cayley table, for ``closure``."""
-    t = _cayley(g)
-    return [lambda s: t[s[:, None], s]]
-
-
 def closure_of(g: Magma, seed) -> frozenset:
     """Smallest subset containing seed and closed under the operation."""
-    return frozenset(closure(_gathers(g), g.order, seed, g.order).tolist())
+    return frozenset(closure(_gathers([_cayley(g)]), g.order, seed,
+                             g.order).tolist())
 
 
 def _associative_within(g: Magma, subset) -> bool:
@@ -543,10 +606,9 @@ def _smarandache_certificate(g: Magma) -> Optional[tuple[int, ...]]:
     # itself closed, associative, proper, and of size >= 2; so scanning the
     # closures of all pairs (plus singles, whose closures may grow) decides
     # the flag exactly.
-    closures, _ = generated_closures(_gathers(g), g.order, (), True)
-    return min((c for c in closures if 2 <= len(c) < g.order
-                and _associative_within(g, c)),
-               key=lambda c: (len(c), c), default=None)
+    found, _ = substructures([_cayley(g)], (), "generated", g.order - 1)
+    return next((c for c in found if len(c) >= 2
+                 and _associative_within(g, c)), None)
 
 
 def check_laws(g: Magma) -> LawProfile:
@@ -611,14 +673,10 @@ def associator_closure(g: Magma) -> tuple[int, ...]:
     return tuple(sorted(closure_of(g, assoc | {g.identity})))
 
 
-def _is_closed(t, subset) -> bool:
-    s = set(subset)
-    return all(t[x][y] in s for x in subset for y in subset)
-
-
 def _is_subgroup(g: Magma, subset) -> bool:
+    """Whether a closed subset is a group under the operation."""
     t = g.table
-    if not _is_closed(t, subset) or not _associative_within(g, subset):
+    if not _associative_within(g, subset):
         return False
     ident = _two_sided(t, subset)
     return ident is not None and all(
@@ -634,11 +692,12 @@ def enumerate_substructures(
     """Subsets of g closed under * of the requested kind.
 
     kind: "subloop" (closed, contains the identity; g must be a loop),
-    "subgroup", or "subsemigroup". Exhaustive search enumerates all
-    subsets up to max_size and is guarded to |g| <= 24; generated mode
-    keeps the distinct closures of every single element and unordered pair
-    instead, closing a pair only when neither element lies in the other's
-    closure (``generated_closures``).
+    "subgroup", or "subsemigroup", from ``substructures``. Exhaustive
+    search checks every subset up to max_size (``closed_subsets``) and is
+    guarded to |g| <= 24; generated mode keeps the distinct closures of
+    every single element and unordered pair instead, closing a pair only
+    when neither element lies in the other's closure
+    (``generated_closures``).
     """
     if kind not in ("subloop", "subgroup", "subsemigroup"):
         raise SpecError(f"unknown substructure kind {kind!r}")
@@ -647,34 +706,23 @@ def enumerate_substructures(
     ):
         raise SpecError("subloop enumeration requires a loop")
     k = g.order
-    if max_size is None:
-        max_size = k
     if mode is None:
         mode = "exhaustive" if k <= 24 else "generated"
     if mode not in ("exhaustive", "generated"):
         raise SpecError(f"unknown search mode {mode!r}")
-    t = g.table
+    if mode == "exhaustive" and k > 24:
+        raise SpecError("exhaustive substructure search is limited to 24 elements")
 
     def admits(subset) -> bool:
         if kind == "subloop":
-            return g.identity in subset and _is_closed(t, subset)
+            return g.identity in subset
         if kind == "subgroup":
             return _is_subgroup(g, subset)
-        return _is_closed(t, subset) and _associative_within(g, subset)
+        return _associative_within(g, subset)
 
-    found = set()
-    if mode == "exhaustive":
-        if k > 24:
-            raise SpecError("exhaustive substructure search is limited to 24 elements")
-        pool = list(range(k))
-        for size in range(1, min(max_size, k) + 1):
-            for subset in combinations(pool, size):
-                if admits(subset):
-                    found.add(subset)
-    else:
-        closures, _ = generated_closures(_gathers(g), k, (), True)
-        found = {c for c in closures if len(c) <= max_size and admits(c)}
-    return sorted(found, key=lambda s: (len(s), s))
+    top = k if max_size is None else min(max_size, k)
+    found, _ = substructures([_cayley(g)], (), mode, top)
+    return [c for c in found if admits(c)]
 
 
 def normalizers(g: Magma, h) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -687,7 +735,7 @@ def normalizers(g: Magma, h) -> tuple[tuple[int, ...], tuple[int, ...]]:
     hset = frozenset(h)
     if not hset or any(not 0 <= x < g.order for x in hset):
         raise SpecError("h must be a nonempty subset of g")
-    if g.identity not in hset or not _is_closed(g.table, hset):
+    if g.identity not in hset or closure_of(g, hset) != hset:
         raise SpecError("h must be a subloop (closed and containing the identity)")
     t = g.table
     n1 = tuple(

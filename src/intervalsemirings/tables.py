@@ -17,8 +17,6 @@ subset searches (closures, semifield subsets, the Smarandache searches)
 run on the same tables.
 """
 
-from itertools import combinations
-
 import numpy as np
 
 from . import carriers, domains
@@ -62,8 +60,9 @@ class Tables:
     Domain tables are built once enough entries are asked for (see
     ``_dom_op``), each from its own domain operation.  Full k x k tables
     are built on the first query that needs random access to every entry
-    and kept; ``block`` computes a few rows or columns without building the
-    whole table.
+    and kept, and ``add`` and ``mul`` return them, as on a :class:`Local`;
+    ``block`` computes a few rows or columns without building the whole
+    table.
     """
 
     def __init__(self, h):
@@ -151,6 +150,9 @@ class Tables:
             every = np.arange(self.k)
             table = self._full[kind] = self._compute(kind, every, every)
         return table
+
+    add = property(lambda self: self.full("add"))
+    mul = property(lambda self: self.full("mul"))
 
     def block(self, kind, rows, cols):
         """Table entries at rows x cols, without building the full table."""
@@ -437,13 +439,12 @@ def classify(t):
     # about five k x k boolean masks are alive at once
     _check_bytes("classification masks", t.k, 5 * t.k * t.k)
     strict = zero_sum_pair(t)
-    mul = t.full("mul")
-    s = Local(t.full("add"), mul, t.zero)
+    mul = t.mul
     every = np.arange(t.k)
     nonzero = every != t.zero
     zd = (mul == t.zero) & (mul.T == t.zero) & nonzero[:, None] \
         & nonzero[None, :] & (every[:, None] <= every[None, :])
-    return strict, noncommuting_pair(s), has_identity(s), _first(zd.T)
+    return strict, noncommuting_pair(t), has_identity(t), _first(zd.T)
 
 
 # ---------------------------------------------------------------------------
@@ -490,29 +491,6 @@ def restrict(t, idx):
     zero = None if t.zero is None or pos[t.zero] == m else int(pos[t.zero])
     return Local(pos[t.block("add", idx, idx)], pos[t.block("mul", idx, idx)],
                  zero)
-
-
-def gathers(t):
-    """The sums and products over s x s in t (the compiled tables or a
-    Local): closures under + and * run ``carriers.closure`` over them."""
-    return [lambda s: t.block("add", s, s), lambda s: t.block("mul", s, s)]
-
-
-def closed(t, rows):
-    """Whether each row of an (n, m) array of member indices is closed
-    under + and * in the compiled tables t."""
-    n, m = rows.shape
-    # a member mask per row, and each row's m x m block of either table
-    _check_bytes(f"closure checks of {n} subsets of {m}", t.k,
-                 n * (t.k + m * m * (t.dtype.itemsize + 1)))
-    at = np.arange(n)[:, None]
-    member = np.zeros((n, t.k), dtype=bool)
-    member[at, rows] = True
-    ok = np.ones(n, dtype=bool)
-    for kind in ("add", "mul"):
-        out = t.full(kind)[rows[:, :, None], rows[:, None, :]]
-        ok &= member[at[:, :, None], out].all(axis=(1, 2))
-    return ok
 
 
 def first_unclosed(s):
@@ -573,26 +551,21 @@ def semifield_failure(s):
     return None if w is None else ("zero-divisor",) + w
 
 
-def _by_size(subsets):
-    """Position tuples ordered smallest first, then by positions."""
-    return sorted(subsets, key=lambda c: (len(c), c))
-
-
-def _semifield_closures(t, seed_size, proper):
-    """(semifield closures, seeds scanned) in t (the compiled tables or a
-    Local): the distinct closures of {0, x} and (seed_size >= 2) of
-    {0, x, y} that stay in t (``carriers.generated_closures``); proper ones
-    only when asked."""
-    found, scanned = carriers.generated_closures(
-        gathers(t), t.k, (t.zero,), seed_size >= 2)
-    return _by_size(c for c in found if not (proper and len(c) == t.k)
-                    and semifield_failure(restrict(t, c)) is None), scanned
+def semifields(t, mode, top, pairs=True):
+    """(semifield subsets of at most top elements, by size then positions;
+    scanned) of t (the compiled tables or a Local): the closed subsets
+    with 0 that ``carriers.substructures`` finds in mode and that pass
+    ``semifield_failure``."""
+    found, scanned = carriers.substructures([t.add, t.mul], (t.zero,), mode,
+                                            top, pairs)
+    return [c for c in found
+            if semifield_failure(restrict(t, c)) is None], scanned
 
 
 def semifield_subsets(s):
     """Semifield closures inside a subset with zero, as position tuples
-    ordered by size then positions (see _semifield_closures)."""
-    return [] if s.zero is None else _semifield_closures(s, 2, False)[0]
+    ordered by size then positions (see ``semifields``)."""
+    return [] if s.zero is None else semifields(s, "generated", s.k)[0]
 
 
 def s_subsemiring(s):
@@ -630,30 +603,3 @@ def first_not_absorbing(t, idx, left, right):
     if left and bad_left[hit]:
         return ("not-absorbing-left", x, p)
     return ("not-absorbing-right", p, x)
-
-
-def generated_semifields(t, seed_size):
-    """(proper semifield closures, seeds scanned) of the generated search."""
-    # a proper closure may hold all but one element: refuse its tables now
-    local_dtype(t, t.k - 1)
-    t.full("add")   # every closure reads both tables: build and keep them
-    t.full("mul")
-    return _semifield_closures(t, seed_size, True)
-
-
-def exhaustive_semifields(t, max_subset):
-    """(semifield subsets, subsets scanned) over {0} with every r nonzero
-    elements, r = 1, 2, ... below min(max_subset, k - 1)."""
-    t.full("add")
-    t.full("mul")
-    nz = t.nonzero().tolist()
-    top = t.k - 1 if max_subset is None else min(max_subset, t.k - 1)
-    hits = []
-    scanned = 0
-    for r in range(1, top):
-        for combo in combinations(nz, r):
-            scanned += 1
-            c = tuple(sorted((t.zero,) + combo))
-            if semifield_failure(restrict(t, c)) is None:
-                hits.append(c)
-    return _by_size(hits), scanned

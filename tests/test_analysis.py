@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from intervalsemirings import analysis
+from intervalsemirings import analysis, carriers
 from intervalsemirings import (
     PolyBasis,
     ROW,
@@ -623,15 +623,15 @@ def test_sweep_composite_zd_counterexample(monkeypatch):
 
 
 def test_sweep_neutro_prime_counterexample(monkeypatch):
-    real = analysis.tables.closed
+    real = carriers.closed
 
     def closed(t, rows):
         ok = real(t, rows)
-        if t.k == 7:
+        if len(t[0]) == 7:
             ok[:] = rows[:, -1] > 3
         return ok
 
-    monkeypatch.setattr(analysis.tables, "closed", closed)
+    monkeypatch.setattr(carriers, "closed", closed)
     assert theorem_sweep("neutro-prime-no-subsemiring").to_json() == {
         "query": "sweep neutro-prime-no-subsemiring", "exhaustive": False,
         "findings": [{"kind": "counterexample",
@@ -642,12 +642,12 @@ def test_sweep_neutro_prime_counterexample(monkeypatch):
 def test_sweep_neutro_prime_refuses_past_the_guard(monkeypatch):
     # 2^(p-1) subsets: p = 21 is at the 2^20 guard, p = 23 past it; the
     # refusal comes before p = 3 is swept
-    real = analysis.tables.closed
-    monkeypatch.setattr(analysis.tables, "closed", None)
+    real = carriers.closed
+    monkeypatch.setattr(carriers, "closed", None)
     with pytest.raises(SpecError, match=r"p=23: 2\^22 subsets"):
         theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 23))
     # at a guard of 16, p = 5 (2^4 subsets) is swept and n = 6 is not
-    monkeypatch.setattr(analysis.tables, "closed", real)
+    monkeypatch.setattr(carriers, "closed", real)
     monkeypatch.setattr(analysis, "_ENUM_GUARD", 16)
     assert sweep_passed(theorem_sweep("neutro-prime-no-subsemiring",
                                       primes=(3, 5)))
@@ -716,6 +716,19 @@ def test_finite_domain_over_the_guard_is_not_decided_structurally(d):
     assert r.findings == () and not r.exhaustive
     with pytest.raises(SpecError, match="enumeration guard"):
         classify_semiring(h)
+
+
+def test_sample_scalar_of_a_large_domain_is_not_scanned(monkeypatch):
+    # [0,1] is the least nonzero element of zn(n), and its own square: the
+    # pattern needs none of the 2^21 elements
+    def refuse(d):
+        raise AssertionError("domain enumerated")
+
+    monkeypatch.setattr(analysis, "domain_elements", refuse)
+    r = find_zero_divisors(mh(zn_interval(1 << 21), (ROW, 2)))
+    assert [f.witness for f in r.findings] == [("[[0,1], [0,0]]",
+                                                "[[0,0], [0,1]]")]
+    assert not r.exhaustive
 
 
 @pytest.mark.parametrize("d", [nat_interval(), rat_interval(),

@@ -414,6 +414,45 @@ def test_magma_searches_match_reference_loops(g):
     assert g.absorbing_index() == ref_absorbing_index(g)
 
 
+def ref_enumerate_substructures(g, kind, max_size):
+    """The exhaustive search as a loop over every subset of at most
+    max_size elements, checking each in pure Python."""
+    t = g.table
+
+    def admits(s):
+        if any(t[x][y] not in s for x in s for y in s):
+            return False
+        if kind == "subloop":
+            return g.identity in s
+        if not _associative_within(g, s):
+            return False
+        if kind == "subsemigroup":
+            return True
+        e = next((e for e in s if all(t[e][x] == t[x][e] == x for x in s)),
+                 None)
+        return e is not None and all(
+            any(t[x][y] == e == t[y][x] for y in s) for x in s)
+
+    top = g.order if max_size is None else min(max_size, g.order)
+    return [c for r in range(1, top + 1)
+            for c in combinations(range(g.order), r) if admits(set(c))]
+
+
+@pytest.mark.parametrize("g", [
+    cyclic_group(6), dihedral_group(4), build_loop(5, 2), build_loop(7, 3),
+    build_groupoid(4, 1, 2), mult_semigroup_zn(6), symmetric_group(3),
+], ids=["C6", "D4", "L5(2)", "L7(3)", "Z4(1,2)", "mult-semigroup(6)", "S3"])
+@pytest.mark.parametrize("max_size", [None, 2, 3])
+def test_exhaustive_substructures_match_reference_loop(g, max_size):
+    s = loop_law_summary(g)
+    kinds = ["subgroup", "subsemigroup"]
+    if s["latin_square"] and s["has_identity"]:
+        kinds.append("subloop")
+    for kind in kinds:
+        assert enumerate_substructures(g, kind, max_size, "exhaustive") == \
+            ref_enumerate_substructures(g, kind, max_size), kind
+
+
 # ---------------------------------------------------------------------------
 # the generated-closure search against closing every seed from scratch
 

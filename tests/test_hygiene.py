@@ -87,3 +87,10 @@ def test_carriers_imports_numpy_on_first_use():
     # loaded by then adds about 3.5 MB to the peak memory of every short
     # isl process (see carriers.first_violation).
     assert "numpy" not in _module_level_imports(TREES["carriers.py"])
+
+
+def test_only_carriers_enumerates_combinations():
+    # the exhaustive subset search is written once, in
+    # carriers.closed_subsets: a second loop over combinations fails here
+    assert [m for m in MODULES
+            if "combinations" in _referenced(TREES[m])] == ["carriers.py"]

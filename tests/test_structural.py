@@ -59,13 +59,14 @@ SIZES = (1, 2, 3, 4, 6)
 S_KINDS = ("s-zero-divisor", "s-anti-zero-divisor", "s-idempotent", "s-unit")
 QUERIES = ("classify", "zero-divisors", "idempotents") + S_KINDS
 
-# sha256 of the grid's answers outside former_crashes(), one line each, as
-# computed before neutrosophic coefficients had structural answers
+# sha256 of the grid's answers outside former_crashes(), one line each.
+# Both digests last changed when a free polynomial basis gained the
+# idempotents c*x^0 (test_free_polynomial_basis_has_the_idempotent_x0).
 GRID_SHA256 = (
-    "918e68d53def4c2821a70d1ec7abf382bb1c2096325d8587e8fca0500b96006f")
+    "01ebbeff1e84222ce6d06af1b4eeb1523a16c14a9541944728947fed19a882fe")
 # sha256 of all 686 answers, the 93 former crashes included
 GRID_ALL_SHA256 = (
-    "59c32f1b5094bcff5b38a993e67c303921e716d63819e4e14bc58861cc379873")
+    "cc1450878607df85c024278c5645571e5850659f97e55c5966a608b38b2ffc72")
 
 
 def grid():
@@ -152,6 +153,25 @@ def test_structural_grid():
     # a product of nonzero formal sums is nonzero needs both
     assert refused == {("poly over zn(7)", "classify"):
                        "refused classification undecided for this handle"}
+
+
+def test_free_polynomial_basis_has_the_idempotent_x0():
+    # x^0 * x^0 = x^0: c*x^0 is idempotent for every nonzero idempotent c
+    # of the coefficients; the seven grid cells that gained these answers
+    want = {
+        "nat": ["0", "[0,1]*x^0"],
+        "rat": ["0", "[0,1]*x^0"],
+        "neutro-pure(nat)": ["0", "[0,1I]*x^0"],
+        "neutro-mixed(rat)": ["0", "[0,1I]*x^0", "[0,1]*x^0"],
+        "zn(6)": ["0", "[0,1]*x^0", "[0,3]*x^0", "[0,4]*x^0"],
+        "zn(7)": ["0", "[0,1]*x^0"],
+        "chain(3)": ["0", "a1*x^0", "1*x^0"],
+    }
+    handles = dict(grid())
+    for dname, witnesses in want.items():
+        r = find_idempotents(handles[f"poly over {dname}"])
+        assert not r.exhaustive
+        assert [w for f in r.findings for w in f.witness] == witnesses
 
 
 def test_row_matrix_over_neutro_pure_nat_has_zero_divisors():

@@ -44,7 +44,7 @@ from intervalsemirings import (
     verify_axioms,
     zn_interval,
 )
-from intervalsemirings import analysis, cli, domains, tables
+from intervalsemirings import analysis, carriers, cli, domains, tables
 from intervalsemirings.analysis import (
     Finding,
     _closure_under_ops,
@@ -1100,7 +1100,7 @@ def test_local_tables_use_the_small_entry_type_and_count_their_bytes():
 
 @pytest.mark.parametrize("batch", [1, 7, 1024])
 def test_neutro_prime_sweep_batches_match_reference(monkeypatch, batch):
-    monkeypatch.setattr(analysis, "_SWEEP_BATCH", batch)
+    monkeypatch.setattr(carriers, "_SUBSET_BATCH", batch)
     got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 5, 7))
     assert got.to_json_str() == ref_sweep_neutro_prime((3, 5, 7)).to_json_str()
     got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 4, 6))
@@ -1143,7 +1143,37 @@ def test_batched_closedness_matches_reference(name):
         want = [_first_unclosed(h, [elems[i] for i in row],
                                 {elems[i] for i in row}) is None
                 for row in rows]
-        assert tables.closed(t, rows).tolist() == want
+        assert carriers.closed([t.add, t.mul], rows).tolist() == want
+
+
+def _ref_closed_subsets(ops, base, pool, sizes):
+    """(scanned, subset) of each closed base + c, one subset at a time."""
+    scanned = 0
+    for r in sizes:
+        for c in itertools.combinations(pool, r):
+            scanned += 1
+            s = set(base) | set(c)
+            if all(op[x, y] in s for op in ops for x in s for y in s):
+                yield scanned, tuple(sorted(s))
+
+
+@pytest.mark.parametrize("batch", [1, 7, 1024])
+def test_closed_subsets_match_reference(monkeypatch, batch):
+    monkeypatch.setattr(carriers, "_SUBSET_BATCH", batch)
+    t = HANDLES["zn(2).C3 [8]"]().tables()
+    # a local table: entry 5 marks a sum or product outside the subset
+    s = tables.restrict(t, [0, 1, 2, 4, 7])
+    magma = np.array(build_groupoid(4, 1, 2).table)
+    loop = np.array(build_loop(7, 3).table)
+    for ops, base, pool, sizes in [
+            ([t.add, t.mul], (t.zero,), t.nonzero().tolist(), range(1, 8)),
+            ([t.add, t.mul], (), range(8), range(0, 9)),
+            ([s.add, s.mul], (s.zero,), [1, 2, 3, 4], range(1, 5)),
+            ([magma], (), range(4), range(1, 5)),
+            ([loop], (0,), range(1, 8), [7, 1, 3])]:
+        got = list(carriers.closed_subsets(ops, base, pool, sizes))
+        assert got == list(_ref_closed_subsets(ops, base, pool, sizes))
+        assert got
 
 
 @pytest.mark.parametrize("d", [zn_interval(6), zn_interval(12),
