@@ -16,6 +16,7 @@ m^2 object operations.  Homomorphism checks run on the element objects.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 import itertools
 import json
 
@@ -63,7 +64,6 @@ from .formalsums import (
     enumerate_elements,
     fs_one,
     fs_zero,
-    semiring_size,
 )
 from .matrices import (
     ROW,
@@ -126,6 +126,7 @@ class SemiringHandle:
         self._elements = None
         self._tables = None
         self._coefficients = None
+        self._layout = None
         if kind == "domain":
             self.zero = domain_zero(domain)
             self.one = domain_one(domain)
@@ -174,18 +175,41 @@ class SemiringHandle:
                     and basis_is_finite(self.spec.basis))
         return is_finite_domain(self.domain)
 
-    def _slot_count(self):
-        mk, n = self.shape
-        return n if mk == ROW else n * n
+    def _slots(self):
+        """(keys, product): the handle's slot layout, made once.
+
+        The keys name an element's slots in order: basis keys without an
+        absorbed zero basis, matrix entries row-major, or a domain's one
+        slot.  product(p, q) is the position unit slot p times unit slot q
+        lands on, or None where it vanishes: on an absorbed zero basis, off
+        a row's diagonal, and for e_il e_kj with l != k.  A free polynomial
+        basis is cut to x^0, exact for every structural answer: x^i x^j
+        never vanishes, and x^0 is its only idempotent key.
+        """
+        if self._layout is None:
+            if self.kind == "formal-sum":
+                spec = self.spec
+                keys = basis_keys(spec) if basis_is_finite(spec.basis) else [0]
+                product = partial(_basis_op, spec)   # slot p is key p
+                if spec.absorb_zero_basis:   # unless a key is left out
+                    at = dict(zip(keys, range(len(keys))))
+                    product = lambda p, q: at.get(
+                        _basis_op(spec, keys[p], keys[q]))
+                self._layout = keys, product
+            elif self.kind == "matrix" and self.shape[0] == SQUARE:
+                n = self.shape[1]   # p = i*n + l times q = k*n + j
+                self._layout = range(n * n), lambda p, q: (
+                    p - p % n + q % n if p % n == q // n else None)
+            else:   # a domain, or a row matrix multiplying entrywise
+                n = 1 if self.kind == "domain" else self.shape[1]
+                self._layout = range(n), lambda p, q: p if p == q else None
+        return self._layout
 
     def size(self):
         if not self.is_finite():
             raise SpecError("handle is infinite")
-        if self.kind == "domain":
-            return domain_size(self.domain)
-        if self.kind == "formal-sum":
-            return semiring_size(self.spec)
-        return domain_size(self.domain) ** self._slot_count()
+        return domain_size(self._coefficient_handle().domain) \
+            ** len(self._slots()[0])
 
     def is_enumerable(self):
         return self.is_finite() and self.size() <= _ENUM_GUARD
@@ -206,7 +230,7 @@ class SemiringHandle:
         elif self.kind == "formal-sum":
             out = enumerate_elements(self.spec)
         else:
-            slots = self._slot_count()
+            slots = len(self._slots()[0])
             dom = domain_elements(self.domain)
             out = []
             for combo in itertools.product(dom, repeat=slots):
@@ -320,19 +344,12 @@ def _first_nonzero_scalar(d):
     return element(d, c) if d.kind == NEUTRO_PURE else element(d, 0, c)
 
 
-def _first_slot(h):
-    """Basis key or entry position of a formal sum's or matrix's first slot."""
-    if h.kind == "formal-sum" and basis_is_finite(h.spec.basis):
-        return next(iter(basis_keys(h.spec)), 0)
-    return 0
-
-
 def _support(h, slots, c):
-    """The formal sum or matrix of h with coefficient c at the given basis
-    keys or entry positions and zero elsewhere."""
+    """The formal sum or matrix of h with coefficient c at the given slot
+    keys (basis keys or entry positions) and zero elsewhere."""
     if h.kind == "formal-sum":
         return FormalSum(h.spec, [(k, c) for k in slots])
-    entries = [domain_zero(h.domain)] * h._slot_count()
+    entries = [domain_zero(h.domain)] * len(h._slots()[0])
     for p in slots:
         entries[p] = c
     return IntervalMatrix(h.domain, h.shape, tuple(entries))
@@ -388,67 +405,39 @@ def _domain_zero_divisor_pair(d):
 
 
 def _zero_divisor_patterns(h, query):
-    if h.kind == "domain":
+    coefficients = h._coefficient_handle()
+    d = coefficients.domain
+    keys, product = h._slots()
+    if len(keys) == 1 and h.kind != "formal-sum":
         # nat, rat, and neutrosophic domains over them have no zero divisors:
         # products and the I-coefficient combination ad+bc+bd are sums of
-        # products of nonnegatives, zero only when a factor is zero.  A
-        # finite domain here is over the enumeration guard: nothing decided.
-        return _report(query, [], not is_finite_domain(h.domain), 0)
-    if h.kind == "formal-sum":
-        return _formal_sum_zero_divisor_patterns(h, query)
-    return _matrix_zero_divisor_patterns(h, query)
-
-
-def _formal_sum_zero_divisor_patterns(h, query):
-    spec = h.spec
-    d = spec.coefficients
-    findings = []
-    if is_finite_domain(d):
-        pair = _domain_zero_divisor_pair(h._coefficient_handle())
+        # products of nonnegatives, zero only when a factor is zero.  A finite
+        # domain here, bare or in one entry, is past the guard: undecided.
+        return _report(query, [], not is_finite_domain(d), 0)
+    pairs = []
+    if h.kind == "formal-sum" and is_finite_domain(d):
+        pair = _domain_zero_divisor_pair(coefficients)
         if pair is not None:
-            x, y = (_support(h, (_first_slot(h),), c) for c in pair)
-            findings.append(Finding("zero-divisor", _wit(h, x, y), (x, y)))
-    if spec.absorb_zero_basis:
-        g = spec.basis
-        z = g.absorbing_index()
-        keys = basis_keys(spec)
-        c = _first_nonzero_scalar(d)
-        terms = ((_support(h, (gi,), c), _support(h, (hj,), c))
-                 for gi in keys for hj in keys if g.op(gi, hj) == z)
-        pair = next(((x, y) for x, y in terms if h.mul(x, y) == h.zero
-                     and h.mul(y, x) == h.zero), None)
+            pairs.append(tuple(_support(h, keys[:1], c) for c in pair))
+    # the first two unit slots whose products vanish both ways; only a
+    # matrix or an absorbed zero basis has products that vanish
+    if h.kind == "matrix" or h.spec.absorb_zero_basis:
+        slots = itertools.product(range(len(keys)), repeat=2)
+        pair = next(((p, q) for p, q in slots
+                     if product(p, q) is None and product(q, p) is None), None)
         if pair is not None:
-            a, b = h.pair(*pair)
-            findings.append(Finding("zero-divisor", _wit(h, a, b), (a, b)))
-    if findings:
+            c = _first_nonzero_scalar(d)
+            x, y = (_support(h, (keys[p],), c) for p in pair)
+            if h.mul(x, y) == h.zero and h.mul(y, x) == h.zero:
+                pairs.append(h.pair(x, y))
+    findings = [Finding("zero-divisor", _wit(h, *xy), xy) for xy in pairs]
+    if findings or h.kind == "matrix":
         return _report(query, findings, False, 0)
     # No findings: structurally complete only over a strict, zero-divisor-free
     # coefficient domain (coefficients of a product are sums of nonzero
     # products, hence nonzero); a finite domain has no zero divisors here,
     # since its pair would be a finding.
-    return _report(query, [], _strict_domain(h._coefficient_handle())[0], 0)
-
-
-def _matrix_zero_divisor_patterns(h, query):
-    mk, n = h.shape
-    d = h.domain
-    if n == 1:
-        inner = find_zero_divisors(h._coefficient_handle())
-        findings = []
-        for f in inner.findings:
-            mats = tuple(_support(h, (0,), e) for e in f.elements)
-            findings.append(Finding(f.kind, _wit(h, *mats), mats))
-        return _report(query, findings, inner.exhaustive,
-                       inner.budget_spent["pairs_scanned"])
-    c = _first_nonzero_scalar(d)
-    # entries 0 and 1 of a row; entries (0, 0) and (1, 1) of a square
-    x = _support(h, (0,), c)
-    y = _support(h, (1 if mk == ROW else n + 1,), c)
-    findings = []
-    if h.mul(x, y) == h.zero and h.mul(y, x) == h.zero:
-        a, b = h.pair(x, y)
-        findings.append(Finding("zero-divisor", _wit(h, a, b), (a, b)))
-    return _report(query, findings, False, 0)
+    return _report(query, [], _strict_domain(coefficients)[0], 0)
 
 
 def find_idempotents(h):
@@ -491,9 +480,12 @@ def _idempotent_patterns(h, query):
         for x in sorted(elems, key=element_key):
             findings.append(Finding("idempotent", _wit(h, x), (x,)))
         return _report(query, findings, complete, 0)
+    # the idempotent unit slots: basis keys with k*k = k, a row's entries,
+    # a square's diagonal
+    keys, product = h._slots()
+    slots = [keys[p] for p in range(len(keys)) if product(p, p) == p]
     if h.kind == "formal-sum":
-        spec = h.spec
-        d = spec.coefficients
+        d = h.spec.coefficients
         if is_finite_domain(d):
             zero = domain_zero(d)
             dom_idem = [c for c in domain_elements(d) if c * c == c and c != zero]
@@ -501,10 +493,7 @@ def _idempotent_patterns(h, query):
             dom_idem, _ = _domain_idempotents_structural(d)
             dom_idem = [c for c in dom_idem if c != domain_zero(d)]
         findings.append(Finding("idempotent", _wit(h, h.zero), (h.zero,)))
-        # a free polynomial basis has the one idempotent key x^0
-        keys = [k for k in basis_keys(spec) if _basis_op(spec, k, k) == k] \
-            if basis_is_finite(spec.basis) else [0]
-        for k in keys:
+        for k in slots:
             for c in dom_idem:
                 x = _support(h, (k,), c)
                 if h.mul(x, x) == x:
@@ -515,16 +504,14 @@ def _idempotent_patterns(h, query):
     one = domain_one(d)
     zero = domain_zero(d)
     choices = [zero] if one is None else [zero, one]
-    mk, n = h.shape
-    count = len(choices) ** n
+    count = len(choices) ** len(slots)
     if count <= 256:
-        for combo in itertools.product(choices, repeat=n):
-            # the ones sit on a row's entries or on a square's diagonal
-            x = _support(h, [i if mk == ROW else i * n + i
-                             for i, c in enumerate(combo) if c != zero], one)
+        for combo in itertools.product(choices, repeat=len(slots)):
+            x = _support(h, [p for p, c in zip(slots, combo) if c != zero],
+                         one)
             if h.mul(x, x) == x:
                 findings.append(Finding("idempotent", _wit(h, x), (x,)))
-    complete = mk == ROW and d.kind in (NAT, RAT) and count <= 256
+    complete = h.shape[0] == ROW and d.kind in (NAT, RAT) and count <= 256
     # row matrices over nat/rat are idempotent exactly when every entry is,
     # and entrywise idempotents are only 0 and 1
     return _report(query, findings, complete, 0)
@@ -831,7 +818,7 @@ def _classify_structural(h):
     strict, sw = _strict_domain(h._coefficient_handle())
     if not strict:
         witnesses["strict"] = _wit(
-            h, *(_support(h, (_first_slot(h),), c) for c in sw))
+            h, *(_support(h, h._slots()[0][:1], c) for c in sw))
     # one pair of unit slots that may not commute: a basis pair that does
     # not, or the first two entries of a square matrix
     pair = None

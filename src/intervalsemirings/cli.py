@@ -58,7 +58,11 @@ def load_spec_file(path):
     if unknown:
         raise SpecError(f"unknown flag keys: {', '.join(sorted(unknown))}")
     absorb = flags.get("absorb_zero_basis")
-    interval_labels = bool(flags.get("interval_labels", False))
+    interval_labels = flags.get("interval_labels", False)
+    if not isinstance(absorb, (bool, type(None))):
+        raise SpecError('flag "absorb_zero_basis" must be true, false or null')
+    if not isinstance(interval_labels, bool):
+        raise SpecError('flag "interval_labels" must be true or false')
     if "basis" in doc and "matrix" in doc:
         raise SpecError('spec file may hold "basis" or "matrix", not both')
     if "basis" in doc:
@@ -204,7 +208,7 @@ def _cmd_classify(args, out):
                          "zero_divisor_free", "semifield"):
                 out.write(f"{name}: {str(getattr(c, name)).lower()}\n")
                 if name in c.witnesses:
-                    out.write(f"  witness: "
+                    out.write("  witness: "
                               + ", ".join(c.witnesses[name]) + "\n")
             out.write(f"exhaustive: {str(c.exhaustive).lower()}\n")
         if args.expect is not None:
@@ -294,7 +298,7 @@ def _cmd_verify(args, out):
         try:
             params["primes"] = tuple(int(p) for p in args.primes.split(","))
         except ValueError:
-            raise SpecError(f"primes must be comma-separated integers")
+            raise SpecError("primes must be comma-separated integers")
     report = analysis.theorem_sweep(args.sweep, **params)
     ok = analysis.sweep_passed(report)
     if args.json:

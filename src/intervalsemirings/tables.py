@@ -1,12 +1,13 @@
 """Integer Cayley tables of finite semiring handles, and the element scans.
 
 Every finite handle is a vector of n slots over a coefficient domain with q
-elements: a domain is one slot, a formal sum one slot per basis key, a
-matrix one slot per entry.  Both operations act through the q x q domain
-tables and a list of (left slot, right slot, out slot) triples: slot o of
-x (op) y is the domain sum of x[l] (op) y[r] over the op's triples
-(l, r, o), and zero where no triple lands.  Element i is the slot vector
-whose domain-element indices are the base-q digits of i, first slot most
+elements, laid out by ``SemiringHandle._slots``: a domain is one slot, a
+formal sum one slot per basis key, a matrix one slot per entry.  Both
+operations act through the q x q domain tables: slot o of x + y is
+x[o] + y[o], and slot o of x * y is the domain sum of x[l] * y[r] over the
+slot pairs (l, r), row-major, whose unit product lands on o; a slot no
+product lands on is zero.  Element i is the slot vector whose
+domain-element indices are the base-q digits of i, first slot most
 significant, which is the order of ``SemiringHandle.elements()``.
 
 The scans below work on element indices and return index tuples in the
@@ -17,41 +18,18 @@ subset searches (closures, semifield subsets, the Smarandache searches)
 run on the same tables.
 """
 
+import itertools
+
 import numpy as np
 
 from . import carriers, domains
 from .errors import SpecError
-from .formalsums import _basis_op, basis_keys
-from .matrices import ROW
 
 # Largest table (or block of one) a query may allocate, in bytes.
 TABLE_BYTE_CAP = 1 << 26
 # Entries computed per row block while a table is built, so the digit
 # arrays of one block stay near 64 KB each.
 _BLOCK_ENTRIES = 1 << 13
-
-
-def _layout(h):
-    """(coefficient domain, slot count, triples per operation) of a handle."""
-    if h.kind == "domain":
-        return h.domain, 1, {"add": [(0, 0, 0)], "mul": [(0, 0, 0)]}
-    if h.kind == "formal-sum":
-        spec = h.spec
-        keys = basis_keys(spec)
-        slot = {g: s for s, g in enumerate(keys)}
-        diag = [(s, s, s) for s in range(len(keys))]
-        # a product landing on the absorbed zero basis has no slot: dropped
-        mul = [(slot[g], slot[k], slot[_basis_op(spec, g, k)])
-               for g in keys for k in keys if _basis_op(spec, g, k) in slot]
-        return spec.coefficients, len(keys), {"add": diag, "mul": mul}
-    mk, n = h.shape
-    if mk == ROW:
-        diag = [(s, s, s) for s in range(n)]
-        return h.domain, n, {"add": diag, "mul": diag}
-    diag = [(s, s, s) for s in range(n * n)]
-    mul = [(i * n + l, l * n + j, i * n + j)
-           for i in range(n) for j in range(n) for l in range(n)]
-    return h.domain, n * n, {"add": diag, "mul": mul}
 
 
 class Tables:
@@ -66,7 +44,9 @@ class Tables:
     """
 
     def __init__(self, h):
-        domain, self.n, triples = _layout(h)
+        domain = h._coefficient_handle().domain
+        keys, product = h._slots()
+        self.n = len(keys)
         self._dom = domains.domain_elements(domain)
         self._digit = {domains.element_key(x): i
                        for i, x in enumerate(self._dom)}
@@ -74,9 +54,12 @@ class Tables:
         self.k = self.q ** self.n
         self.dtype = np.min_scalar_type(self.k - 1)
         self._place = [self.q ** (self.n - 1 - s) for s in range(self.n)]
-        self._terms = {kind: [[(l, r) for l, r, o in t if o == s]
-                              for s in range(self.n)]
-                       for kind, t in triples.items()}
+        # the slot pairs (l, r) each output slot sums, row-major
+        mul = [[] for _ in keys]
+        for l, r in itertools.product(range(self.n), repeat=2):
+            if (o := product(l, r)) is not None:
+                mul[o].append((l, r))
+        self._terms = {"add": [[(s, s)] for s in range(self.n)], "mul": mul}
         self._zero_digit = self._digit[
             domains.element_key(domains.domain_zero(domain))]
         self._dom_tables = {}

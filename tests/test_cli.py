@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from intervalsemirings import SpecError
 from intervalsemirings.cli import load_spec_file, main
 
 
@@ -97,6 +98,51 @@ def test_spec_interval_labels(tmp_path):
            "flags": {"interval_labels": True}}
     h = load_spec_file(write_spec(tmp_path, doc))
     assert h.spec.basis.elements[0] == "[0,e]"
+
+
+M4_NAT = {"schema": "1", "coefficients": {"kind": "nat-interval"},
+          "basis": {"kind": "mult-semigroup", "n": 4}}
+
+
+def _square_2b(tmp_path, flags):
+    spec = write_spec(tmp_path, dict(M4_NAT, flags=flags))
+    return run_cli(["eval", "--spec", spec, "--lhs", "[0,1]*2b",
+                    "--rhs", "[0,1]*2b", "--op", "mul"])
+
+
+@pytest.mark.parametrize("flags, want", [
+    ({"absorb_zero_basis": False}, "[0,1]*0b"),
+    ({"absorb_zero_basis": True}, "0"),
+    ({"absorb_zero_basis": None}, "0"),   # the carrier's default
+    ({}, "0"),
+])
+def test_spec_absorb_zero_basis_flag(tmp_path, flags, want):
+    # 2b * 2b = 0b in mult-semigroup(4), whose 0b absorbs
+    code, out, _ = _square_2b(tmp_path, flags)
+    assert (code, out.strip()) == (0, want)
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, [], {}])
+def test_spec_absorb_zero_basis_must_be_a_boolean(tmp_path, value):
+    # a string once turned absorption on
+    code, out, err = _square_2b(tmp_path, {"absorb_zero_basis": value})
+    assert (code, out) == (2, "")
+    assert 'flag "absorb_zero_basis" must be true, false or null' in err
+
+
+@pytest.mark.parametrize("value", ["false", "true", None, 0, 1])
+def test_spec_interval_labels_must_be_a_boolean(tmp_path, value):
+    # "false" once read as true, and a poly basis then refused the labels
+    doc = dict(POLY_NAT, flags={"interval_labels": value})
+    with pytest.raises(SpecError, match='flag "interval_labels" must be '
+                                        'true or false'):
+        load_spec_file(write_spec(tmp_path, doc))
+
+
+def test_spec_interval_labels_false(tmp_path):
+    h = load_spec_file(write_spec(tmp_path, dict(
+        POLY_NAT, flags={"interval_labels": False})))
+    assert h.kind == "formal-sum"
 
 
 def test_spec_missing_file():

@@ -1,6 +1,7 @@
-"""Source hygiene: no unused imports and no unreferenced private names.
+"""Source hygiene: no unused imports, no unreferenced private names, no
+f-string without a placeholder, and imports kept where they belong.
 
-Both checks read the package modules with ``ast`` (``__init__.py`` only
+The checks read the package modules with ``ast`` (``__init__.py`` only
 re-exports, so it is skipped as a module under test but still counts as a
 place that references names).
 """
@@ -94,3 +95,29 @@ def test_only_carriers_enumerates_combinations():
     # carriers.closed_subsets: a second loop over combinations fails here
     assert [m for m in MODULES
             if "combinations" in _referenced(TREES[m])] == ["carriers.py"]
+
+
+def test_tables_leaves_the_slot_layout_to_the_handle():
+    # SemiringHandle._slots is the one place that knows how formal sums and
+    # matrices lay out their slots; tables compiles from it alone
+    names = set()
+    for node in ast.walk(TREES["tables.py"]):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.name for a in node.names)
+    assert {n.split(".")[-1] for n in names} & {"formalsums", "matrices"} \
+        == set()
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_f_string_has_a_placeholder(module):
+    tree = TREES[module]
+    # a format spec such as the 7s of f"{x:7s}" is an f-string of its own
+    specs = {id(node.format_spec) for node in ast.walk(tree)
+             if isinstance(node, ast.FormattedValue)}
+    bare = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr) and id(node) not in specs
+            and not any(isinstance(v, ast.FormattedValue)
+                        for v in node.values)]
+    assert bare == []

@@ -1,9 +1,11 @@
 """Structural answers on handles that cannot be enumerated.
 
-A formal sum or a row or square matrix over an infinite coefficient domain
-is answered from arguments about its slots, not from a scan.  The grid below
-asks every structural query of 98 such handles; its answers are pinned by
-one digest, and every witness it reports is checked again by arithmetic.
+A formal sum or a row or square matrix over an infinite coefficient domain,
+or a finite one past the enumeration guard, is answered from arguments
+about its slots, not from a scan.  The grids below ask every structural
+query of 98 handles over infinite domains and of 27 edge handles; each
+grid's answers are pinned by one digest, and every witness it reports is
+checked again by arithmetic.
 """
 
 import hashlib
@@ -31,6 +33,7 @@ from intervalsemirings import (
     neutro_pure,
     rat_interval,
     symmetric_group,
+    table_lattice,
     validate_s_certificate,
     zn_interval,
 )
@@ -122,9 +125,9 @@ def ask(h, query):
     return r.to_json_str()
 
 
-def answers():
+def answers(handles=grid):
     out = {}
-    for name, h in grid():
+    for name, h in handles():
         for query in QUERIES:
             try:
                 out[name, query] = "answer " + ask(h, query)
@@ -202,3 +205,64 @@ def test_strict_witness_sits_in_the_first_basis_slot():
                       "zero_divisor_free": ["[0,1]*2b", "[0,1]*7b"],
                       "semifield": ["strict", "zero_divisor_free"]},
         "exhaustive": True}
+
+
+# the Boolean lattice 2x2 with its bottom at index 1, so the zero is not
+# the first domain element
+BOOL4 = table_lattice(
+    ((0, 0, 3, 3), (0, 1, 2, 3), (3, 2, 2, 3), (3, 3, 3, 3)),
+    ((0, 1, 1, 0), (1, 1, 1, 1), (1, 1, 2, 2), (0, 1, 2, 3)),
+    names=("a", "0", "b", "1"))
+BIG = 1 << 21
+
+# sha256 of the edge grid's answers, one line each
+EDGE_SHA256 = (
+    "ae7a39d2f28f01d90eb3b393c33eb0b9134d58b242ad1debc7b98378e82aad4c")
+
+
+def edge_grid():
+    """(name, handle) of 27 handles past the enumeration guard or with
+    few slots: one-slot handles over a domain of 2^21 elements, long rows,
+    larger squares, bases with and without an absorbed zero, and zero- and
+    one-slot formal sums over infinite domains."""
+    fs = SemiringHandle.for_formal_sums
+    yield "row(1) over zn(2^21)", SemiringHandle.for_matrices(
+        zn_interval(BIG), (ROW, 1))
+    yield "square(1) over zn(2^21)", SemiringHandle.for_matrices(
+        zn_interval(BIG), (SQUARE, 1))
+    yield "zn(2^21)", SemiringHandle.for_domain(zn_interval(BIG))
+    for n in (11, 12):
+        for dname, d in (("zn(4)", zn_interval(4)),
+                         ("chain(4)", chain_lattice(4))):
+            yield f"row({n}) over {dname}", SemiringHandle.for_matrices(
+                d, (ROW, n))
+    for n in (4, 5):
+        for dname, d in (("zn(4)", zn_interval(4)),
+                         ("chain(3)", chain_lattice(3)),
+                         ("neutro-mixed(zn(3))", neutro_mixed(zn_interval(3)))):
+            yield f"square({n}) over {dname}", SemiringHandle.for_matrices(
+                d, (SQUARE, n))
+    for absorb, how in ((True, "absorbed"), (False, "kept")):
+        yield f"zn(3).M14 {how}", fs(make_spec(
+            zn_interval(3), mult_semigroup_zn(14), absorb))
+    for name, d, basis in (
+            ("zn(2).C21", zn_interval(2), cyclic_group(21)),
+            ("zn(5).D5", zn_interval(5), dihedral_group(5)),
+            ("chain(2).S4", chain_lattice(2), symmetric_group(4)),
+            ("zn(6).L11(2)", zn_interval(6), build_loop(11, 2)),
+            ("zn(4).Z12(1,2)", zn_interval(4), build_groupoid(12, 1, 2)),
+            ("zn(2).poly-cyclic-21", zn_interval(2), PolyBasis(21)),
+            ("neutro-pure(zn(5)).poly", neutro_pure(zn_interval(5)),
+             PolyBasis()),
+            ("bool4.poly", BOOL4, PolyBasis())):
+        yield name, fs(make_spec(d, basis))
+    yield "nat.C1 absorbed", fs(make_spec(nat_interval(), cyclic_group(1)))
+    yield "rat.C1 kept", fs(make_spec(rat_interval(), cyclic_group(1), False))
+    yield "nat.poly-cyclic-1", fs(make_spec(nat_interval(), PolyBasis(1)))
+    yield "nat.M2", fs(make_spec(nat_interval(), mult_semigroup_zn(2)))
+
+
+def test_structural_edge_grid():
+    got = answers(edge_grid)
+    assert len(got) == 27 * len(QUERIES)
+    assert digest(got.items()) == EDGE_SHA256

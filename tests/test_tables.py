@@ -684,6 +684,29 @@ def test_compiled_tables_match_object_tables(name):
     assert t.dtype == np.min_scalar_type(t.k - 1)
 
 
+@pytest.mark.parametrize("name", list(HANDLES))
+def test_slot_product_matches_the_compiled_tables(name):
+    # The structural answers read from h._slots() which products of unit
+    # slots vanish and where the others land; on these finite analogues
+    # c*e_p times c*e_q must be zero exactly where product(p, q) is None,
+    # and (c*c)*e_o at o = product(p, q) otherwise, on the compiled tables
+    # and in object arithmetic alike.
+    h = HANDLES[name]()
+    t = h.tables()
+    keys, product = h._slots()
+    c = analysis._first_nonzero_scalar(h._coefficient_handle().domain)
+
+    def unit(p, a):
+        return a if h.kind == "domain" else analysis._support(h, (keys[p],), a)
+
+    for p, q in itertools.product(range(len(keys)), repeat=2):
+        x, y = unit(p, c), unit(q, c)
+        o = product(p, q)
+        want = t.index(h, h.zero if o is None else unit(o, c * c))
+        assert want == t.index(h, h.mul(x, y))
+        assert want == int(t.op("mul", t.index(h, x), t.index(h, y)))
+
+
 # ---------------------------------------------------------------------------
 # moved queries against their reference loops
 
