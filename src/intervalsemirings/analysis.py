@@ -16,7 +16,6 @@ m^2 object operations.  Homomorphism checks run on the element objects.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 import itertools
 import json
 
@@ -190,12 +189,9 @@ class SemiringHandle:
             if self.kind == "formal-sum":
                 spec = self.spec
                 keys = basis_keys(spec) if basis_is_finite(spec.basis) else [0]
-                product = partial(_basis_op, spec)   # slot p is key p
-                if spec.absorb_zero_basis:   # unless a key is left out
-                    at = dict(zip(keys, range(len(keys))))
-                    product = lambda p, q: at.get(
-                        _basis_op(spec, keys[p], keys[q]))
-                self._layout = keys, product
+                at = {k: i for i, k in enumerate(keys)}
+                self._layout = keys, lambda p, q: at.get(
+                    _basis_op(spec, keys[p], keys[q]))
             elif self.kind == "matrix" and self.shape[0] == SQUARE:
                 n = self.shape[1]   # p = i*n + l times q = k*n + j
                 self._layout = range(n * n), lambda p, q: (
