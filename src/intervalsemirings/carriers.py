@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice, permutations, product
+from itertools import chain, combinations, islice, permutations
 from typing import Optional
 
 from .errors import SpecError
@@ -214,15 +214,22 @@ def symmetric_semigroup(k: int, interval: bool = False) -> Magma:
     """
     if not 1 <= k <= 5:
         raise SpecError("symmetric-semigroup requires 1 <= k <= 5")
-    ident = tuple(range(k))
-    maps = [ident] + [
-        f for f in sorted(product(range(k), repeat=k)) if f != ident
-    ]
-    index = {f: ix for ix, f in enumerate(maps)}
-    table = [
-        [index[tuple(h[f[x]] for x in range(k))] for h in maps] for f in maps
-    ]
-    labels = ["e"] + [f"f{i}" for i in range(1, len(maps))]
+    import numpy as np  # on first use, as in first_violation
+
+    n = k ** k
+    # a map's code reads its values as a base-k numeral, so codes run in
+    # lexicographic order; pos takes a code to its index in the listing
+    weights = k ** np.arange(k - 1, -1, -1)
+    ident = int(np.arange(k) @ weights)
+    codes = np.concatenate(([ident], np.delete(np.arange(n), ident)))
+    maps = codes[:, None] // weights % k
+    pos = np.empty(n, dtype=np.intp)
+    pos[codes] = np.arange(n)
+    # one Python int per index, shared by the rows: a fresh int per entry
+    # would take about 28 bytes more each, 275 MB at k = 5
+    ints = np.arange(n).astype(object)
+    table = [tuple(ints[pos[maps[:, f] @ weights]]) for f in maps]
+    labels = ["e"] + [f"f{i}" for i in range(1, n)]
     return _finish(labels, table, CarrierMeta("symmetric-semigroup", (k,)), interval)
 
 
@@ -512,7 +519,9 @@ def closed_subsets(tables, base, pool, sizes):
         while batch := list(islice(combos, _SUBSET_BATCH)):
             rows = np.empty((len(batch), len(base) + r), dtype=np.intp)
             rows[:, :len(base)] = base
-            rows[:, len(base):] = np.array(batch)
+            rows[:, len(base):] = np.fromiter(
+                chain.from_iterable(batch), dtype=np.intp,
+                count=len(batch) * r).reshape(len(batch), r)
             rows.sort(axis=1)
             for i in np.flatnonzero(closed(tables, rows)):
                 yield scanned + int(i) + 1, tuple(rows[i].tolist())

@@ -164,6 +164,35 @@ def test_symmetric_semigroup_order():
     assert p.associative and not p.latin_square
 
 
+def _listed_maps(k):
+    """The self-maps of k points in listing order: the identity, then the
+    rest in lexicographic order."""
+    ident = tuple(range(k))
+    return [ident] + [f for f in product(range(k), repeat=k) if f != ident]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_symmetric_semigroup_table_matches_composition(k):
+    maps = _listed_maps(k)
+    index = {f: ix for ix, f in enumerate(maps)}
+    want = tuple(tuple(index[tuple(h[f[x]] for x in range(k))] for h in maps)
+                 for f in maps)
+    g = symmetric_semigroup(k)
+    assert g.table == want
+    assert all(type(v) is int for row in g.table for v in row)
+    assert g.identity == 0 and g.elements[:2] == ("e", "f1")[:k ** k]
+
+
+def test_symmetric_semigroup_5_sampled_entries():
+    maps = _listed_maps(5)
+    g = symmetric_semigroup(5)
+    assert g.order == 3125 and g.identity == 0
+    rng = np.random.default_rng(5)
+    for f, h in rng.integers(0, 3125, size=(2000, 2)).tolist():
+        assert maps[g.table[f][h]] == tuple(maps[h][maps[f][x]]
+                                            for x in range(5))
+
+
 def test_mult_semigroup_has_absorbing_zero():
     g = mult_semigroup_zn(6)
     z = g.absorbing_index()

@@ -846,6 +846,90 @@ def test_verify_axioms_new_laws_hold_on_table_lattice():
 
 
 # ---------------------------------------------------------------------------
+# verify_axioms checks its arity-3 laws on additive generators first
+
+
+class IndexHandle(OneTableHandle):
+    """Stand-in handle over index tables with a given zero and one."""
+
+    def __init__(self, add, mul, zero, one):
+        super().__init__(add, mul)
+        self.zero, self.one = zero, one
+
+
+def ref_verify_axioms(ops, elems):
+    """Every law of ``_AXIOMS`` scanned in full over the tables of ops."""
+    for law, arity, holds, report in analysis._AXIOMS:
+        if law == "one-identity" and ops[3] is None:
+            break
+        bad = carriers.first_violation(range(len(ops[0])), arity,
+                                       lambda *xs: holds(*ops, *xs))
+        if bad:
+            return (False, (law,) + tuple(elems[bad[i]] for i in report))
+    return (True, None)
+
+
+def test_verify_axioms_729_elements_holds():
+    # a full scan of the arity-3 laws takes about 25 s at this size
+    assert verify_axioms(fsh(zn_interval(3), cyclic_group(6))) == (True, None)
+
+
+_Z4 = [[(x + y) % 4 for y in range(4)] for x in range(4)]
+_ZERO4 = [[0] * 4 for _ in range(4)]
+
+
+@pytest.mark.parametrize("add, mul, witness", [
+    # (1 + 1) + 2 = 3 but 1 + (1 + 2) = 1
+    ([[0, 1, 2, 3], [1, 2, 0, 0], [2, 0, 3, 0], [3, 0, 0, 0]], _ZERO4,
+     ("addition-not-associative", 1, 1, 2)),
+    # 1(1 + 1) = 1*1 + 1*1 but 1(1 + 2) = 0 while 1*1 + 1*2 = 3
+    (_Z4, [[0, 0, 0, 0], [0, 1, 2, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+     ("not-left-distributive", 1, 1, 2)),
+    # 3y = y and every other product is 0: each row is additive, but
+    # (1 + 2)1 = 1 while 1*1 + 2*1 = 0
+    (_Z4, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 2, 3]],
+     ("not-right-distributive", 1, 1, 2)),
+], ids=["associative", "left", "right"])
+def test_verify_axioms_witness_is_first_violation_not_generator(add, mul,
+                                                                 witness):
+    # the additive generators are 0 and 1, so the generator that fails is
+    # z = 1 while the first violation has z = 2
+    assert analysis._additive_generators(np.array(add), 0) == [0, 1]
+    h = IndexHandle(add, mul, 0, None)
+    assert verify_axioms(h) == (False, witness)
+    assert ref_verify_axioms(_object_tables(h), h.elements()) == \
+        (False, witness)
+
+
+@given(st.sampled_from(list(HANDLES)),
+       st.sampled_from(["none", "add", "mul", "row"]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_verify_axioms_matches_full_scan(name, change, data):
+    h = HANDLES[name]()
+    t = h.tables()
+    if change == "none":
+        assert verify_axioms(h) == ref_verify_axioms(
+            (t.add, t.mul, t.zero, t.one), h.elements())
+        return
+    add, mul = t.add.copy(), t.mul.copy()
+    k = len(add)
+    nonzero = st.sampled_from([x for x in range(k) if x != t.zero] or [0])
+    i, j, v = data.draw(nonzero), data.draw(nonzero), data.draw(nonzero)
+    if change == "add":
+        # kept commutative and off the zero, so associativity is reached
+        add[i, j] = add[j, i] = v
+    elif change == "mul":
+        mul[i, j] = v
+    else:
+        # every row stays additive, so left distributivity holds and
+        # right distributivity is reached
+        mul[i] = mul[j]
+    ops = (add, mul, t.zero, t.one)
+    assert verify_axioms(IndexHandle(add.tolist(), mul.tolist(), t.zero,
+                                     t.one)) == ref_verify_axioms(ops, range(k))
+
+
+# ---------------------------------------------------------------------------
 # subset checks, closures and Smarandache searches against their references
 
 SUB_KINDS = ("subsemiring", "ideal", "left-ideal", "right-ideal")
