@@ -100,28 +100,7 @@ from .matrices import (
     render_matrix,
     matrix_to_json,
 )
-from .analysis import (
-    SemiringHandle,
-    Finding,
-    AnalysisReport,
-    Classification,
-    HomReport,
-    find_zero_divisors,
-    find_idempotents,
-    find_units,
-    find_nilpotents,
-    find_s_special,
-    validate_s_certificate,
-    check_substructure,
-    classify_semiring,
-    semifield_within,
-    smarandache_search,
-    check_homomorphism,
-    verify_axioms,
-    theorem_sweep,
-    sweep_passed,
-    matrix_zd_comparison,
-)
+from .handle import SemiringHandle
 from .expressions import (
     parse_expression,
     ast_to_str,
@@ -131,3 +110,52 @@ from .expressions import (
 )
 
 __version__ = "0.1.0"
+
+# The analysis names load analysis, tables and numpy on first access, so
+# that `isl table`, `isl eval` and `isl --help` never load them.
+_ANALYSIS_NAMES = (
+    "Finding", "AnalysisReport", "Classification", "HomReport",
+    "find_zero_divisors", "find_idempotents", "find_units", "find_nilpotents",
+    "find_s_special", "validate_s_certificate", "check_substructure",
+    "classify_semiring", "semifield_within", "smarandache_search",
+    "check_homomorphism", "verify_axioms", "theorem_sweep", "sweep_passed",
+    "matrix_zd_comparison",
+)
+
+
+def __getattr__(name):
+    if name in _ANALYSIS_NAMES:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# What `from intervalsemirings import *` binds: every public name above, the
+# analysis names, and the submodules.
+__all__ = [
+    "SpecError", "DomainMismatchError", "ParseError", "DomainSpec",
+    "IntervalElem", "zn_interval", "nat_interval", "rat_interval",
+    "chain_lattice", "table_lattice", "neutro_pure", "neutro_mixed", "element",
+    "domain_elements", "parse_element", "lattice_element", "format_element",
+    "element_key", "pair_key", "canonical_pair", "domain_zero", "domain_one",
+    "dom_add", "dom_mul", "is_finite_domain", "is_strict_domain",
+    "domain_to_json", "domain_from_json", "Magma", "CarrierMeta", "LawProfile",
+    "build_loop", "loop_parameters", "build_groupoid", "cyclic_group",
+    "dihedral_group", "symmetric_group", "symmetric_semigroup",
+    "mult_semigroup_zn", "additive_group_zn", "mult_group_zp", "build_carrier",
+    "carrier_kinds", "carrier_to_json", "render_table", "check_laws",
+    "loop_law_summary", "validate_witness", "closure_of", "associator_closure",
+    "enumerate_substructures", "FormalSum", "PolyBasis", "SemiringSpec",
+    "make_spec", "fs_zero", "fs_one", "fs_term", "fs_from_terms", "fs_add",
+    "fs_mul", "fs_scale", "poly_mul", "semiring_size", "enumerate_elements",
+    "basis_keys", "basis_token", "resolve_basis_token", "basis_is_finite",
+    "IntervalMatrix", "ROW", "SQUARE", "row_matrix", "square_matrix",
+    "matrix_from_rows", "zero_matrix", "identity_matrix", "mat_add", "mat_mul",
+    "scale_matrix", "render_matrix", "matrix_to_json", "SemiringHandle",
+    *_ANALYSIS_NAMES,
+    "parse_expression", "ast_to_str", "eval_expression", "eval_pair",
+    "parse_formal_sum",
+    "analysis", "carriers", "domains", "errors", "expressions", "formalsums",
+    "matrices", "tables",
+]

@@ -1,8 +1,8 @@
 """Semiring-level analysis: special elements, classification, searches, sweeps.
 
-Every query runs against a :class:`SemiringHandle`, a uniform facade over the
-three semiring constructions in this package (interval domains, formal sums,
-matrices).  Finite handles within the enumeration guard are scanned
+Every query runs against a :class:`SemiringHandle` (``handle``), a uniform
+facade over the three semiring constructions in this package (interval
+domains, formal sums, matrices).  Finite handles within the enumeration guard are scanned
 exhaustively; infinite or oversized handles fall back to structural arguments
 (reported with ``exhaustive=True`` only when the argument actually decides the
 query) or to pattern instantiations (reported with ``exhaustive=False``).
@@ -43,7 +43,6 @@ from .domains import (
     ZN,
     domain_elements,
     domain_one,
-    domain_size,
     domain_zero,
     element,
     element_key,
@@ -54,228 +53,13 @@ from .domains import (
     zn_interval,
 )
 from .errors import SpecError
-from .formalsums import (
-    FormalSum,
-    PolyBasis,
-    _ENUM_GUARD,
-    _basis_op,
-    basis_is_finite,
-    basis_keys,
-    enumerate_elements,
-    fs_one,
-    fs_zero,
-)
-from .matrices import (
-    ROW,
-    SQUARE,
-    IntervalMatrix,
-    identity_matrix,
-    render_matrix,
-    zero_matrix,
-)
+from .formalsums import _ENUM_GUARD, FormalSum
+from .handle import SemiringHandle
+from .matrices import ROW, SQUARE, IntervalMatrix
 
 _GENERATED_GUARD = 1 << 14
 _EXHAUSTIVE_SUBSET_LIMIT = 20
 _CLOSURE_CAP = 4096
-
-
-def _describe_domain_short(d):
-    if d.kind == ZN:
-        return f"zn({d.n})"
-    if d.kind == NAT:
-        return "nat" if d.multiple == 1 else f"nat(multiple={d.multiple})"
-    if d.kind == RAT:
-        return "rat"
-    if d.kind == CHAIN:
-        return f"chain({d.k})"
-    if d.kind == TABLE:
-        return f"table({d.k})"
-    if d.kind == NEUTRO_PURE:
-        return f"neutro-pure({_describe_domain_short(d.base)})"
-    return f"neutro-mixed({_describe_domain_short(d.base)})"
-
-
-def _describe_basis(spec):
-    b = spec.basis
-    if isinstance(b, PolyBasis):
-        return "poly" if b.cyclic is None else f"poly-cyclic-{b.cyclic}"
-    params = ",".join(str(v) for v in b.meta.params)
-    return f"{b.meta.kind}({params})"
-
-
-class SemiringHandle:
-    """Uniform facade over a domain, formal-sum, or matrix semiring."""
-
-    def __init__(self, kind, *, domain=None, spec=None, shape=None):
-        if kind not in ("domain", "formal-sum", "matrix"):
-            raise SpecError(f"unknown handle kind {kind!r}")
-        if kind == "domain" and domain is None:
-            raise SpecError("domain handle requires a domain")
-        if kind == "formal-sum" and spec is None:
-            raise SpecError("formal-sum handle requires a semiring spec")
-        if kind == "matrix":
-            if domain is None or shape is None:
-                raise SpecError("matrix handle requires a domain and a shape")
-            mk, n = shape
-            if mk not in (ROW, SQUARE) or not isinstance(n, int) or n < 1:
-                raise SpecError(f"invalid matrix shape {shape!r}")
-        self.kind = kind
-        self.domain = domain
-        self.spec = spec
-        self.shape = shape
-        self._elements = None
-        self._tables = None
-        self._coefficients = None
-        self._layout = None
-        if kind == "domain":
-            self.zero = domain_zero(domain)
-            self.one = domain_one(domain)
-        elif kind == "formal-sum":
-            self.zero = fs_zero(spec)
-            self.one = fs_one(spec)
-        else:
-            self.zero = zero_matrix(domain, shape)
-            if domain_one(domain) is None:
-                self.one = None
-            else:
-                self.one = identity_matrix(domain, shape)
-
-    @classmethod
-    def for_domain(cls, domain):
-        return cls("domain", domain=domain)
-
-    @classmethod
-    def for_formal_sums(cls, spec):
-        return cls("formal-sum", spec=spec)
-
-    @classmethod
-    def for_matrices(cls, domain, shape):
-        return cls("matrix", domain=domain, shape=shape)
-
-    def describe(self):
-        if self.kind == "domain":
-            return _describe_domain_short(self.domain)
-        if self.kind == "formal-sum":
-            return (f"formal-sum[{_describe_domain_short(self.spec.coefficients)};"
-                    f" {_describe_basis(self.spec)}]")
-        mk, n = self.shape
-        return f"matrix[{mk},{n}; {_describe_domain_short(self.domain)}]"
-
-    def add(self, x, y):
-        return x + y
-
-    def mul(self, x, y):
-        return x * y
-
-    def is_finite(self):
-        if self.kind == "domain":
-            return is_finite_domain(self.domain)
-        if self.kind == "formal-sum":
-            return (is_finite_domain(self.spec.coefficients)
-                    and basis_is_finite(self.spec.basis))
-        return is_finite_domain(self.domain)
-
-    def _slots(self):
-        """(keys, product): the handle's slot layout, made once.
-
-        The keys name an element's slots in order: basis keys without an
-        absorbed zero basis, matrix entries row-major, or a domain's one
-        slot.  product(p, q) is the position unit slot p times unit slot q
-        lands on, or None where it vanishes: on an absorbed zero basis, off
-        a row's diagonal, and for e_il e_kj with l != k.  A free polynomial
-        basis is cut to x^0, exact for every structural answer: x^i x^j
-        never vanishes, and x^0 is its only idempotent key.
-        """
-        if self._layout is None:
-            if self.kind == "formal-sum":
-                spec = self.spec
-                keys = basis_keys(spec) if basis_is_finite(spec.basis) else [0]
-                at = {k: i for i, k in enumerate(keys)}
-                self._layout = keys, lambda p, q: at.get(
-                    _basis_op(spec, keys[p], keys[q]))
-            elif self.kind == "matrix" and self.shape[0] == SQUARE:
-                n = self.shape[1]   # p = i*n + l times q = k*n + j
-                self._layout = range(n * n), lambda p, q: (
-                    p - p % n + q % n if p % n == q // n else None)
-            else:   # a domain, or a row matrix multiplying entrywise
-                n = 1 if self.kind == "domain" else self.shape[1]
-                self._layout = range(n), lambda p, q: p if p == q else None
-        return self._layout
-
-    def size(self):
-        if not self.is_finite():
-            raise SpecError("handle is infinite")
-        return domain_size(self._coefficient_handle().domain) \
-            ** len(self._slots()[0])
-
-    def is_enumerable(self):
-        return self.is_finite() and self.size() <= _ENUM_GUARD
-
-    def _require_enumerable(self):
-        if not self.is_finite():
-            raise SpecError("cannot enumerate an infinite handle")
-        if self.size() > _ENUM_GUARD:
-            raise SpecError(f"enumeration guard exceeded ({self.size()} elements)")
-
-    def elements(self):
-        """All elements in canonical order, ascending by key (guarded)."""
-        if self._elements is not None:
-            return self._elements
-        self._require_enumerable()
-        if self.kind == "domain":
-            out = domain_elements(self.domain)
-        elif self.kind == "formal-sum":
-            out = enumerate_elements(self.spec)
-        else:
-            slots = len(self._slots()[0])
-            dom = domain_elements(self.domain)
-            out = []
-            for combo in itertools.product(dom, repeat=slots):
-                out.append(IntervalMatrix(self.domain, self.shape, tuple(combo)))
-        self._elements = out
-        return out
-
-    def tables(self):
-        """Integer add/mul tables over elements() order (compiled once)."""
-        if self._tables is None:
-            self._require_enumerable()
-            self._tables = tables.Tables(self)
-        return self._tables
-
-    def _coefficient_handle(self):
-        """The handle of a formal sum's or matrix's coefficient domain (a
-        domain handle's own), made once so that its compiled tables serve
-        every question about it."""
-        if self.kind == "domain":
-            return self
-        if self._coefficients is None:
-            self._coefficients = SemiringHandle.for_domain(
-                self.spec.coefficients if self.kind == "formal-sum"
-                else self.domain)
-        return self._coefficients
-
-    def render(self, x):
-        if self.kind == "domain":
-            return format_element(x)
-        if self.kind == "formal-sum":
-            return str(x)
-        return render_matrix(x)
-
-    def key(self, x):
-        """Sortable canonical key; ordering matches elements()."""
-        if self.kind == "domain":
-            return element_key(x)
-        if self.kind == "formal-sum":
-            if basis_is_finite(self.spec.basis):
-                return tuple(element_key(x.coeff(k)) for k in basis_keys(self.spec))
-            return tuple((k, element_key(c)) for k, c in x.terms.items())
-        return tuple(element_key(e) for e in x.entries)
-
-    def pair(self, x, y):
-        """Canonical unordered presentation: larger key first."""
-        if self.key(x) >= self.key(y):
-            return (x, y)
-        return (y, x)
 
 
 @dataclass(frozen=True)

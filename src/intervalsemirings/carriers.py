@@ -407,9 +407,9 @@ def first_violation(indices, arity, holds):
     O(k^2) for k indices and the scan stops at the first failing row.
     Returns None when ``holds`` is True everywhere.
     """
-    # numpy is imported on first use: the package imports this module
-    # before it compiles analysis.py, and compiling that on top of a loaded
-    # numpy adds about 3.5 MB to the peak memory of every short process.
+    # numpy is imported on first use: an isl table or isl eval process
+    # loads this module and must never load numpy, which would add about
+    # 100 ms to its start.
     import numpy as np
 
     idx = np.asarray(indices, dtype=np.intp)

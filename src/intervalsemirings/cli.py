@@ -13,13 +13,12 @@ import os
 import sys
 import time
 
-from . import analysis
-from .analysis import SemiringHandle
 from .carriers import build_carrier, carrier_kinds, carrier_to_json, render_table
 from .domains import domain_from_json
 from .errors import DomainMismatchError, ParseError, SpecError
 from .expressions import eval_pair
 from .formalsums import PolyBasis, _basis_op, basis_token, make_spec
+from .handle import SemiringHandle
 
 _EXIT_EXPECT = 1
 _EXIT_PARAMS = 2
@@ -161,17 +160,17 @@ def _write_trace(h, args, out):
 
 
 _FINDING_QUERIES = {
-    "zero-divisors": lambda h, a: analysis.find_zero_divisors(h, budget=a.budget),
-    "idempotents": lambda h, a: analysis.find_idempotents(h),
-    "nilpotents": lambda h, a: analysis.find_nilpotents(h, max_index=a.max_index),
-    "units": lambda h, a: analysis.find_units(h),
-    "s-zero-divisors": lambda h, a: analysis.find_s_special(
+    "zero-divisors": lambda an, h, a: an.find_zero_divisors(h, budget=a.budget),
+    "idempotents": lambda an, h, a: an.find_idempotents(h),
+    "nilpotents": lambda an, h, a: an.find_nilpotents(h, max_index=a.max_index),
+    "units": lambda an, h, a: an.find_units(h),
+    "s-zero-divisors": lambda an, h, a: an.find_s_special(
         h, "s-zero-divisor", budget=a.budget),
-    "s-anti-zero-divisors": lambda h, a: analysis.find_s_special(
+    "s-anti-zero-divisors": lambda an, h, a: an.find_s_special(
         h, "s-anti-zero-divisor", budget=a.budget),
-    "s-idempotents": lambda h, a: analysis.find_s_special(
+    "s-idempotents": lambda an, h, a: an.find_s_special(
         h, "s-idempotent", budget=a.budget),
-    "s-units": lambda h, a: analysis.find_s_special(
+    "s-units": lambda an, h, a: an.find_s_special(
         h, "s-unit", budget=a.budget),
 }
 
@@ -190,12 +189,14 @@ def _parse_subset(h, text):
 
 
 def _cmd_classify(args, out):
+    from . import analysis
+
     h = load_spec_file(args.spec)
     query = args.query
     expect_ok = True
     exhaustive = True
     if query in _FINDING_QUERIES:
-        report = _FINDING_QUERIES[query](h, args)
+        report = _FINDING_QUERIES[query](analysis, h, args)
         exhaustive = report.exhaustive
         expect_ok = _write_findings(args, report, out)
     elif query == "semifield":
@@ -287,6 +288,8 @@ def _parse_range(text):
 
 
 def _cmd_verify(args, out):
+    from . import analysis
+
     params = {}
     if args.sweep == "loop-laws" and args.n is not None:
         params["nmin"], params["nmax"] = _parse_range(args.n)

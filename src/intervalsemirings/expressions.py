@@ -30,6 +30,7 @@ from .formalsums import (
     fs_term,
     resolve_basis_token,
 )
+from .handle import SemiringHandle
 from .matrices import (
     identity_matrix,
     mat_add,
@@ -373,6 +374,4 @@ def eval_pair(h, lhs, rhs, op):
 
 def parse_formal_sum(spec, text):
     """Parse text as an element of the formal-sum semiring over spec."""
-    from .analysis import SemiringHandle
-
     return eval_expression(SemiringHandle.for_formal_sums(spec), text)

@@ -525,3 +525,98 @@ def test_script_prints_json_lines(script, args):
     assert lines
     for line in lines:
         assert isinstance(json.loads(line), dict)
+
+
+# ---------------------------------------------------------------------------
+# what a short process loads
+
+HEAVY = ("numpy", "intervalsemirings.analysis", "intervalsemirings.tables")
+_LOADED = f"[m for m in {HEAVY!r} if m in sys.modules]"
+
+
+def run_fresh(source):
+    """Run source in a fresh interpreter with src/ on the path and return
+    the JSON document on the last line of its stdout."""
+    path = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))
+        if p)
+    r = subprocess.run([sys.executable, "-c", source], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (None, ["--help"]),
+    (None, ["table", "loop", "--n", "7", "--m", "3"]),
+    (None, ["table", "cyclic", "--k", "6", "--json"]),
+    (GROUPOID_NAT, ["eval", "--lhs", "[0,7]*4b", "--rhs", "[0,12]*2b",
+                    "--op", "mul", "--trace"]),
+    (ROW2_ZN4, ["eval", "--lhs", "[[0,1], [0,2]]", "--rhs", "[[0,3], [0,3]]",
+                "--op", "mul"]),
+    (ZN18, ["eval", "--lhs", "[0,5]", "--rhs", "[0,7]", "--op", "add"]),
+], ids=["help", "table-loop", "table-cyclic-json", "eval-formal-sum-trace",
+        "eval-matrix", "eval-domain"])
+def test_short_command_loads_neither_numpy_nor_analysis(tmp_path, doc, argv):
+    # table, eval and --help run no query, so they must not pay for numpy
+    if doc is not None:
+        argv = argv[:1] + ["--spec", write_spec(tmp_path, doc)] + argv[1:]
+    code, loaded = run_fresh(
+        "import json, sys\n"
+        "from intervalsemirings.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(json.dumps([code, {_LOADED}]))")
+    assert code == 0
+    assert loaded == []
+
+
+def test_package_import_loads_analysis_on_first_access():
+    before, same, after = run_fresh(
+        "import json, sys\n"
+        "import intervalsemirings as isl\n"
+        f"before = {_LOADED}\n"
+        "same = isl.find_units is isl.analysis.find_units\n"
+        f"print(json.dumps([before, same, {_LOADED}]))")
+    assert before == []
+    assert same is True
+    assert after == list(HEAVY)
+
+
+STAR_NAMES = [
+    "AnalysisReport", "CarrierMeta", "Classification", "DomainMismatchError",
+    "DomainSpec", "Finding", "FormalSum", "HomReport", "IntervalElem",
+    "IntervalMatrix", "LawProfile", "Magma", "ParseError", "PolyBasis", "ROW",
+    "SQUARE", "SemiringHandle", "SemiringSpec", "SpecError",
+    "additive_group_zn", "analysis", "associator_closure", "ast_to_str",
+    "basis_is_finite", "basis_keys", "basis_token", "build_carrier",
+    "build_groupoid", "build_loop", "canonical_pair", "carrier_kinds",
+    "carrier_to_json", "carriers", "chain_lattice", "check_homomorphism",
+    "check_laws", "check_substructure", "classify_semiring", "closure_of",
+    "cyclic_group", "dihedral_group", "dom_add", "dom_mul", "domain_elements",
+    "domain_from_json", "domain_one", "domain_to_json", "domain_zero",
+    "domains", "element", "element_key", "enumerate_elements",
+    "enumerate_substructures", "errors", "eval_expression", "eval_pair",
+    "expressions", "find_idempotents", "find_nilpotents", "find_s_special",
+    "find_units", "find_zero_divisors", "formalsums", "format_element",
+    "fs_add", "fs_from_terms", "fs_mul", "fs_one", "fs_scale", "fs_term",
+    "fs_zero", "identity_matrix", "is_finite_domain", "is_strict_domain",
+    "lattice_element", "loop_law_summary", "loop_parameters", "make_spec",
+    "mat_add", "mat_mul", "matrices", "matrix_from_rows", "matrix_to_json",
+    "matrix_zd_comparison", "mult_group_zp", "mult_semigroup_zn",
+    "nat_interval", "neutro_mixed", "neutro_pure", "pair_key", "parse_element",
+    "parse_expression", "parse_formal_sum", "poly_mul", "rat_interval",
+    "render_matrix", "render_table", "resolve_basis_token", "row_matrix",
+    "scale_matrix", "semifield_within", "semiring_size", "smarandache_search",
+    "square_matrix", "sweep_passed", "symmetric_group", "symmetric_semigroup",
+    "table_lattice", "tables", "theorem_sweep", "validate_s_certificate",
+    "validate_witness", "verify_axioms", "zero_matrix", "zn_interval"
+]
+
+
+def test_star_import_binds_the_same_names():
+    names = run_fresh(
+        "from intervalsemirings import *\n"
+        "names = sorted(n for n in dir() if not n.startswith('_'))\n"
+        "import json\n"
+        "print(json.dumps(names))")
+    assert names == STAR_NAMES

@@ -77,17 +77,28 @@ def _module_level_imports(tree):
             continue
         if isinstance(node, ast.Import):
             out.update(a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            out.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            out.update([node.module.split(".")[0]] if node.module
+                       else [a.name for a in node.names])
         todo.extend(ast.iter_child_nodes(node))
     return out
 
 
-def test_carriers_imports_numpy_on_first_use():
-    # The package imports carriers before it compiles analysis; a numpy
-    # loaded by then adds about 3.5 MB to the peak memory of every short
-    # isl process (see carriers.first_violation).
-    assert "numpy" not in _module_level_imports(TREES["carriers.py"])
+@pytest.mark.parametrize("module", ["carriers.py", "handle.py"])
+def test_imports_numpy_on_first_use(module):
+    # An isl table or isl eval process loads these modules and must never
+    # load numpy, which would add about 100 ms to its start (see
+    # carriers.first_violation and SemiringHandle.tables).
+    assert "numpy" not in _module_level_imports(TREES[module])
+
+
+@pytest.mark.parametrize("module", ["__init__.py", "cli.py", "expressions.py",
+                                    "handle.py"])
+def test_short_processes_load_analysis_on_first_use(module):
+    # isl table, isl eval and isl --help load only these modules of the
+    # ones that could reach analysis; analysis and tables import numpy
+    assert _module_level_imports(TREES[module]) & {"analysis", "tables"} \
+        == set()
 
 
 def test_only_carriers_enumerates_combinations():
