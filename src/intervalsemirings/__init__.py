@@ -132,7 +132,8 @@ def __getattr__(name):
 
 
 # What `from intervalsemirings import *` binds: every public name above, the
-# analysis names, and the submodules.
+# analysis names and eight submodules.  `handle` is left out, so the set
+# stays the one bound while SemiringHandle lived in analysis.
 __all__ = [
     "SpecError", "DomainMismatchError", "ParseError", "DomainSpec",
     "IntervalElem", "zn_interval", "nat_interval", "rat_interval",

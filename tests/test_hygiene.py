@@ -2,8 +2,8 @@
 f-string without a placeholder, and imports kept where they belong.
 
 The checks read the package modules with ``ast`` (``__init__.py`` only
-re-exports, so it is skipped as a module under test but still counts as a
-place that references names).
+re-exports, some names on first access, so it is skipped as a module under
+test but still counts as a place that references names).
 """
 
 import ast
@@ -95,8 +95,8 @@ def test_imports_numpy_on_first_use(module):
 @pytest.mark.parametrize("module", ["__init__.py", "cli.py", "expressions.py",
                                     "handle.py"])
 def test_short_processes_load_analysis_on_first_use(module):
-    # isl table, isl eval and isl --help load only these modules of the
-    # ones that could reach analysis; analysis and tables import numpy
+    # isl table, isl eval and isl --help load these modules, and analysis
+    # and tables import numpy, so they are imported where a query runs
     assert _module_level_imports(TREES[module]) & {"analysis", "tables"} \
         == set()
 
