@@ -8,7 +8,8 @@ exhaustively; infinite or oversized handles fall back to structural arguments
 query) or to pattern instantiations (reported with ``exhaustive=False``).
 The element scans, subset checks, closures and Smarandache searches run on
 the handle's compiled integer tables (``tables``) and render their
-witnesses from ``elements()``; a given subset of an infinite handle, or
+witnesses with ``SemiringHandle.element_at``, which decodes an index
+without enumerating the handle; a given subset of an infinite handle, or
 one of m members in a domain of more than m^2 elements (whose tables would
 enumerate the whole domain), is checked on local tables built from its own
 m^2 object operations.  Homomorphism checks run on the element objects.
@@ -157,10 +158,9 @@ def find_zero_divisors(h, budget=None):
 
 def _index_findings(h, hits):
     """Findings from (kind, index, ...) tuples over elements() order."""
-    elems = h.elements()
     findings = []
     for kind, *idx in hits:
-        xs = tuple(elems[i] for i in idx)
+        xs = tuple(h.element_at(i) for i in idx)
         findings.append(Finding(kind, _wit(h, *xs), xs))
     return findings
 
@@ -173,7 +173,7 @@ def _strict_domain(d):
     if not is_finite_domain(h.domain):
         return is_strict_domain(h.domain)
     w = tables.zero_sum_pair(h.tables())
-    return w is None, None if w is None else tuple(h.elements()[i] for i in w)
+    return w is None, None if w is None else tuple(h.element_at(i) for i in w)
 
 
 def _domain_zero_divisor_pair(d):
@@ -182,7 +182,7 @@ def _domain_zero_divisor_pair(d):
     h = d if isinstance(d, SemiringHandle) else SemiringHandle.for_domain(d)
     hits, _, _ = tables.zero_divisors(h.tables())
     pair = next((xy for kind, *xy in hits if kind == "zero-divisor"), None)
-    return None if pair is None else h.pair(*(h.elements()[i] for i in pair))
+    return None if pair is None else h.pair(*(h.element_at(i) for i in pair))
 
 
 def _zero_divisor_patterns(h, query):
@@ -493,7 +493,7 @@ def check_substructure(h, subset, kind="subsemiring"):
     if w is None:
         return (True, None)
     law, x, y = w
-    return (False, (law, h.elements()[x], h.elements()[y]))
+    return (False, (law, h.element_at(x), h.element_at(y)))
 
 
 def _sliced(h, m):
@@ -565,10 +565,9 @@ def classify_semiring(h):
 
 def _classify_scan(h):
     strict, commutative, has_one, zd = tables.classify(h.tables())
-    elems = h.elements()
     found = {"strict": strict, "commutative": commutative,
              "has_one": None if has_one else (), "zero_divisor_free": zd}
-    witnesses = {law: _wit(h, *(elems[i] for i in w))
+    witnesses = {law: _wit(h, *(h.element_at(i) for i in w))
                  for law, w in found.items() if w is not None}
     if not has_one:
         witnesses["has_one"] = ("no element acts as a two-sided identity",)
@@ -746,7 +745,7 @@ def _pseudo_superset(h, mset):
         c = closure([lambda s: t.block("add", s, s),
                      lambda s: t.block("mul", s, s)],
                     t.k, [t.index(h, x) for x in seed], _CLOSURE_CAP)
-        c = None if c is None else [h.elements()[i] for i in c]
+        c = None if c is None else [h.element_at(i) for i in c]
     else:
         c = _closure_under_ops(h, seed)
     if c is None or (h.is_finite() and len(c) >= h.size()):
@@ -916,8 +915,9 @@ def verify_axioms(h):
                 continue
         bad = first_violation(range(k), arity, law_holds)
         if bad:
-            elems = h.elements()
-            return (False, (law,) + tuple(elems[bad[i]] for i in report))
+            at = h.element_at if isinstance(h, SemiringHandle) \
+                else h.elements().__getitem__
+            return (False, (law,) + tuple(at(bad[i]) for i in report))
     return (True, None)
 
 
@@ -1016,7 +1016,7 @@ def _sweep_neutro_prime(primes=(3, 5, 7, 11, 13)):
             [t.add, t.mul], (t.zero,), rest, range(1, len(rest))),
             (2 ** len(rest) - 2, None))
         failure = None if closed_subset is None else tuple(
-            format_element(h.elements()[i]) for i in closed_subset)
+            format_element(h.element_at(i)) for i in closed_subset)
         yield (f"p={p}",), failure, scanned, ()
 
 

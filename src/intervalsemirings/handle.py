@@ -30,6 +30,7 @@ from .domains import (
 )
 from .errors import SpecError
 from .formalsums import (
+    FormalSum,
     PolyBasis,
     _ENUM_GUARD,
     _basis_op,
@@ -94,6 +95,7 @@ class SemiringHandle:
         self.spec = spec
         self.shape = shape
         self._elements = None
+        self._decoded = {}
         self._tables = None
         self._coefficients = None
         self._layout = None
@@ -204,6 +206,30 @@ class SemiringHandle:
                 out.append(IntervalMatrix(self.domain, self.shape, tuple(combo)))
         self._elements = out
         return out
+
+    def element_at(self, i):
+        """elements()[i] without enumerating the handle: the element whose
+        slot values are the coefficient domain's elements at the base-q
+        digits of i, first slot most significant (memoized per index)."""
+        if self._elements is not None:
+            return self._elements[i]
+        x = self._decoded.get(i)
+        if x is None:
+            dom = self._coefficient_handle().elements()
+            if self.kind == "domain":
+                return dom[i]
+            keys = self._slots()[0]
+            digits, rest = [], i
+            for _ in keys:
+                rest, d = divmod(rest, len(dom))
+                digits.append(dom[d])
+            digits.reverse()
+            if self.kind == "formal-sum":
+                x = FormalSum(self.spec, zip(keys, digits))
+            else:
+                x = IntervalMatrix(self.domain, self.shape, tuple(digits))
+            self._decoded[i] = x
+        return x
 
     def tables(self):
         """Integer add/mul tables over elements() order (compiled once)."""

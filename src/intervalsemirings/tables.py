@@ -10,6 +10,14 @@ product lands on is zero.  Element i is the slot vector whose
 domain-element indices are the base-q digits of i, first slot most
 significant, which is the order of ``SemiringHandle.elements()``.
 
+A table is computed a block at a time.  A side that covers every element
+(all of a full table's columns) is not a list of indices but n broadcast
+digit axes: slot l of every element is ``arange(q)`` on axis l.  Each
+domain operation of a slot's sum then reads only the digits its terms have
+involved so far.  On a group basis each term of a slot reads a new digit
+axis, so the sizes of the running sum add up to at most q/(q-1) blocks a
+slot, where explicit indices cost one block per term.
+
 The scans below work on element indices and return index tuples in the
 scan order each docstring states; ``analysis`` renders them.  Subsets are
 checked on their local tables (:class:`Local`), sliced from the compiled
@@ -27,8 +35,9 @@ from .errors import SpecError
 
 # Largest table (or block of one) a query may allocate, in bytes.
 TABLE_BYTE_CAP = 1 << 26
-# Entries computed per row block while a table is built, so the digit
-# arrays of one block stay near 64 KB each.
+# Entries of one computed block (explicit rows or columns times the
+# broadcast digit axes), and so of every array a domain operation takes or
+# returns while a table is built: about 64 KB of intp each.
 _BLOCK_ENTRIES = 1 << 13
 
 
@@ -108,13 +117,22 @@ class Tables:
                for a, b in zip(x.flat, y.flat)]
         return np.array(out, dtype=np.intp).reshape(x.shape)
 
-    def op(self, kind, I, J):
-        """Indices of elements()[I] (kind) elements()[J], broadcasting I, J."""
-        I = np.asarray(I, dtype=np.intp)
-        J = np.asarray(J, dtype=np.intp)
-        xs = [I // p % self.q for p in self._place]
-        ys = [J // p % self.q for p in self._place]
-        out = np.zeros(np.broadcast_shapes(I.shape, J.shape), dtype=np.intp)
+    def _digits(self, idx, m, trail):
+        """Slot digits of the positions idx * q^m + t, t < q^m, as broadcast
+        operands: the first n - m slots run along the axes of idx, the last
+        m along one digit axis each, and ``trail`` unit axes follow."""
+        pad = (1,) * trail
+        lead = [(idx // self._place[s + m] % self.q).reshape(
+            idx.shape + (1,) * m + pad) for s in range(self.n - m)]
+        axes = [np.arange(self.q).reshape((-1,) + (1,) * (self.n - 1 - s) + pad)
+                for s in range(self.n - m, self.n)]
+        return lead + axes
+
+    def _fold(self, kind, xs, ys, shape):
+        """Indices of the elements with slot digits xs (kind) ys, of the
+        given broadcast shape: slot o is the domain sum of xs[l] (kind)
+        ys[r] over its terms (l, r), in row-major order."""
+        out = np.zeros(shape, dtype=np.intp)
         for terms, place in zip(self._terms[kind], self._place):
             acc = self._zero_digit
             for m, (l, r) in enumerate(terms):
@@ -122,6 +140,13 @@ class Tables:
                 acc = term if m == 0 else self._dom_op("add", acc, term)
             out += acc * place
         return out
+
+    def op(self, kind, I, J):
+        """Indices of elements()[I] (kind) elements()[J], broadcasting I, J."""
+        I = np.asarray(I, dtype=np.intp)
+        J = np.asarray(J, dtype=np.intp)
+        return self._fold(kind, self._digits(I, 0, 0), self._digits(J, 0, 0),
+                          np.broadcast_shapes(I.shape, J.shape))
 
     def full(self, kind):
         """The k x k table of ``kind``, built on first use and kept."""
@@ -150,12 +175,47 @@ class Tables:
                      m * n * self.dtype.itemsize)
 
     def _compute(self, kind, rows, cols):
+        """Entries at rows x cols, at most _BLOCK_ENTRIES of them at a time.
+
+        A side asking for at least half the elements (the columns first) is
+        computed for every element and the asked-for ones are sliced out:
+        its last m slots run as digit axes, q^m positions per unit, so each
+        domain operation of a term reads only the digits it involves.
+        Otherwise both sides are explicit indices (m = 0).
+        """
         self.check_table(kind, len(rows), len(cols))
         out = np.empty((len(rows), len(cols)), dtype=self.dtype)
-        step = max(1, _BLOCK_ENTRIES // max(1, len(cols)))
-        for s in range(0, len(rows), step):
-            out[s:s + step] = self.op(kind, rows[s:s + step, None],
-                                      cols[None, :])
+        m = 0
+        while m < self.n and self.q ** (m + 1) <= _BLOCK_ENTRIES:
+            m += 1
+        left = 2 * len(cols) < self.k <= 2 * len(rows)
+        wide, narrow = (rows, cols) if left else (cols, rows)
+        if 2 * len(wide) < self.k:
+            m = 0
+        span, axes = self.q ** m, (self.q,) * m
+        units = np.arange(self.k // span) if m else wide
+        per = _BLOCK_ENTRIES // span
+        for u0 in range(0, len(units), per):
+            u = units[u0:u0 + per]
+            if m:   # the asked-for positions among this run of units
+                lo = u[0] * span
+                sel = np.flatnonzero((wide >= lo) & (wide < lo + u.size * span))
+                at = wide[sel] - lo
+            else:
+                sel, at = slice(u0, u0 + per), slice(None)
+            step = max(1, _BLOCK_ENTRIES // (u.size * span))
+            for e0 in range(0, len(narrow), step):
+                e = narrow[e0:e0 + step]
+                if left:
+                    b = self._fold(kind, self._digits(u, m, 1),
+                                   self._digits(e, 0, 0),
+                                   (u.size,) + axes + (e.size,))
+                    out[sel, e0:e0 + step] = b.reshape(-1, e.size)[at]
+                else:
+                    b = self._fold(kind, self._digits(e, 0, m + 1),
+                                   self._digits(u, m, 0),
+                                   (e.size, u.size) + axes)
+                    out[e0:e0 + step, sel] = b.reshape(e.size, -1)[:, at]
         return out
 
     def nonzero(self):

@@ -5,6 +5,7 @@ arithmetic; the table scans must match them exactly, witnesses and
 ``pairs_scanned`` included.
 """
 
+import functools
 import itertools
 import json
 
@@ -1378,3 +1379,194 @@ def test_s_unit_a_solving_one_side_only_never_completes(n, m):
         assert not (completes & (left != right)).any(), x
     assert (one_sided > 0) == (n == 9)
     assert find_s_special(h, "s-unit").findings
+
+
+# ---------------------------------------------------------------------------
+# the table compile over digit axes, against the object arithmetic and the
+# explicit fold of Tables.op
+
+
+@functools.lru_cache(maxsize=None)
+def _object_tables_of(name):
+    return _object_tables(HANDLES[name]())
+
+
+UPTO_729 = [name for name in HANDLES if SIZE[name] <= 729]
+
+
+def _routes(k):
+    """(rows, cols) index arrays reaching each route of Tables._compute:
+    digit axes on the columns, on the rows, on both sides asked for in
+    full, and explicit indices on both sides."""
+    every = np.arange(k)
+    few = every[::3][:max(1, (k - 1) // 2)]
+    most = every[k // 3:]
+    return [(few, most), (most, few), (every, every), (few, few[::-1])]
+
+
+@pytest.mark.parametrize("name", UPTO_729)
+def test_full_and_block_match_object_tables(name):
+    obj = dict(zip(("add", "mul"), _object_tables_of(name)))
+    for kind in ("add", "mul"):
+        for rows, cols in _routes(SIZE[name]):
+            t = HANDLES[name]().tables()
+            got = t.block(kind, rows, cols)
+            assert got.dtype == t.dtype
+            assert np.array_equal(got, obj[kind][np.ix_(rows, cols)])
+        t = HANDLES[name]().tables()
+        assert np.array_equal(t.full(kind), obj[kind])
+        assert t.full(kind).dtype == t.dtype
+
+
+@given(st.sampled_from([n for n in UPTO_729 if SIZE[n] <= 128]),
+       st.sampled_from(["add", "mul"]),
+       st.sampled_from(["cols", "rows", "explicit"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_block_on_drawn_subsets_matches_object_tables(name, kind, route,
+                                                      data):
+    # unsorted, repeating index lists; the route fixes which side asks for
+    # at least half of the elements
+    k = SIZE[name]
+    half = (k + 1) // 2
+    some = st.lists(st.integers(0, k - 1), max_size=max(0, half - 1))
+    many = st.lists(st.integers(0, k - 1), min_size=half, max_size=k + 3)
+    rows = np.array(data.draw(many if route == "rows" else some), dtype=np.intp)
+    cols = np.array(data.draw(many if route == "cols" else some), dtype=np.intp)
+    t = HANDLES[name]().tables()
+    obj = _object_tables_of(name)[0 if kind == "add" else 1]
+    assert np.array_equal(t.block(kind, rows, cols), obj[np.ix_(rows, cols)])
+
+
+@pytest.mark.parametrize("block", [2, 7, 50])
+@pytest.mark.parametrize("name", ["zn(2).C3 [8]", "zn(3).Z3(2,1) [27]",
+                                  "square(2) zn(3) [81]", "zn(12)",
+                                  "zn(3).mult-semigroup(4) absorbed [27]"])
+def test_multi_block_compile_matches_object_tables(monkeypatch, name, block):
+    # small blocks split the digit axes: a unit of q^m positions with
+    # m < n, several units or rows per block, or a few explicit entries
+    monkeypatch.setattr(tables, "_BLOCK_ENTRIES", block)
+    obj = dict(zip(("add", "mul"), _object_tables_of(name)))
+    for kind in ("add", "mul"):
+        for rows, cols in _routes(SIZE[name]):
+            t = HANDLES[name]().tables()
+            assert np.array_equal(t.block(kind, rows, cols),
+                                  obj[kind][np.ix_(rows, cols)])
+        assert np.array_equal(HANDLES[name]().tables().full(kind), obj[kind])
+
+
+def _ref_fold(h, t, kind, i, j):
+    """Index of element i (kind) element j read digit by digit from the
+    domain tables in t: slot o sums its (l, r) products left to right, in
+    row-major order of (l, r)."""
+    keys, product = h._slots()
+    n = len(keys)
+    x = [i // t.q ** (n - 1 - s) % t.q for s in range(n)]
+    y = [j // t.q ** (n - 1 - s) % t.q for s in range(n)]
+    add, op = t._dom_tables["add"], t._dom_tables[kind]
+    out = 0
+    for o in range(n):
+        if kind == "add":
+            terms = [(o, o)]
+        else:
+            terms = [(l, r) for l, r in itertools.product(range(n), repeat=2)
+                     if product(l, r) == o]
+        acc = t._zero_digit
+        for m, (l, r) in enumerate(terms):
+            term = int(op[x[l], y[r]])
+            acc = term if m == 0 else int(add[acc, term])
+        out = out * t.q + acc
+    return out
+
+
+@pytest.mark.parametrize("name", ["zn(2).C3 [8]", "zn(3).Z3(2,1) [27]",
+                                  "zn(2).L5(3) [64]", "square(2) zn(3) [81]",
+                                  "zn(3).mult-semigroup(4) absorbed [27]",
+                                  "zn(2).symmetric-semigroup(2) [16]"])
+def test_compile_keeps_the_fold_order(name):
+    # with a non-commutative, non-associative domain addition the order of
+    # a slot's terms shows in its value, so the compile must fold them as
+    # Tables.op and the reference do
+    h = HANDLES[name]()
+    t = h.tables()
+    rng = np.random.default_rng(12)
+    q = t.q
+    while True:
+        add = rng.integers(0, q, (q, q)).astype(np.intp)
+        a, b, c = np.meshgrid(*[np.arange(q)] * 3, indexing="ij")
+        if (add != add.T).any() and (add[add[a, b], c] != add[a, add[b, c]]).any():
+            break
+    t._dom_tables = {"add": add,
+                     "mul": rng.integers(0, q, (q, q)).astype(np.intp)}
+    every = np.arange(t.k)
+    for kind in ("add", "mul"):
+        full = t.full(kind)
+        assert np.array_equal(full, t.op(kind, every[:, None], every[None, :]))
+        for i, j in rng.integers(0, t.k, (40, 2)):
+            assert full[i, j] == int(t.op(kind, i, j)) \
+                == _ref_fold(h, t, kind, i, j)
+
+
+def test_full_mul_at_1024_elements_matches_object_products():
+    h = fsh(zn_interval(2), cyclic_group(10))
+    t = h.tables()
+    mul = t.full("mul")
+    rng = np.random.default_rng(10)
+    for i, j in rng.integers(0, t.k, (200, 2)):
+        x, y = h.element_at(int(i)), h.element_at(int(j))
+        assert mul[i, j] == t.index(h, h.mul(x, y))
+
+
+@pytest.mark.parametrize("build, kinds", [
+    (lambda: fsh(zn_interval(3), cyclic_group(6)), ("add", "mul")),
+    (lambda: fsh(zn_interval(2), build_loop(5, 3)), ("mul",)),
+    (lambda: mh(zn_interval(3), (SQUARE, 2)), ("mul",)),
+    # 19683 elements: one row of them is more than a block
+    (lambda: fsh(zn_interval(3), cyclic_group(9)), ("mul",)),
+    # 9000 domain elements: q itself is more than a block
+    (lambda: dh(zn_interval(9000)), ("add",)),
+])
+def test_compile_keeps_every_domain_operation_within_a_block(monkeypatch,
+                                                             build, kinds):
+    sizes = []
+    dom_op = tables.Tables._dom_op
+
+    def counted(self, kind, x, y):
+        out = dom_op(self, kind, x, y)
+        sizes.extend(np.size(a) for a in (x, y, out))
+        return out
+
+    monkeypatch.setattr(tables.Tables, "_dom_op", counted)
+    h = build()
+    every = np.arange(h.size())
+    few = every[1:4]
+    for kind in kinds:
+        t = h.tables()
+        t.block(kind, few, every[1:])
+        t.block(kind, every[1:], few)
+        t.block(kind, few, few)
+        if t.k <= 1024:
+            t.full(kind)
+    assert sizes and max(sizes) <= tables._BLOCK_ENTRIES
+
+
+@pytest.mark.parametrize("name", list(HANDLES))
+def test_element_at_matches_elements(name):
+    h = HANDLES[name]()
+    decoded = [h.element_at(i) for i in range(h.size())]
+    # a domain's elements are its coefficient list: decoding builds them
+    assert (h._elements is None) == (h.kind != "domain")
+    assert decoded == HANDLES[name]().elements()
+    assert [h.render(x) for x in decoded] == \
+        [h.render(x) for x in HANDLES[name]().elements()]
+    elems = h.elements()
+    assert all(h.element_at(i) is x for i, x in enumerate(elems))
+
+
+def test_findings_render_without_enumerating_the_handle():
+    h = fsh(zn_interval(3), cyclic_group(6))
+    got = find_zero_divisors(h, budget=20000)
+    assert h._elements is None and got.findings
+    enumerated = fsh(zn_interval(3), cyclic_group(6))
+    enumerated.elements()
+    assert got.to_json_str() == \
+        find_zero_divisors(enumerated, budget=20000).to_json_str()
