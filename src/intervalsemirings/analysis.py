@@ -26,11 +26,13 @@ from . import tables
 from .carriers import (
     Magma,
     _gathers,
+    _is_prime,
     _law_witness,
     build_loop,
     closed_subsets,
     closure,
     first_violation,
+    generators,
     loop_law_summary,
     loop_parameters,
 )
@@ -835,8 +837,8 @@ def _object_tables(h):
 # where holds(add, mul, zero, one, *xs) takes index arrays and report
 # orders the scanned indices of a violation as its witness.  Right
 # distributivity is scanned in (y, z, x) order and reported as (x, y, z),
-# so report[2] is always the argument slot of z; the laws of one come last,
-# and a handle without one stops before them.
+# so report[-1] of an arity-3 law is the argument slot of z; the laws of
+# one come last, and a handle without one stops before them.
 _AXIOMS = (
     ("zero-identity", 1, lambda A, M, e, u, x: A[e, x] == x, (0,)),
     ("zero-identity", 1, lambda A, M, e, u, x: A[x, e] == x, (0,)),
@@ -857,41 +859,15 @@ _AXIOMS = (
 )
 
 
-def _additive_generators(add, zero):
-    """Indices whose closure under the add table is every index: zero,
-    then each time the least index outside the closure of those so far."""
-    k = len(add)
-    gather = _gathers([add])
-    gens = [zero]
-    s = closure(gather, k, gens, k)
-    while len(s) < k:
-        gens.append(int(np.setdiff1d(np.arange(k), s, assume_unique=True)[0]))
-        s = closure(gather, k, np.append(s, gens[-1]), k)
-    return gens
-
-
-def _holds_at(holds, slot, gens, k):
-    """Whether an arity-3 law holds for every pair of indices in the two
-    other argument slots while each of gens fills ``slot``."""
-    xy = np.ix_(range(k), range(k))
-    return all(np.all(holds(*xy[:slot], g, *xy[slot:])) for g in gens)
-
-
 def verify_axioms(h):
     """Exhaustively check additive commutativity/associativity, the zero
     identity, both distributive laws, zero absorption and, when the handle
     has a one, the identity laws of one on a finite handle (``_AXIOMS``).
 
-    The three arity-3 laws are first checked with z running over an
-    additive generating set G only (Light's associativity test, Clifford &
-    Preston, The Algebraic Theory of Semigroups I, 1961, 1.2).  Call z
-    good when the law holds for every x, y with z in its z slot; the good
-    elements are closed under +, for the distributive laws because +,
-    checked before them, is associative.  So when every element of G is
-    good the law holds, at O(k^2 |G|) table reads instead of O(k^3).  G
-    holds the zero, so the z = 0 case does not lean on zero absorption,
-    which is checked later.  When some generator is not good, the law is
-    scanned in full for its first violation.
+    The three arity-3 laws are first checked with their z slot running
+    over an additive generating set only (``first_violation`` has the
+    argument); the distributive laws come after additive associativity,
+    which their argument needs.
 
     Handles run on their compiled tables; other objects with elements(),
     add, mul, zero (and optionally one) on tables built from their own
@@ -904,16 +880,12 @@ def verify_axioms(h):
     else:
         ops = _object_tables(h)
     k = len(ops[0])
-    gens = None
+    gens = generators(_gathers([ops[0]]), k, [ops[2], *range(k)])
     for law, arity, holds, report in _AXIOMS:
         if law == "one-identity" and ops[3] is None:
             break
-        law_holds = lambda *xs: holds(*ops, *xs)
-        if arity == 3:
-            gens = gens or _additive_generators(ops[0], ops[2])
-            if _holds_at(law_holds, report[2], gens, k):
-                continue
-        bad = first_violation(range(k), arity, law_holds)
+        bad = first_violation(range(k), arity, lambda *xs: holds(*ops, *xs),
+                              gens, report[-1])
         if bad:
             at = h.element_at if isinstance(h, SemiringHandle) \
                 else h.elements().__getitem__
@@ -1002,11 +974,13 @@ def _sweep_zn_composite_zd(nmax=100):
 def _sweep_neutro_prime(primes=(3, 5, 7, 11, 13)):
     # refused before any p is swept: the subsets {0} + combo of p - 1
     # nonzero elements number nearly 2^(p-1), which passes the guard G
-    # exactly when p - 1 >= G.bit_length()
+    # exactly when p - 1 >= G.bit_length(); a composite p is no instance
     for p in primes:
         if p - 1 >= _ENUM_GUARD.bit_length():
             raise SpecError(f"enumeration guard exceeded (p={p}: 2^{p - 1} "
                             f"subsets, guard {_ENUM_GUARD})")
+        if not _is_prime(p):
+            raise SpecError(f"p={p} is not prime")
     for p in primes:
         h = SemiringHandle.for_domain(neutro_pure(zn_interval(p)))
         t = h.tables()

@@ -223,15 +223,9 @@ class FormalSum:
     def __repr__(self):
         return f"FormalSum({print_formal_sum(self)!r})"
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(self.terms)
-
     def coeff(self, key: int) -> IntervalElem:
         key = _check_key(self.spec, key)
         return self.terms.get(key, domains.domain_zero(self.spec.coefficients))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 def fs_zero(spec: SemiringSpec) -> FormalSum:

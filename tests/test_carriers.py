@@ -3,7 +3,7 @@ from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from intervalsemirings import (
     SpecError,
@@ -29,9 +29,15 @@ from intervalsemirings import (
     validate_witness,
 )
 from intervalsemirings.carriers import (
-    _associative_within,
+    _LAWS,
+    Magma,
+    _cayley,
+    _gathers,
+    _law_witness,
     closure,
+    first_violation,
     generated_closures,
+    generators,
     normalizers,
 )
 
@@ -399,6 +405,13 @@ def ref_closure_of(g, seed):
     return frozenset(current)
 
 
+def ref_associative(g, s):
+    """(xy)z = x(yz) for every x, y, z of s, by a triple loop."""
+    t = g.table
+    return all(t[t[x][y]][z] == t[x][t[y][z]]
+               for x in s for y in s for z in s)
+
+
 def ref_smarandache_certificate(g):
     """Least (size, members) associative proper closure of a single or a
     pair with at least two elements."""
@@ -407,7 +420,7 @@ def ref_smarandache_certificate(g):
     seeds = [(x,) for x in range(k)] + list(combinations(range(k), 2))
     for seed in seeds:
         c = ref_closure_of(g, seed)
-        if 2 <= len(c) < k and _associative_within(g, c):
+        if 2 <= len(c) < k and ref_associative(g, c):
             cert = tuple(sorted(c))
             if best is None or (len(cert), cert) < (len(best), best):
                 best = cert
@@ -453,7 +466,7 @@ def ref_enumerate_substructures(g, kind, max_size):
             return False
         if kind == "subloop":
             return g.identity in s
-        if not _associative_within(g, s):
+        if not ref_associative(g, s):
             return False
         if kind == "subsemigroup":
             return True
@@ -516,3 +529,61 @@ def test_generated_closures_match_closing_every_seed(case, pairs):
     got, scanned = generated_closures(gathers, k, base, pairs)
     assert got == want
     assert scanned == len(seeds) == k + (k * (k - 1) // 2 if pairs else 0)
+
+
+# ---------------------------------------------------------------------------
+# associativity on generators against the full scan
+
+
+def _planted(g, i, j, v):
+    """g with the one entry i*j changed to v."""
+    t = [list(row) for row in g.table]
+    t[i][j] = v
+    return Magma(g.elements, tuple(map(tuple, t)), g.meta)
+
+
+@pytest.mark.parametrize("g, subset, witness", [
+    # 8*0 = 1: the generators are 0, 1, 2, 3, 5 and 7, and 0, 1 and 2 over
+    # the closed subset; 0 fails first, but the first violation has y = 4
+    (_planted(mult_semigroup_zn(12), 8, 0, 1), None, (2, 4, 0)),
+    (_planted(mult_semigroup_zn(12), 8, 0, 1), (0, 1, 2, 4, 8), (2, 4, 0)),
+    # T3 with f8*e = e: 0 fails first, and 8 is no generator
+    (_planted(symmetric_semigroup(3), 8, 0, 0), None, (2, 8, 0)),
+], ids=["mult-semigroup(12)", "mult-semigroup(12)-subset", "T3"])
+def test_law_witness_is_first_violation_not_generator(g, subset, witness):
+    s = range(g.order) if subset is None else subset
+    assert closure_of(g, s) == frozenset(s)
+    t = _cayley(g)
+    gens = generators(_gathers([t]), g.order, s)
+    assert witness[1] not in gens
+    tt = g.table
+    assert any(tt[tt[x][gens[0]]][y] != tt[x][tt[gens[0]][y]]
+               for x in s for y in s)
+    _, holds = _LAWS["associative"]
+    scan = first_violation(sorted(s), 3, lambda *xs: holds(t, None, *xs))
+    assert _law_witness(g, "associative", subset) == scan == witness
+    assert next(xs for xs in product(s, repeat=3)
+                if tt[tt[xs[0]][xs[1]]][xs[2]]
+                != tt[xs[0]][tt[xs[1]][xs[2]]]) == witness
+
+
+def ref_closure(ops, seed):
+    """The closure of seed under each table of ops, as a set."""
+    s = set(seed)
+    while new := {int(t[x][y]) for t in ops for x in s for y in s} - s:
+        s |= new
+    return s
+
+
+@given(closure_tables(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_generators_are_outside_the_closure_of_those_before(case, data):
+    k, ops, _ = case
+    assume(all((t < k).all() for t in ops))  # no local tables
+    candidates = data.draw(st.lists(st.integers(0, k - 1), max_size=10))
+    gens = generators(_gathers(ops), k, candidates)
+    assert gens == [c for i, c in enumerate(candidates)
+                    if c not in ref_closure(ops, candidates[:i])]
+    for i, a in enumerate(gens):
+        assert a not in ref_closure(ops, gens[:i])
+    assert ref_closure(ops, gens) == ref_closure(ops, candidates)

@@ -506,6 +506,15 @@ def test_verify_neutro_prime_refuses_past_the_guard():
     assert "2^22 subsets" in err
 
 
+def test_verify_neutro_prime_refuses_a_composite():
+    # zn(9) is no field, so its closed subset {0, 3I, 6I} is no
+    # counterexample: the list is invalid input
+    code, out, err = run_cli(["verify", "neutro-prime-no-subsemiring",
+                              "--primes", "9"])
+    assert code == 2 and out == ""
+    assert "p=9 is not prime" in err
+
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 

@@ -895,7 +895,8 @@ def test_verify_axioms_witness_is_first_violation_not_generator(add, mul,
                                                                  witness):
     # the additive generators are 0 and 1, so the generator that fails is
     # z = 1 while the first violation has z = 2
-    assert analysis._additive_generators(np.array(add), 0) == [0, 1]
+    assert carriers.generators(carriers._gathers([np.array(add)]), 4,
+                               [0, *range(4)]) == [0, 1]
     h = IndexHandle(add, mul, 0, None)
     assert verify_axioms(h) == (False, witness)
     assert ref_verify_axioms(_object_tables(h), h.elements()) == \
@@ -1045,11 +1046,15 @@ def test_infinite_subsets_match_reference(h, values):
     assert h._tables is None
 
 
-def test_neutro_prime_sweep_matches_reference():
+def test_neutro_prime_sweep_matches_reference(monkeypatch):
     got = theorem_sweep("neutro-prime-no-subsemiring")
     assert got.to_json_str() == ref_sweep_neutro_prime().to_json_str()
     assert got.budget_spent == {"pairs_scanned": 5194}
-    # zn(4) and zn(6) are not fields: a closed subset halts the sweep
+    # a composite modulus is refused; past that check, zn(4) and zn(6) are
+    # not fields, and a closed subset halts the sweep
+    with pytest.raises(SpecError, match="p=4 is not prime"):
+        theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 4, 6))
+    monkeypatch.setattr(analysis, "_is_prime", lambda p: True)
     got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 4, 6))
     assert got.to_json_str() == \
         ref_sweep_neutro_prime((3, 4, 6)).to_json_str()
@@ -1211,6 +1216,8 @@ def test_neutro_prime_sweep_batches_match_reference(monkeypatch, batch):
     monkeypatch.setattr(carriers, "_SUBSET_BATCH", batch)
     got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 5, 7))
     assert got.to_json_str() == ref_sweep_neutro_prime((3, 5, 7)).to_json_str()
+    # composite moduli, past the prime check, find a closed subset
+    monkeypatch.setattr(analysis, "_is_prime", lambda p: True)
     got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 4, 6))
     assert got.to_json_str() == \
         ref_sweep_neutro_prime((3, 4, 6)).to_json_str()
