@@ -24,6 +24,7 @@ import numpy as np
 
 from . import tables
 from .carriers import (
+    LawTable,
     Magma,
     _gathers,
     _is_prime,
@@ -879,12 +880,14 @@ def verify_axioms(h):
         ops = t.add, t.mul, t.zero, t.one
     else:
         ops = _object_tables(h)
-    k = len(ops[0])
-    gens = generators(_gathers([ops[0]]), k, [ops[2], *range(k)])
+    add, mul, zero, one = ops
+    k = len(add)
+    gens = generators(_gathers([add]), k, [zero, *range(k)])
+    reads = LawTable(add), LawTable(mul), zero, one
     for law, arity, holds, report in _AXIOMS:
-        if law == "one-identity" and ops[3] is None:
+        if law == "one-identity" and one is None:
             break
-        bad = first_violation(range(k), arity, lambda *xs: holds(*ops, *xs),
+        bad = first_violation(range(k), arity, lambda *xs: holds(*reads, *xs),
                               gens, report[-1])
         if bad:
             at = h.element_at if isinstance(h, SemiringHandle) \

@@ -339,7 +339,8 @@ def render_table(g: Magma) -> str:
 @dataclass(frozen=True)
 class LawProfile:
     """Identity laws of one finite magma, each decided exactly;
-    associativity on a generating set (``first_violation``).
+    associativity on a generating set (``first_violation``), and the laws
+    it implies by associativity when it holds (``_law_witnesses``).
 
     Exact identities tested (x, y, z range over all elements):
 
@@ -381,22 +382,119 @@ class LawProfile:
     witnesses: dict = field(compare=True, default_factory=dict)
 
 
-def _w_latin(t, k):
-    for x in range(k):
-        seen = {}
-        for y in range(k):
-            v = t[x][y]
-            if v in seen:
-                return (0, x, seen[v], y)
-            seen[v] = y
-    for y in range(k):
-        seen = {}
-        for x in range(k):
-            v = t[x][y]
-            if v in seen:
-                return (1, seen[v], x, y)
-            seen[v] = x
+def _w_latin(t):
+    """First repeated entry of the square index array t along a row, as
+    (0, x, earlier y, y), else along a column, as (1, earlier x, x, y);
+    None when every row and column is a permutation.
+
+    Sorting finds the first row with a repeat.  Sorted stably, a repeat of
+    that row sits right after an equal entry from an earlier position; the
+    least later position is the first repeat a left-to-right scan meets,
+    and its value occurs once before it, at the position sorted just
+    ahead of it.
+    """
+    import numpy as np  # on first use, as in first_violation
+
+    for kind, m in enumerate((t, t.T)):
+        s = np.sort(m, axis=1)
+        rows = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
+        if len(rows):
+            r = int(rows[0])
+            order = np.argsort(m[r], kind="stable")
+            same = m[r, order[1:]] == m[r, order[:-1]]
+            i = np.argmin(np.where(same, order[1:], len(m)))
+            y0, y = int(order[i]), int(order[i + 1])
+            return (0, r, y0, y) if kind == 0 else (1, y0, y, r)
     return None
+
+
+# Entries of one evaluated block of a law scan, and of one computed block of
+# a table compile (``tables``): numpy's take copies a uint8 or uint16 index
+# array to intp, so each array a block reads or makes stays about 64 KB.
+_BLOCK_ENTRIES = 1 << 13
+
+
+class _Axis:
+    """One axis of a ``first_violation`` block: the index array ``a``,
+    which varies along dimension ``dim`` only, and ``run``, the slice of
+    table rows that its indices are when they are consecutive, else None.
+
+    numpy reads an _Axis as the array ``a``, so a law over plain numpy
+    tables evaluates as it would on index arrays; a ``LawTable`` reads a
+    run as a view.
+    """
+
+    __slots__ = ("a", "dim", "run", "ndim")
+
+    def __init__(self, a, dim, run):
+        self.a, self.dim, self.run, self.ndim = a, dim, run, a.ndim
+
+    def __array__(self, dtype=None, copy=None):
+        a = self.a if dtype is None else self.a.astype(dtype)
+        return a.copy() if copy else a
+
+
+def _along(o, d):
+    """Whether the 2-d operand o varies along dimension d at most."""
+    if isinstance(o, _Axis):
+        return o.ndim == 2 and o.dim == d
+    return o.ndim == 2 and o.shape[1 - d] == 1
+
+
+def _arr(o):
+    """The index array of operand o."""
+    return o.a if isinstance(o, _Axis) else o
+
+
+def _pick(v, o, axis):
+    """The entries of v at the indices of o along axis: 0 of a vector v,
+    in o's shape; 1 of a block of rows, one column per index of o."""
+    run = getattr(o, "run", None)
+    if axis == 1:
+        if run is not None:
+            return v[:, run]
+        return v.take(_arr(o).reshape(-1), axis=1)
+    if run is not None:
+        return v[run].reshape(o.a.shape)
+    return v.take(_arr(o))
+
+
+class LawTable:
+    """A square index table t, read as ``t[a, b]`` by a law in
+    ``first_violation``, where a and b are indices, index arrays or the
+    scan's axes; each read returns what numpy's ``t[a, b]`` would.
+
+    A 2-d fancy gather costs several times a view or a 1-d take per entry,
+    so each read takes the cheapest route its operands allow: a row or a
+    column of t where one is a scalar; a view of t where both are runs
+    of the scan's axes; a take of the rows of a, then of the columns of b,
+    where a varies down the block and b across it; otherwise one take from
+    the flat table, its index widened to intp so that the row offsets of a
+    uint8 or uint16 table cannot overflow.
+    """
+
+    __slots__ = ("t", "flat")
+
+    def __init__(self, t):
+        self.t, self.flat = t, t.reshape(-1)
+
+    def __getitem__(self, ab):
+        a, b = ab
+        t = self.t
+        if getattr(a, "ndim", 0) == 0:
+            return t[a, b] if getattr(b, "ndim", 0) == 0 else _pick(t[a], b, 0)
+        if getattr(b, "ndim", 0) == 0:
+            return _pick(t[:, b], a, 0)
+        ra, rb = getattr(a, "run", None), getattr(b, "run", None)
+        if _along(a, 0) and _along(b, 1):
+            rows = t[ra] if ra is not None \
+                else t.take(_arr(a).reshape(-1), axis=0)
+            return _pick(rows, b, 1)
+        if ra is not None and rb is not None and a.dim == 1 and b.dim == 0:
+            return t[ra, rb].T
+        import numpy as np  # on first use, as in first_violation
+
+        return self.flat.take(np.multiply(a, len(t), dtype=np.intp) + b)
 
 
 def first_violation(indices, arity, holds, gens=None, slot=None):
@@ -404,9 +502,16 @@ def first_violation(indices, arity, holds, gens=None, slot=None):
 
     ``holds`` is a vectorised predicate: it takes ``arity`` integer index
     arrays that broadcast against each other and returns a boolean array.
-    Arity 3 is evaluated one first-axis row at a time, so memory stays
-    O(k^2) for k indices and the scan stops at the first failing row.
-    Returns None when ``holds`` is True everywhere.
+    The scan fixes the arguments before the last two, one tuple at a time
+    in order, and evaluates the last two over the grid of indices in row
+    blocks of at most ``_BLOCK_ENTRIES`` entries (but at least one row);
+    arity 1 runs over the indices in blocks of that many.  So memory stays
+    O(block) beyond the tables, and the scan stops at the first failing
+    block.  The grid's arguments are ``_Axis`` objects, which numpy reads
+    as index arrays of shapes (rows, 1) and (1, k), or (rows,) at arity 1,
+    and which a ``LawTable`` reads as views of its table where it can; a
+    law evaluates the same on plain numpy tables.  Returns None when
+    ``holds`` is True everywhere.
 
     With ``gens``, an arity-3 law is first checked with only gens in
     argument ``slot`` (Light's associativity test, Clifford & Preston, The
@@ -427,21 +532,42 @@ def first_violation(indices, arity, holds, gens=None, slot=None):
 
     idx = np.asarray(indices, dtype=np.intp)
     k = len(idx)
+    if not k:
+        return None
+    # ascending indices are one run of table rows when they span k values
+    run = idx[-1] - idx[0] == k - 1
+
+    def axis(lo, hi, dim, shape):
+        return _Axis(idx[lo:hi].reshape(shape), dim,
+                     slice(idx[lo], idx[lo] + hi - lo) if run else None)
+
+    grid = (axis(0, k, 1, (1, k)),) if arity > 1 else ()
+    step = max(1, _BLOCK_ENTRIES // k ** len(grid))
+
+    def failure(call):
+        """First failing grid position of call(rows, *grid), or None."""
+        for lo in range(0, k, step):
+            hi = min(lo + step, k)
+            rows = axis(lo, hi, 0, (hi - lo,) + (1,) * len(grid))
+            ok = np.asarray(call(rows, *grid))
+            if not ok.all():
+                ok = np.broadcast_to(ok, (hi - lo,) + (k,) * len(grid))
+                at = np.unravel_index(np.argmin(ok), ok.shape)
+                return (lo + at[0],) + at[1:]
+        return None
+
     if arity == 3:
-        y, z = np.ix_(idx, idx)
-        if gens and all(np.all(holds(*(y, z)[:slot], a, *(y, z)[slot:]))
-                        for a in gens):
+        if gens and all(
+                failure(lambda *yz: holds(*yz[:slot], a, *yz[slot:])) is None
+                for a in gens):
             return None
         for x in idx:
-            ok = np.broadcast_to(holds(x, y, z), (k, k))
-            if not ok.all():
-                j, l = np.unravel_index(np.argmin(ok), ok.shape)
-                return (int(x), int(idx[j]), int(idx[l]))
+            at = failure(lambda y, z: holds(x, y, z))
+            if at:
+                return (int(x),) + tuple(int(idx[i]) for i in at)
         return None
-    ok = np.broadcast_to(holds(*np.ix_(*[idx] * arity)), (k,) * arity)
-    if ok.all():
-        return None
-    return tuple(int(idx[p]) for p in np.unravel_index(np.argmin(ok), ok.shape))
+    at = failure(holds)
+    return None if at is None else tuple(int(idx[i]) for i in at)
 
 
 def closure(gathers, k, seed, cap):
@@ -631,8 +757,39 @@ def _law_witness(g: Magma, law: str, subset=None):
     indices = range(g.order) if subset is None else sorted(subset)
     gens = generators(_gathers([t]), g.order, indices) \
         if law == "associative" else None
-    return first_violation(indices, arity, lambda *xs: holds(t, e, *xs),
+    reads = LawTable(t)
+    return first_violation(indices, arity, lambda *xs: holds(reads, e, *xs),
                            gens, 1)
+
+
+# The laws associativity implies.  Drop the brackets from both sides of
+# each and the two are the same word: Moufang xyzx, left Bol xyxz, right
+# Bol xyzy, the alternative laws xyy and xxy, and the P-law xyx; in an
+# associative magma every bracketing of a word has the same product.  WIP
+# compares (xy)z and x(yz), which are then equal, but counts only when an
+# identity exists: without one its witness stays ().
+_ASSOCIATIVE_IMPLIES = ("moufang", "left_bol", "right_bol", "wip",
+                        "left_alternative", "right_alternative",
+                        "p_groupoid")
+
+
+def _law_witnesses(g: Magma, laws) -> dict:
+    """``_law_witness`` over g of each of laws, in order, where a law that
+    associativity implies holds without a scan once g is known to be
+    associative (``_ASSOCIATIVE_IMPLIES``).  Associativity is decided where
+    laws ask for it, and before the first arity-3 law it implies unless a
+    law it implies has already failed, which refutes it."""
+    found = {}
+    for law in laws:
+        implied = law in _ASSOCIATIVE_IMPLIES and (
+            law != "wip" or g.identity is not None)
+        if (implied and _LAWS[law][0] == 3 and "associative" not in found
+                and not any(found.get(w) for w in _ASSOCIATIVE_IMPLIES)):
+            found["associative"] = _law_witness(g, "associative")
+        if law not in found:
+            decided = implied and found.get("associative", ()) is None
+            found[law] = None if decided else _law_witness(g, law)
+    return {law: found[law] for law in laws}
 
 
 def closure_of(g: Magma, seed) -> frozenset:
@@ -654,10 +811,11 @@ def _smarandache_certificate(g: Magma) -> Optional[tuple[int, ...]]:
 
 def check_laws(g: Magma) -> LawProfile:
     """Evaluate every law exactly, associativity on a generating set
-    (``first_violation``); relabeling never changes the result."""
-    found = {"latin_square": _w_latin(g.table, g.order),
+    (``first_violation``) and the laws it implies without a scan when it
+    holds (``_law_witnesses``); relabeling never changes the result."""
+    found = {"latin_square": _w_latin(_cayley(g)),
              "has_identity": None if g.identity is not None else ()}
-    found.update((law, _law_witness(g, law)) for law in _LAWS)
+    found.update(_law_witnesses(g, _LAWS))
     witnesses = {law: w for law, w in found.items() if w is not None}
     cert = _smarandache_certificate(g)
     if cert is not None:
@@ -668,13 +826,14 @@ def check_laws(g: Magma) -> LawProfile:
 
 def loop_law_summary(g: Magma) -> dict:
     """The cheap law subset used by the loop sweep: quadratic checks only,
-    plus WIP (cubic, but early-exiting)."""
+    plus WIP (cubic, but early-exiting; decided by associativity when
+    neither alternative law fails, ``_law_witnesses``)."""
     return {
-        "latin_square": _w_latin(g.table, g.order) is None,
+        "latin_square": _w_latin(_cayley(g)) is None,
         "has_identity": g.identity is not None,
-        **{law: _law_witness(g, law) is None
-           for law in ("commutative", "left_alternative",
-                       "right_alternative", "wip")},
+        **{law: w is None for law, w in _law_witnesses(
+            g, ("commutative", "left_alternative", "right_alternative",
+                "wip")).items()},
     }
 
 
@@ -703,7 +862,7 @@ def validate_witness(g: Magma, law: str, witness: tuple) -> bool:
 
 def associator_closure(g: Magma) -> tuple[int, ...]:
     """Subloop generated by all associators a with (xy)z = (x(yz)) * a."""
-    if g.identity is None or _w_latin(g.table, g.order) is not None:
+    if g.identity is None or _w_latin(_cayley(g)) is not None:
         raise SpecError("associator closure requires a loop")
     t = g.table
     r = range(g.order)
@@ -743,7 +902,7 @@ def enumerate_substructures(
     if kind not in ("subloop", "subgroup", "subsemigroup"):
         raise SpecError(f"unknown substructure kind {kind!r}")
     if kind == "subloop" and (
-        g.identity is None or _w_latin(g.table, g.order) is not None
+        g.identity is None or _w_latin(_cayley(g)) is not None
     ):
         raise SpecError("subloop enumeration requires a loop")
     k = g.order
@@ -771,7 +930,7 @@ def normalizers(g: Magma, h) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     n1 = { a : a*H = H*a as sets },  n2 = { a : a*(H*a) = H as sets }.
     """
-    if g.identity is None or _w_latin(g.table, g.order) is not None:
+    if g.identity is None or _w_latin(_cayley(g)) is not None:
         raise SpecError("normalizers require a loop")
     hset = frozenset(h)
     if not hset or any(not 0 <= x < g.order for x in hset):

@@ -96,6 +96,7 @@ class SemiringHandle:
         self.shape = shape
         self._elements = None
         self._decoded = {}
+        self._rendered = {}
         self._tables = None
         self._coefficients = None
         self._layout = None
@@ -253,11 +254,19 @@ class SemiringHandle:
         return self._coefficients
 
     def render(self, x):
-        if self.kind == "domain":
-            return format_element(x)
-        if self.kind == "formal-sum":
-            return str(x)
-        return render_matrix(x)
+        """The text of element x, memoized per element object, so a witness
+        element that ``element_at`` decodes once is rendered once.  The memo
+        keeps x, so no other object can take its id while x is in it."""
+        hit = self._rendered.get(id(x))
+        if hit is None:
+            if self.kind == "domain":
+                text = format_element(x)
+            elif self.kind == "formal-sum":
+                text = str(x)
+            else:
+                text = render_matrix(x)
+            hit = self._rendered[id(x)] = (x, text)
+        return hit[1]
 
     def key(self, x):
         """Sortable canonical key; ordering matches elements()."""

@@ -37,8 +37,9 @@ from .errors import SpecError
 TABLE_BYTE_CAP = 1 << 26
 # Entries of one computed block (explicit rows or columns times the
 # broadcast digit axes), and so of every array a domain operation takes or
-# returns while a table is built: about 64 KB of intp each.
-_BLOCK_ENTRIES = 1 << 13
+# returns while a table is built: about 64 KB of intp each.  The law scan
+# (``carriers.first_violation``) evaluates blocks of the same size.
+_BLOCK_ENTRIES = carriers._BLOCK_ENTRIES
 
 
 class Tables:

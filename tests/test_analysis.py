@@ -739,3 +739,25 @@ def test_infinite_domains_keep_their_structural_verdicts(d):
     assert r.findings == () and r.exhaustive
     c = classify_semiring(dh(d))
     assert c.exhaustive and c.strict and c.zero_divisor_free
+
+
+def test_each_witness_element_is_rendered_once(monkeypatch):
+    from intervalsemirings import formalsums
+
+    h = SemiringHandle.for_formal_sums(
+        formalsums.make_spec(zn_interval(3), cyclic_group(3)))
+    rendered = []
+    real = formalsums.print_formal_sum
+
+    def spy(x):
+        rendered.append(x)
+        return real(x)
+
+    monkeypatch.setattr(formalsums, "print_formal_sum", spy)
+    findings = find_zero_divisors(h).findings
+    distinct = {id(x) for f in findings for x in f.elements}
+    assert sum(len(f.elements) for f in findings) > len(distinct) > 0
+    assert len(rendered) == len(distinct)
+    monkeypatch.undo()
+    assert [f.witness for f in findings] == [
+        tuple(real(x) for x in f.elements) for f in findings]

@@ -1,5 +1,6 @@
 import math
 from itertools import chain, combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,8 +29,11 @@ from intervalsemirings import (
     symmetric_semigroup,
     validate_witness,
 )
+from intervalsemirings import carriers
+from intervalsemirings.analysis import _AXIOMS
 from intervalsemirings.carriers import (
     _LAWS,
+    LawTable,
     Magma,
     _cayley,
     _gathers,
@@ -587,3 +591,191 @@ def test_generators_are_outside_the_closure_of_those_before(case, data):
     for i, a in enumerate(gens):
         assert a not in ref_closure(ops, gens[:i])
     assert ref_closure(ops, gens) == ref_closure(ops, candidates)
+
+
+# ---------------------------------------------------------------------------
+# the law scan's table reads against plain-array evaluation
+
+
+def ref_first_violation(indices, arity, holds, gens=None, slot=None):
+    """The law scan over plain index arrays and whole grids: each arity-3
+    row, each generator check and each smaller law in one broadcast."""
+    idx = np.asarray(indices, dtype=np.intp)
+    k = len(idx)
+    if arity == 3:
+        y, z = np.ix_(idx, idx)
+        if gens and all(np.all(holds(*(y, z)[:slot], a, *(y, z)[slot:]))
+                        for a in gens):
+            return None
+        for x in idx:
+            ok = np.broadcast_to(holds(x, y, z), (k, k))
+            if not ok.all():
+                j, l = np.unravel_index(np.argmin(ok), ok.shape)
+                return (int(x), int(idx[j]), int(idx[l]))
+        return None
+    ok = np.broadcast_to(holds(*np.ix_(*[idx] * arity)), (k,) * arity)
+    if ok.all():
+        return None
+    return tuple(int(idx[p]) for p in np.unravel_index(np.argmin(ok),
+                                                         ok.shape))
+
+
+# every law of both checkers as (arity, holds(add, mul, zero, one, *xs))
+_SCANNED_LAWS = (
+    [(arity, lambda A, M, e, u, *xs, h=holds: h(A, e, *xs))
+     for arity, holds in _LAWS.values()]
+    + [(arity, holds) for _, arity, holds, _ in _AXIOMS])
+
+# lawful add/mul pairs to plant defects in: a chain lattice (max, min),
+# the ring Z_k and a left-zero band under max
+_LAWFUL = (
+    lambda x, y, k: (np.maximum(x, y), np.minimum(x, y)),
+    lambda x, y, k: ((x + y) % k, (x * y) % k),
+    lambda x, y, k: (np.maximum(x, y), x + 0 * y),
+)
+
+
+@st.composite
+def law_scans(draw):
+    """(law, indices, gens, slot, add, mul, zero, one): add and mul are a
+    lawful pair on k <= 40 indices with a few planted defects, so the
+    first violation may lie in any row, over all indices or a sorted
+    subset of them."""
+    k = draw(st.integers(1, 40))
+    x, y = np.ix_(range(k), range(k))
+    dtype = draw(st.sampled_from([np.uint8, np.intp]))
+    ops = [np.array(t, dtype=dtype) for t in draw(st.sampled_from(_LAWFUL))(
+        x, y, k)]
+    cell = st.integers(0, k - 1)
+    for t in ops:
+        for i, j, v in draw(st.lists(st.tuples(cell, cell, cell),
+                                     max_size=3)):
+            t[i, j] = v
+    if draw(st.booleans()):
+        indices = range(k)
+    else:
+        indices = sorted(draw(st.sets(cell, min_size=1)))
+    gens = draw(st.none() | st.lists(st.sampled_from(list(indices)),
+                                     min_size=1, max_size=4))
+    return (draw(st.sampled_from(_SCANNED_LAWS)), indices, gens,
+            draw(st.integers(0, 2)), *ops, draw(cell), draw(cell))
+
+
+@given(law_scans(), st.sampled_from([1, 7, carriers._BLOCK_ENTRIES]))
+@settings(max_examples=300, deadline=None)
+def test_first_violation_matches_plain_array_evaluation(case, block):
+    (arity, holds), indices, gens, slot, add, mul, zero, one = case
+    want = ref_first_violation(
+        indices, arity, lambda *xs: holds(add, mul, zero, one, *xs), gens,
+        slot)
+    reads = LawTable(add), LawTable(mul), zero, one
+    with mock.patch.object(carriers, "_BLOCK_ENTRIES", block):
+        assert first_violation(indices, arity,
+                               lambda *xs: holds(*reads, *xs),
+                               gens, slot) == want
+        assert first_violation(
+            indices, arity, lambda *xs: holds(add, mul, zero, one, *xs),
+            gens, slot) == want
+
+
+def test_first_violation_reads_rows_a_block_at_a_time():
+    # a defect at (39, 38) of max: the first violation of commutativity is
+    # (38, 39), in row 38 of the 40 x 40 grid
+    t = np.maximum(*np.ix_(range(40), range(40)))
+    t[39, 38] = 0
+    _, holds = _LAWS["commutative"]
+    shapes = []
+
+    def spy(x, y):
+        shapes.append(np.broadcast(x, y).shape)
+        return holds(LawTable(t), None, x, y)
+
+    assert first_violation(range(40), 2, spy) == (38, 39)
+    assert shapes == [(40, 40)]   # 8192 entries hold 204 rows
+    shapes.clear()
+    with mock.patch.object(carriers, "_BLOCK_ENTRIES", 7):
+        assert first_violation(range(40), 2, spy) == (38, 39)
+    assert shapes == [(1, 40)] * 39
+
+
+# ---------------------------------------------------------------------------
+# the Latin-square scan against the Python scan it replaced (on the magmas
+# of _LAW_MAGMAS, test_law_witnesses_match_brute_force checks it too)
+
+
+def ref_w_latin(t, k):
+    """First repeated value along a row, then along a column, with the
+    position of its earlier occurrence, by a Python scan."""
+    for x in range(k):
+        seen = {}
+        for y in range(k):
+            v = t[x][y]
+            if v in seen:
+                return (0, x, seen[v], y)
+            seen[v] = y
+    for y in range(k):
+        seen = {}
+        for x in range(k):
+            v = t[x][y]
+            if v in seen:
+                return (1, seen[v], x, y)
+            seen[v] = x
+    return None
+
+
+@given(st.integers(1, 9).flatmap(lambda k: st.tuples(
+    st.just(k), st.permutations(range(k)),
+    st.lists(st.tuples(*[st.integers(0, k - 1)] * 3), max_size=3))))
+@settings(max_examples=300, deadline=None)
+def test_latin_witness_matches_python_scan_on_drawn_tables(case):
+    # a Latin square (a row-shifted permutation) with a few planted
+    # entries, so a repeat may sit in any row or only in a column
+    k, perm, planted = case
+    t = np.array([[perm[(x + y) % k] for y in range(k)] for x in range(k)],
+                 dtype=np.intp)
+    for x, y, v in planted:
+        t[x, y] = v
+    assert carriers._w_latin(t) == ref_w_latin(t.tolist(), k)
+
+
+# ---------------------------------------------------------------------------
+# associativity implies Moufang, both Bol laws, WIP and the quadratic laws
+
+
+@pytest.mark.parametrize(
+    "g", [g for g in _LAW_MAGMAS if _law_witness(g, "associative") is None],
+    ids=lambda g: f"{g.meta.kind}{g.meta.params}".replace(" ", ""))
+def test_associativity_decides_the_laws_it_implies(g):
+    scans = {law: _law_witness(g, law) for law in _LAWS}
+    scanned = []
+    real = carriers._law_witness
+
+    def spy(g, law, subset=None):
+        scanned.append(law)
+        return real(g, law, subset)
+
+    with mock.patch.object(carriers, "_law_witness", spy):
+        assert carriers._law_witnesses(g, _LAWS) == scans
+    implied = set(carriers._ASSOCIATIVE_IMPLIES)
+    if g.identity is None:
+        assert scans["wip"] == ()
+        implied.discard("wip")
+    assert all(scans[law] is None for law in implied)
+    assert implied.isdisjoint(scanned)
+
+
+def test_a_failed_implied_law_refutes_associativity():
+    # every loop of the sweep fails one alternative law, so WIP is scanned
+    # without deciding associativity
+    g = build_loop(7, 3)
+    scanned = []
+    real = carriers._law_witness
+
+    def spy(g, law, subset=None):
+        scanned.append(law)
+        return real(g, law, subset)
+
+    with mock.patch.object(carriers, "_law_witness", spy):
+        loop_law_summary(g)
+    assert scanned == ["commutative", "left_alternative",
+                       "right_alternative", "wip"]
