@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -30,12 +31,12 @@ from .carriers import (
     _is_prime,
     _law_witness,
     build_loop,
-    closed_subsets,
     closure,
     first_violation,
     generators,
     loop_law_summary,
     loop_parameters,
+    substructures,
 )
 from .domains import (
     CHAIN,
@@ -676,11 +677,14 @@ def smarandache_search(h, mode="generated", *, seed_size=2, max_subset=None,
     witness lists the subset.  Generated mode keeps the distinct closures
     of {0, x} and {0, x, y} under both operations, skipping a pair whose
     closure is that of {0, x} or {0, y} (``carriers.generated_closures``);
-    every seed counts in pairs_scanned.  Exhaustive mode enumerates all
-    subsets of handles with at most 20 elements.  With a candidate, the
+    every seed counts in pairs_scanned; seed_size 1 keeps the singles.
+    Exhaustive mode enumerates the closed subsets with 0 of handles with at
+    most 20 elements (``carriers.closed_sets``).  With a candidate, the
     candidate_kind selects the certificate: semifield-subset, s-subsemiring,
     s-ideal, s-pseudo-subsemiring, or s-pseudo-ideal.
     """
+    if seed_size not in (1, 2):
+        raise SpecError(f"seed_size must be 1 or 2, not {seed_size!r}")
     if candidate is not None:
         return _evaluate_candidate(h, list(candidate),
                                    candidate_kind or "semifield-subset")
@@ -697,7 +701,7 @@ def smarandache_search(h, mode="generated", *, seed_size=2, max_subset=None,
     tables.local_dtype(t, t.k - 1)
     top = t.k - 1 if mode == "generated" or max_subset is None \
         else min(max_subset, t.k - 1)
-    hits, scanned = tables.semifields(t, mode, top, seed_size >= 2)
+    hits, scanned = tables.semifields(t, mode, top, seed_size == 2)
     return _report(query, _index_findings(
         h, [("semifield-subset",) + c for c in hits]),
         mode == "exhaustive", scanned)
@@ -987,13 +991,15 @@ def _sweep_neutro_prime(primes=(3, 5, 7, 11, 13)):
     for p in primes:
         h = SemiringHandle.for_domain(neutro_pure(zn_interval(p)))
         t = h.tables()
-        rest = t.nonzero().tolist()
-        # the first proper {0} + combo closed under + and *, if any
-        scanned, closed_subset = next(closed_subsets(
-            [t.add, t.mul], (t.zero,), rest, range(1, len(rest))),
-            (2 ** len(rest) - 2, None))
-        failure = None if closed_subset is None else tuple(
-            format_element(h.element_at(i)) for i in closed_subset)
+        # the least proper closed {0} + c, ranked in combinations order
+        found, scanned = substructures([t.add, t.mul], (t.zero,),
+                                       "exhaustive", t.k - 1)
+        failure = None
+        if found:
+            c = [x - (x > t.zero) for x in found[0] if x != t.zero]
+            scanned = sum(math.comb(t.k - 1, i + 1) - math.comb(
+                t.k - 2 - x, len(c) - i) for i, x in enumerate(c))
+            failure = tuple(format_element(h.element_at(i)) for i in found[0])
         yield (f"p={p}",), failure, scanned, ()
 
 

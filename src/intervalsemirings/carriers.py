@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, permutations
+from itertools import permutations
 from typing import Optional
 
 from .errors import SpecError
@@ -408,8 +408,8 @@ def _w_latin(t):
     return None
 
 
-# Entries of one evaluated block of a law scan, and of one computed block of
-# a table compile (``tables``): numpy's take copies a uint8 or uint16 index
+# Entries of a block of a law scan, a table compile (``tables``) or the
+# check in ``closed_sets``: numpy's take copies a uint8 or uint16 index
 # array to intp, so each array a block reads or makes stays about 64 KB.
 _BLOCK_ENTRIES = 1 << 13
 
@@ -640,49 +640,53 @@ def generated_closures(gathers, k, base, pairs):
     return found, k + k * (k - 1) // 2 if pairs else k
 
 
-def closed(tables, rows):
-    """Whether each row of an (n, m) index array is closed under every one
-    of ``tables``, k x k index arrays where k marks a result outside a
-    local table.  It takes up to about 9*n*m^2 bytes: the callers' limits
-    (24 magma elements, 20 semiring elements, the neutro-prime sweep's
-    guard) keep a batch of ``_SUBSET_BATCH`` rows under about 5 MB."""
+def closed_sets(tables, base, top):
+    """Every set of at most top indices that holds base and is closed under
+    ``tables`` (as in ``closure``), as an ascending index tuple.
+
+    Close-by-One (Kuznetsov, 1993): from a closed S whose last added index
+    is x, close S + y for each y > x outside S, and keep the closure if it
+    adds no index below y, so that each closed set is reached once, and if
+    it fits in top and the table; else drop it with its extensions.  S + y
+    is closed already when row t[y] and column t[:, y] of each table stay
+    in S + y over its members: extensions are checked so in blocks of
+    ``_BLOCK_ENTRIES`` table entries, and only those that fail are closed.
+    """
     import numpy as np  # on first use, as in first_violation
 
-    n = len(rows)
-    at = np.arange(n)[:, None]
-    member = np.zeros((n, len(tables[0]) + 1), dtype=bool)
-    member[at, rows] = True
-    ok = np.ones(n, dtype=bool)
-    for table in tables:
-        out = table[rows[:, :, None], rows[:, None, :]]
-        ok &= member[at[:, :, None], out].all(axis=(1, 2))
-    return ok
-
-
-_SUBSET_BATCH = 1024
-
-
-def closed_subsets(tables, base, pool, sizes):
-    """Lazily, (scanned, subset) for every base + c closed under
-    ``tables`` (as in ``closed``), c running over the r-combinations of
-    pool for each r in sizes, in ``combinations`` order, checked
-    ``_SUBSET_BATCH`` at a time.  The subset is ascending indices, and
-    scanned counts the subsets checked up to and including it."""
-    import numpy as np  # on first use, as in first_violation
-
-    scanned = 0
-    for r in sizes:
-        combos = combinations(pool, r)
-        while batch := list(islice(combos, _SUBSET_BATCH)):
-            rows = np.empty((len(batch), len(base) + r), dtype=np.intp)
-            rows[:, :len(base)] = base
-            rows[:, len(base):] = np.fromiter(
-                chain.from_iterable(batch), dtype=np.intp,
-                count=len(batch) * r).reshape(len(batch), r)
-            rows.sort(axis=1)
-            for i in np.flatnonzero(closed(tables, rows)):
-                yield scanned + int(i) + 1, tuple(rows[i].tolist())
-            scanned += len(rows)
+    k = len(tables[0])
+    gathers = _gathers(tables)
+    root = closure(gathers, k, base, top)
+    if root is None:
+        return []
+    sets = np.zeros((1, k + 1), dtype=bool)
+    sets[0, root] = True
+    found, todo = [tuple(root.tolist())], [(sets, np.array([-1]))]
+    step = max(1, _BLOCK_ENTRIES // k)
+    while todo:
+        sets, last = todo.pop()
+        at, ys = np.nonzero(~sets[:, :k] & (np.arange(k) > last[:, None])
+                            & (sets.sum(axis=1, keepdims=True) < top))
+        for lo in range(0, len(at), step):
+            y = ys[lo:lo + step]
+            grown = sets[at[lo:lo + step]]
+            grown[np.arange(len(y)), y] = True
+            ok = np.ones(len(y), dtype=bool)
+            for t in tables:
+                for out in (t[y], t[:, y].T):
+                    ok &= (np.take_along_axis(grown, out, axis=1)
+                           | ~grown[:, :k]).all(axis=1)
+            for i in np.flatnonzero(~ok):
+                c = closure(gathers, k, np.flatnonzero(grown[i]), top)
+                ok[i] = c is not None and grown[i, c[c < y[i]]].all()
+                if ok[i]:
+                    grown[i, c] = True
+            grown = grown[ok]
+            todo.append((grown, y[ok]))
+            cols = np.nonzero(grown)[1].tolist()
+            ends = np.cumsum(grown.sum(axis=1)).tolist()
+            found += [tuple(cols[a:b]) for a, b in zip([0] + ends, ends)]
+    return found
 
 
 def _gathers(tables):
@@ -692,20 +696,20 @@ def _gathers(tables):
 
 def substructures(tables, base, mode, top, pairs=True):
     """(closed subsets containing base with at most top elements, sorted
-    by size then indices; scanned) under ``tables`` (as in ``closed``).
+    by size then indices; scanned) under ``tables`` (as in ``closure``).
 
-    Generated mode keeps the closures of ``generated_closures``; any
-    other mode checks base + c for every c of 1 to top - |base| other
-    indices (``closed_subsets``), and scanned counts those subsets.
+    Generated mode keeps the closures of ``generated_closures``; any other
+    mode keeps each closed set but base (``closed_sets``), and scanned
+    counts every base + c, for c of 1 to top - |base| other indices.
     """
     k = len(tables[0])
     if mode == "generated":
         found, scanned = generated_closures(_gathers(tables), k, base, pairs)
     else:
-        pool = [x for x in range(k) if x not in base]
-        sizes = range(1, top - len(base) + 1)
-        found = [c for _, c in closed_subsets(tables, base, pool, sizes)]
-        scanned = sum(math.comb(len(pool), r) for r in sizes)
+        found = [c for c in closed_sets(tables, base, top)
+                 if len(c) > len(base)]
+        scanned = sum(math.comb(k - len(base), r)
+                      for r in range(1, top - len(base) + 1))
     return sorted((c for c in found if len(c) <= top),
                   key=lambda c: (len(c), c)), scanned
 
@@ -893,9 +897,9 @@ def enumerate_substructures(
 
     kind: "subloop" (closed, contains the identity; g must be a loop),
     "subgroup", or "subsemigroup", from ``substructures``. Exhaustive
-    search checks every subset up to max_size (``closed_subsets``) and is
-    guarded to |g| <= 24; generated mode keeps the distinct closures of
-    every single element and unordered pair instead, closing a pair only
+    search enumerates every closed subset up to max_size (``closed_sets``)
+    and is guarded to |g| <= 24; generated mode keeps the distinct closures
+    of every single element and unordered pair instead, closing a pair only
     when neither element lies in the other's closure
     (``generated_closures``).
     """

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from intervalsemirings import (
+    SemiringHandle,
     SpecError,
     additive_group_zn,
     associator_closure,
@@ -15,6 +16,7 @@ from intervalsemirings import (
     build_loop,
     carrier_kinds,
     carrier_to_json,
+    chain_lattice,
     check_laws,
     closure_of,
     cyclic_group,
@@ -504,10 +506,11 @@ def test_exhaustive_substructures_match_reference_loop(g, max_size):
 
 
 @st.composite
-def closure_tables(draw):
-    """(k, one or two k x k tables, base seed).  Entries are indices below
-    k, or, for a local table, may also be k: a result outside the subset."""
-    k = draw(st.integers(1, 7))
+def closure_tables(draw, kmax=7):
+    """(k, one or two k x k tables, base seed), k at most kmax.  Entries are
+    indices below k, or, for a local table, may also be k: a result outside
+    the subset."""
+    k = draw(st.integers(1, kmax))
     top = k if draw(st.booleans()) else k - 1
     row = st.lists(st.integers(0, top), min_size=k, max_size=k)
     ops = [np.array(draw(st.lists(row, min_size=k, max_size=k)),
@@ -533,6 +536,55 @@ def test_generated_closures_match_closing_every_seed(case, pairs):
     got, scanned = generated_closures(gathers, k, base, pairs)
     assert got == want
     assert scanned == len(seeds) == k + (k * (k - 1) // 2 if pairs else 0)
+
+
+# ---------------------------------------------------------------------------
+# Close-by-One against checking every subset
+
+
+@given(closure_tables(8), st.integers(0, 8),
+       st.sampled_from([1, 7, carriers._BLOCK_ENTRIES]))
+@settings(max_examples=300, deadline=None)
+def test_closed_sets_match_every_subset(case, top, entries):
+    k, ops, base = case
+    want = [c for r in range(min(top, k) + 1) for c in combinations(range(k), r)
+            if set(base) <= set(c)
+            and all(t[x, y] in c for t in ops for x in c for y in c)]
+    with mock.patch.object(carriers, "_BLOCK_ENTRIES", entries):
+        got = carriers.closed_sets(ops, base, top)
+    assert sorted(got) == sorted(want)
+
+
+def test_exhaustive_substructure_pins():
+    # the subgroups of C24 are those of each order d dividing 24
+    assert enumerate_substructures(cyclic_group(24), "subgroup") == [
+        tuple(range(0, 24, 24 // d)) for d in (1, 2, 3, 4, 6, 8, 12, 24)]
+    # D10: rotations are 0..9 and reflections 10..19
+    assert enumerate_substructures(dihedral_group(10), "subgroup") == [
+        (0,), (0, 5), *[(0, s) for s in range(10, 20)],
+        *[(0, 5, s, s + 5) for s in range(10, 15)], (0, 2, 4, 6, 8),
+        tuple(range(10)), tuple(range(0, 20, 2)),
+        (0, 2, 4, 6, 8, 11, 13, 15, 17, 19), tuple(range(20))]
+    # every {e, x} of L19(3) is a subloop, since x*x = e
+    assert enumerate_substructures(build_loop(19, 3), "subloop") == [
+        (0,), *[(0, x) for x in range(1, 20)], tuple(range(20))]
+
+
+def test_closed_sets_close_only_what_the_batch_check_rejects(monkeypatch):
+    calls = []
+    real = carriers.closure
+    monkeypatch.setattr(carriers, "closure",
+                        lambda *args: calls.append(args) or real(*args))
+    # every subset of a chain with 0 is closed under max and min, and every
+    # extension passes the batch check, so closure runs once, for the root
+    t = SemiringHandle.for_domain(chain_lattice(12)).tables()
+    assert len(carriers.closed_sets([t.add, t.mul], (t.zero,), t.k)) == 2 ** 11
+    assert len(calls) == 1
+    # C24: the empty set and the 8 subgroups, from at most k closures each
+    calls.clear()
+    found = carriers.closed_sets([_cayley(cyclic_group(24))], (), 24)
+    assert len(found) == 9
+    assert len(calls) <= 24 * (len(found) + 1)
 
 
 # ---------------------------------------------------------------------------

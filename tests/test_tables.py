@@ -1005,6 +1005,22 @@ def test_generated_search_matches_reference(name, seed_size):
         ref_smarandache_generated(h, seed_size).to_json_str()
 
 
+def test_smarandache_search_refuses_other_seed_sizes():
+    # 3 once ran the pairs search and 0 the singles search; both are now
+    # refused before the tables are compiled
+    h = dh(chain_lattice(3))
+    for seed_size in (0, 3):
+        with pytest.raises(SpecError, match="seed_size must be 1 or 2"):
+            smarandache_search(h, seed_size=seed_size)
+    assert h._tables is None
+    findings = [{"kind": "semifield-subset", "witness": ["0", "a1"]},
+                {"kind": "semifield-subset", "witness": ["0", "1"]}]
+    for seed_size, scanned in ((1, 3), (2, 6)):
+        assert smarandache_search(h, seed_size=seed_size).to_json() == {
+            "query": "smarandache on chain(3)", "exhaustive": False,
+            "findings": findings, "budget": {"pairs_scanned": scanned}}
+
+
 @pytest.mark.parametrize("build", [
     # chain(3) is a semifield generated by {0, a1, 1}, which is not proper
     lambda: dh(chain_lattice(3)),
@@ -1228,9 +1244,9 @@ def test_local_tables_use_the_small_entry_type_and_count_their_bytes():
     assert t._full == {} and t._dom_tables == {}
 
 
-@pytest.mark.parametrize("batch", [1, 7, 1024])
-def test_neutro_prime_sweep_batches_match_reference(monkeypatch, batch):
-    monkeypatch.setattr(carriers, "_SUBSET_BATCH", batch)
+@pytest.mark.parametrize("entries", [1, 7, carriers._BLOCK_ENTRIES])
+def test_neutro_prime_sweep_batches_match_reference(monkeypatch, entries):
+    monkeypatch.setattr(carriers, "_BLOCK_ENTRIES", entries)
     got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 5, 7))
     assert got.to_json_str() == ref_sweep_neutro_prime((3, 5, 7)).to_json_str()
     # composite moduli, past the prime check, find a closed subset
@@ -1264,48 +1280,59 @@ def test_scan_masks_are_counted_before_allocating():
 @pytest.mark.parametrize("name", ["zn(2).C3 [8]", "row(3) zn(3) [27]",
                                   "neutro-mixed(zn(4))"])
 def test_batched_closedness_matches_reference(name):
-    # every {0, x}, and the pairs with it: in characteristic 2 each {0, x}
-    # is closed under + and only some are closed under *
+    # {0}, every {0, x}, and the pairs with it: in characteristic 2 each
+    # {0, x} is closed under + and only some are closed under *
     h = HANDLES[name]()
     t = h.tables()
     elems = h.elements()
-    for r in (1, 2):
-        rows = np.array([sorted((t.zero,) + c) for c in itertools.combinations(
-            t.nonzero().tolist(), r)])
-        want = [_first_unclosed(h, [elems[i] for i in row],
-                                {elems[i] for i in row}) is None
-                for row in rows]
-        assert carriers.closed([t.add, t.mul], rows).tolist() == want
+    want = [row for r in (0, 1, 2)
+            for row in (tuple(sorted((t.zero,) + c)) for c in
+                        itertools.combinations(t.nonzero().tolist(), r))
+            if _first_unclosed(h, [elems[i] for i in row],
+                               {elems[i] for i in row}) is None]
+    got = carriers.closed_sets([t.add, t.mul], (t.zero,), 3)
+    assert sorted(got) == sorted(want)
 
 
-def _ref_closed_subsets(ops, base, pool, sizes):
-    """(scanned, subset) of each closed base + c, one subset at a time."""
-    scanned = 0
-    for r in sizes:
+def _ref_closed_sets(ops, base, top):
+    """Each closed set that holds base with at most top elements, checked
+    one subset at a time."""
+    pool = [x for x in range(len(ops[0])) if x not in base]
+    for r in range(top - len(base) + 1):
         for c in itertools.combinations(pool, r):
-            scanned += 1
             s = set(base) | set(c)
             if all(op[x, y] in s for op in ops for x in s for y in s):
-                yield scanned, tuple(sorted(s))
+                yield tuple(sorted(s))
 
 
-@pytest.mark.parametrize("batch", [1, 7, 1024])
-def test_closed_subsets_match_reference(monkeypatch, batch):
-    monkeypatch.setattr(carriers, "_SUBSET_BATCH", batch)
+@pytest.mark.parametrize("entries", [1, 7, carriers._BLOCK_ENTRIES])
+def test_closed_subsets_match_reference(monkeypatch, entries):
+    monkeypatch.setattr(carriers, "_BLOCK_ENTRIES", entries)
     t = HANDLES["zn(2).C3 [8]"]().tables()
     # a local table: entry 5 marks a sum or product outside the subset
     s = tables.restrict(t, [0, 1, 2, 4, 7])
     magma = np.array(build_groupoid(4, 1, 2).table)
     loop = np.array(build_loop(7, 3).table)
-    for ops, base, pool, sizes in [
-            ([t.add, t.mul], (t.zero,), t.nonzero().tolist(), range(1, 8)),
-            ([t.add, t.mul], (), range(8), range(0, 9)),
-            ([s.add, s.mul], (s.zero,), [1, 2, 3, 4], range(1, 5)),
-            ([magma], (), range(4), range(1, 5)),
-            ([loop], (0,), range(1, 8), [7, 1, 3])]:
-        got = list(carriers.closed_subsets(ops, base, pool, sizes))
-        assert got == list(_ref_closed_subsets(ops, base, pool, sizes))
+    for ops, base, top in [([t.add, t.mul], (t.zero,), 8),
+                           ([t.add, t.mul], (), 8),
+                           ([s.add, s.mul], (s.zero,), 5),
+                           ([magma], (), 4),
+                           ([loop], (0,), 3)]:
+        got = carriers.closed_sets(ops, base, top)
+        assert sorted(got) == sorted(_ref_closed_sets(ops, base, top))
         assert got
+
+
+def test_exhaustive_search_pins():
+    # every subset of a chain with 0 is closed: all of them but {0} and the
+    # whole chain are found, and all of them are counted as scanned
+    t = dh(chain_lattice(16)).tables()
+    found, scanned = carriers.substructures([t.add, t.mul], (t.zero,),
+                                            "exhaustive", t.k - 1)
+    assert len(found) == scanned == 32766
+    assert smarandache_search(dh(zn_interval(20)), "exhaustive").to_json() == {
+        "query": "smarandache on zn(20)", "exhaustive": True, "findings": [],
+        "budget": {"pairs_scanned": 524286}}
 
 
 @pytest.mark.parametrize("d", [zn_interval(6), zn_interval(12),
