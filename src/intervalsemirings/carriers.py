@@ -19,11 +19,6 @@ from .errors import SpecError
 
 _MAX_TABLE_ENTRIES = 1_000_000
 
-# carriers whose elements are residues mod n (formal-sum tokens use "<r>b")
-RESIDUE_KINDS = ("groupoid", "mult-semigroup", "additive-group", "mult-group")
-# carriers whose identity prints as the bare token "e"
-E_KINDS = ("loop", "cyclic", "dihedral", "symmetric-group")
-
 
 @dataclass(frozen=True)
 class CarrierMeta:
@@ -878,13 +873,13 @@ def associator_closure(g: Magma) -> tuple[int, ...]:
     return tuple(sorted(closure_of(g, assoc | {g.identity})))
 
 
-def _is_subgroup(g: Magma, subset) -> bool:
-    """Whether a closed subset is a group under the operation."""
+def _has_inverses(g: Magma, subset) -> bool:
+    """Whether a subset has a two-sided identity and every element of it a
+    two-sided inverse; a closed associative one is then a group."""
     t = g.table
     ident = _two_sided(t, subset)
     return ident is not None and all(
-        any(t[x][y] == ident == t[y][x] for y in subset) for x in subset) \
-        and _law_witness(g, "associative", subset) is None
+        any(t[x][y] == ident == t[y][x] for y in subset) for x in subset)
 
 
 def enumerate_substructures(
@@ -901,7 +896,8 @@ def enumerate_substructures(
     and is guarded to |g| <= 24; generated mode keeps the distinct closures
     of every single element and unordered pair instead, closing a pair only
     when neither element lies in the other's closure
-    (``generated_closures``).
+    (``generated_closures``).  When g is associative (one scan), so is every
+    closed subset, and no subset is scanned for associativity.
     """
     if kind not in ("subloop", "subgroup", "subsemigroup"):
         raise SpecError(f"unknown substructure kind {kind!r}")
@@ -917,12 +913,14 @@ def enumerate_substructures(
     if mode == "exhaustive" and k > 24:
         raise SpecError("exhaustive substructure search is limited to 24 elements")
 
+    associative = kind != "subloop" and _law_witness(g, "associative") is None
+
     def admits(subset) -> bool:
         if kind == "subloop":
             return g.identity in subset
-        if kind == "subgroup":
-            return _is_subgroup(g, subset)
-        return _law_witness(g, "associative", subset) is None
+        if kind == "subgroup" and not _has_inverses(g, subset):
+            return False
+        return associative or _law_witness(g, "associative", subset) is None
 
     top = k if max_size is None else min(max_size, k)
     found, _ = substructures([_cayley(g)], (), mode, top)

@@ -13,12 +13,14 @@ import os
 import sys
 import time
 
-from .carriers import build_carrier, carrier_kinds, carrier_to_json, render_table
-from .domains import domain_from_json
 from .errors import DomainMismatchError, ParseError, SpecError
-from .expressions import eval_pair
-from .formalsums import PolyBasis, _basis_op, basis_token, make_spec
-from .handle import SemiringHandle
+
+# Each command imports what it uses when it runs: `isl --help` loads only
+# this module and errors, and `isl table` adds carriers.  So the parser
+# spells out carriers.carrier_kinds() here.
+TABLE_KINDS = ("additive-group", "cyclic", "dihedral", "groupoid", "loop",
+               "mult-group", "mult-semigroup", "symmetric-group",
+               "symmetric-semigroup")
 
 _EXIT_EXPECT = 1
 _EXIT_PARAMS = 2
@@ -33,6 +35,10 @@ _MATRIX_KEYS = {"shape", "n"}
 
 def load_spec_file(path):
     """Build a SemiringHandle from a SpecFile JSON document."""
+    from .domains import domain_from_json
+    from .formalsums import make_spec
+    from .handle import SemiringHandle
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -79,6 +85,8 @@ def load_spec_file(path):
 
 
 def _basis_from_json(node, interval_labels):
+    from .formalsums import PolyBasis
+
     if not isinstance(node, dict) or "kind" not in node:
         raise SpecError('"basis" must be an object with a "kind"')
     kind = node["kind"]
@@ -94,6 +102,8 @@ def _basis_from_json(node, interval_labels):
         if interval_labels:
             raise SpecError("interval_labels applies to carrier bases only")
         return PolyBasis(cyclic=cyclic)
+    from .carriers import build_carrier
+
     return build_carrier(kind, interval=interval_labels, **params)
 
 
@@ -117,6 +127,8 @@ def _shape_from_json(node):
 
 
 def _cmd_table(args, out):
+    from .carriers import build_carrier, carrier_to_json, render_table
+
     params = {}
     for name in ("n", "m", "t", "u", "k", "p"):
         v = getattr(args, name)
@@ -131,6 +143,8 @@ def _cmd_table(args, out):
 
 
 def _cmd_eval(args, out):
+    from .expressions import eval_pair
+
     h = load_spec_file(args.spec)
     result = eval_pair(h, args.lhs, args.rhs, args.op)
     if args.trace and args.op == "mul" and h.kind == "formal-sum":
@@ -143,8 +157,9 @@ def _cmd_eval(args, out):
 
 
 def _write_trace(h, args, out):
-    from .expressions import eval_expression
     from .domains import format_element
+    from .expressions import eval_expression
+    from .formalsums import _basis_op, basis_token
 
     spec = h.spec
     p = eval_expression(h, args.lhs)
@@ -326,7 +341,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="print a carrier's Cayley table")
-    p_table.add_argument("kind", choices=carrier_kinds())
+    p_table.add_argument("kind", choices=TABLE_KINDS)
     for name in ("n", "m", "t", "u", "k", "p"):
         p_table.add_argument(f"--{name}", type=int, default=None)
     p_table.add_argument("--interval", action="store_true",

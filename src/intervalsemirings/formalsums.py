@@ -12,14 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from . import domains
-from .carriers import E_KINDS, RESIDUE_KINDS, Magma
 from .domains import DomainSpec, IntervalElem
 from .errors import DomainMismatchError, SpecError
 
 _ENUM_GUARD = 1 << 20
+
+# carriers whose elements are residues mod n (their tokens are "<r>b")
+RESIDUE_KINDS = ("groupoid", "mult-semigroup", "additive-group", "mult-group")
+# carriers whose identity prints as the bare token "e"
+E_KINDS = ("loop", "cyclic", "dihedral", "symmetric-group")
 
 
 @dataclass(frozen=True)
@@ -33,12 +37,10 @@ class PolyBasis:
             raise SpecError("poly-cyclic period must be >= 1")
 
 
-Basis = Union[Magma, PolyBasis]
-
-
 @dataclass(frozen=True)
 class SemiringSpec:
-    """Coefficient domain + basis + the zero-basis absorption flag.
+    """Coefficient domain + basis (a PolyBasis or a carriers.Magma) + the
+    zero-basis absorption flag.  Only a carrier basis loads carriers.
 
     ``absorb_zero_basis`` only matters for carriers with an absorbing
     element z (z*x = x*z = z for all x): when set, terms on z are
@@ -46,19 +48,22 @@ class SemiringSpec:
     """
 
     coefficients: DomainSpec
-    basis: Basis
+    basis: object
     absorb_zero_basis: bool = False
 
 
 def make_spec(
     coefficients: DomainSpec,
-    basis: Basis,
+    basis,
     absorb_zero_basis: Optional[bool] = None,
 ) -> SemiringSpec:
     """Build a spec; the absorption flag defaults to True exactly when the
     carrier has an absorbing element."""
-    if not isinstance(basis, (Magma, PolyBasis)):
-        raise SpecError("basis must be a carrier Magma or a PolyBasis")
+    if not isinstance(basis, PolyBasis):
+        from .carriers import Magma
+
+        if not isinstance(basis, Magma):
+            raise SpecError("basis must be a carrier Magma or a PolyBasis")
     absorbed = _absorbed_index(basis)
     if absorb_zero_basis is None:
         absorb_zero_basis = absorbed is not None
@@ -69,34 +74,35 @@ def make_spec(
     return SemiringSpec(coefficients, basis, absorb_zero_basis)
 
 
-def _absorbed_index(basis: Basis) -> Optional[int]:
-    if isinstance(basis, Magma):
-        return basis.absorbing_index()
-    return None
+def _absorbed_index(basis) -> Optional[int]:
+    if isinstance(basis, PolyBasis):
+        return None
+    return basis.absorbing_index()
 
 
-def basis_is_finite(basis: Basis) -> bool:
-    if isinstance(basis, Magma):
-        return True
-    return basis.cyclic is not None
+def basis_is_finite(basis) -> bool:
+    if isinstance(basis, PolyBasis):
+        return basis.cyclic is not None
+    return True
 
 
 def basis_keys(spec: SemiringSpec) -> list[int]:
     """All basis keys in canonical order, omitting an absorbed zero basis."""
     basis = spec.basis
-    if isinstance(basis, Magma):
-        keys = list(range(basis.order))
-        if spec.absorb_zero_basis:
-            keys.remove(basis.absorbing_index())
-        return keys
-    if basis.cyclic is None:
-        raise SpecError("free polynomial basis is infinite; cannot enumerate")
-    return list(range(basis.cyclic))
+    if isinstance(basis, PolyBasis):
+        if basis.cyclic is None:
+            raise SpecError(
+                "free polynomial basis is infinite; cannot enumerate")
+        return list(range(basis.cyclic))
+    keys = list(range(basis.order))
+    if spec.absorb_zero_basis:
+        keys.remove(basis.absorbing_index())
+    return keys
 
 
 def _basis_op(spec: SemiringSpec, g: int, h: int) -> int:
     basis = spec.basis
-    if isinstance(basis, Magma):
+    if not isinstance(basis, PolyBasis):
         return basis.table[g][h]
     if basis.cyclic is None:
         return g + h
@@ -107,7 +113,7 @@ def _check_key(spec: SemiringSpec, key: int) -> int:
     basis = spec.basis
     if not isinstance(key, int) or key < 0:
         raise SpecError(f"basis key must be a nonnegative integer, got {key!r}")
-    if isinstance(basis, Magma):
+    if not isinstance(basis, PolyBasis):
         if key >= basis.order:
             raise SpecError(f"basis index {key} out of range")
         return key
@@ -246,11 +252,11 @@ def fs_one(spec: SemiringSpec) -> Optional[FormalSum]:
     if one is None:
         return None
     basis = spec.basis
-    if isinstance(basis, Magma):
-        if basis.identity is None:
-            return None
-        return fs_term(spec, basis.identity, one)
-    return fs_term(spec, 0, one)
+    if isinstance(basis, PolyBasis):
+        return fs_term(spec, 0, one)
+    if basis.identity is None:
+        return None
+    return fs_term(spec, basis.identity, one)
 
 
 def _require_same_spec(p: FormalSum, q: FormalSum) -> None:

@@ -501,6 +501,41 @@ def test_exhaustive_substructures_match_reference_loop(g, max_size):
             ref_enumerate_substructures(g, kind, max_size), kind
 
 
+@pytest.mark.parametrize("g, mode", [
+    (build_groupoid(5, 3, 2), "exhaustive"),
+    (build_loop(5, 3), "exhaustive"),
+    (build_groupoid(7, 2, 3), "generated"),
+    (build_groupoid(6, 1, 0), "exhaustive"),
+    (cyclic_group(12), "exhaustive"),
+    (mult_semigroup_zn(10), "exhaustive"),
+    (symmetric_semigroup(3), "generated"),
+], ids=["Z5(3,2)", "L5(3)", "Z7(2,3)", "Z6(1,0)", "C12", "mult-semigroup(10)",
+        "T3"])
+def test_associativity_is_inherited_by_every_closed_subset(g, mode):
+    # the per-set path decides each closed set on its own scan
+    closed, _ = carriers.substructures([_cayley(g)], (), mode, g.order)
+    per_set = {
+        "subsemigroup": [c for c in closed
+                         if _law_witness(g, "associative", c) is None],
+        "subgroup": [c for c in closed if carriers._has_inverses(g, c)
+                     and _law_witness(g, "associative", c) is None],
+    }
+    associative = _law_witness(g, "associative") is None
+    real = carriers._law_witness
+    for kind, want in per_set.items():
+        calls = []
+        with mock.patch.object(carriers, "_law_witness",
+                               lambda g, law, subset=None: calls.append(subset)
+                               or real(g, law, subset)):
+            assert enumerate_substructures(g, kind, mode=mode) == want, kind
+        # g is scanned once; only a nonassociative g scans its subsets too
+        assert calls[0] is None
+        if associative:
+            assert calls == [None], kind
+        else:
+            assert len(calls) > 1, kind
+
+
 # ---------------------------------------------------------------------------
 # the generated-closure search against closing every seed from scratch
 

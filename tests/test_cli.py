@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
-from intervalsemirings import SpecError
+from intervalsemirings import SpecError, cli
+from intervalsemirings.carriers import carrier_kinds
 from intervalsemirings.cli import load_spec_file, main
 
 
@@ -539,8 +541,11 @@ def test_script_prints_json_lines(script, args):
 # ---------------------------------------------------------------------------
 # what a short process loads
 
-HEAVY = ("numpy", "intervalsemirings.analysis", "intervalsemirings.tables")
-_LOADED = f"[m for m in {HEAVY!r} if m in sys.modules]"
+# numpy and every package module the process has loaded
+_LOADED = ("sorted(m for m in sys.modules "
+           "if m == 'numpy' or m.startswith('intervalsemirings.'))")
+_CLI = ["cli", "errors"]
+_EVAL = _CLI + ["domains", "expressions", "formalsums", "handle", "matrices"]
 
 
 def run_fresh(source):
@@ -555,19 +560,24 @@ def run_fresh(source):
     return json.loads(r.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("doc, argv", [
-    (None, ["--help"]),
-    (None, ["table", "loop", "--n", "7", "--m", "3"]),
-    (None, ["table", "cyclic", "--k", "6", "--json"]),
+@pytest.mark.parametrize("doc, argv, modules", [
+    (None, ["--help"], _CLI),
+    (None, ["table", "loop", "--n", "7", "--m", "3"], _CLI + ["carriers"]),
+    (None, ["table", "cyclic", "--k", "6", "--json"], _CLI + ["carriers"]),
     (GROUPOID_NAT, ["eval", "--lhs", "[0,7]*4b", "--rhs", "[0,12]*2b",
-                    "--op", "mul", "--trace"]),
+                    "--op", "mul", "--trace"], _EVAL + ["carriers"]),
+    (POLY_NAT, ["eval", "--lhs", "[0,7]*x^1", "--rhs", "[0,2]*x^3",
+                "--op", "mul", "--trace"], _EVAL),
     (ROW2_ZN4, ["eval", "--lhs", "[[0,1], [0,2]]", "--rhs", "[[0,3], [0,3]]",
-                "--op", "mul"]),
-    (ZN18, ["eval", "--lhs", "[0,5]", "--rhs", "[0,7]", "--op", "add"]),
+                "--op", "mul"], _EVAL),
+    (ZN18, ["eval", "--lhs", "[0,5]", "--rhs", "[0,7]", "--op", "add"], _EVAL),
 ], ids=["help", "table-loop", "table-cyclic-json", "eval-formal-sum-trace",
-        "eval-matrix", "eval-domain"])
-def test_short_command_loads_neither_numpy_nor_analysis(tmp_path, doc, argv):
-    # table, eval and --help run no query, so they must not pay for numpy
+        "eval-poly-trace", "eval-matrix", "eval-domain"])
+def test_short_command_loads_neither_numpy_nor_analysis(tmp_path, doc, argv,
+                                                        modules):
+    # table, eval and --help run no query, so they must not pay for numpy;
+    # each loads exactly the package modules it uses, and only a carrier
+    # (a table, or a carrier basis) loads carriers
     if doc is not None:
         argv = argv[:1] + ["--spec", write_spec(tmp_path, doc)] + argv[1:]
     code, loaded = run_fresh(
@@ -576,19 +586,46 @@ def test_short_command_loads_neither_numpy_nor_analysis(tmp_path, doc, argv):
         f"code = main({argv!r})\n"
         f"print(json.dumps([code, {_LOADED}]))")
     assert code == 0
-    assert loaded == []
+    assert loaded == sorted(f"intervalsemirings.{m}" for m in modules)
+
+
+def test_table_kinds_are_the_carrier_kinds():
+    # the parser offers them without loading carriers
+    assert list(cli.TABLE_KINDS) == carrier_kinds()
 
 
 def test_package_import_loads_analysis_on_first_access():
-    before, same, after = run_fresh(
-        "import json, sys\n"
-        "import intervalsemirings as isl\n"
-        f"before = {_LOADED}\n"
-        "same = isl.find_units is isl.analysis.find_units\n"
-        f"print(json.dumps([before, same, {_LOADED}]))")
+    # a bare import loads no submodule; each name is then the object its
+    # home module defines (its __module__; the matrices module for the two
+    # shape constants), and stays bound in the package
+    before, same, after, wrong, unbound = run_fresh(textwrap.dedent(f"""
+        import importlib, json, sys
+        import intervalsemirings as isl
+        before = {_LOADED}
+        same = (isl.fs_mul is isl.formalsums.fs_mul
+                and isl.find_units is isl.analysis.find_units)
+        after = {_LOADED}
+        wrong = []
+        for name in isl.__all__:
+            obj = getattr(isl, name)
+            if isinstance(obj, type(isl)):
+                ok = obj.__name__ == "intervalsemirings." + name
+            else:
+                home = getattr(obj, "__module__", "intervalsemirings.matrices")
+                ok = (home.startswith("intervalsemirings.")
+                      and getattr(importlib.import_module(home), name) is obj)
+            if not ok:
+                wrong.append(name)
+        unbound = sorted(set(isl.__all__) - set(vars(isl)))
+        print(json.dumps([before, same, after, wrong, unbound]))"""))
     assert before == []
     assert same is True
-    assert after == list(HEAVY)
+    assert after == sorted(
+        ["numpy"] + [f"intervalsemirings.{m}" for m in (
+            "analysis", "carriers", "domains", "errors", "formalsums",
+            "handle", "matrices", "tables")])
+    assert wrong == []
+    assert unbound == []
 
 
 STAR_NAMES = [
