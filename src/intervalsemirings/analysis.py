@@ -6,13 +6,14 @@ domains, formal sums, matrices).  Finite handles within the enumeration guard ar
 exhaustively; infinite or oversized handles fall back to structural arguments
 (reported with ``exhaustive=True`` only when the argument actually decides the
 query) or to pattern instantiations (reported with ``exhaustive=False``).
-The element scans, subset checks, closures and Smarandache searches run on
-the handle's compiled integer tables (``tables``) and render their
-witnesses with ``SemiringHandle.element_at``, which decodes an index
-without enumerating the handle; a given subset of an infinite handle, or
-one of m members in a domain of more than m^2 elements (whose tables would
-enumerate the whole domain), is checked on local tables built from its own
-m^2 object operations.  Homomorphism checks run on the element objects.
+The element scans, axiom checks, subset checks, closures and Smarandache
+searches run on the handle's compiled integer tables (``tables``) and
+render their witnesses with ``SemiringHandle.element_at``, which decodes an
+index without enumerating the handle; a given subset of an infinite
+handle, or one of m members in a domain of more than m^2 elements (whose
+tables would enumerate the whole domain), is checked on local tables built
+from its own m^2 object operations.  Homomorphism checks run on the
+element objects.
 """
 
 from dataclasses import dataclass
@@ -25,15 +26,11 @@ import numpy as np
 
 from . import tables
 from .carriers import (
-    LawTable,
     Magma,
-    _gathers,
     _is_prime,
     _law_witness,
     build_loop,
     closure,
-    first_violation,
-    generators,
     loop_law_summary,
     loop_parameters,
     substructures,
@@ -169,21 +166,19 @@ def _index_findings(h, hits):
     return findings
 
 
-def _strict_domain(d):
-    """is_strict_domain of a domain d or a domain handle's domain, with the
-    witness of a finite one read from its compiled tables (refused over the
-    enumeration guard or the table cap)."""
-    h = d if isinstance(d, SemiringHandle) else SemiringHandle.for_domain(d)
+def _strict_domain(h):
+    """is_strict_domain of a domain handle's domain, with the witness of a
+    finite one read from its compiled tables (refused over the enumeration
+    guard or the table cap)."""
     if not is_finite_domain(h.domain):
         return is_strict_domain(h.domain)
     w = tables.zero_sum_pair(h.tables())
     return w is None, None if w is None else tuple(h.element_at(i) for i in w)
 
 
-def _domain_zero_divisor_pair(d):
-    """Minimal nonzero pair with zero product in a finite domain d (or a
-    domain handle's domain), or None."""
-    h = d if isinstance(d, SemiringHandle) else SemiringHandle.for_domain(d)
+def _domain_zero_divisor_pair(h):
+    """Minimal nonzero pair with zero product in a finite domain handle's
+    domain, or None."""
     hits, _, _ = tables.zero_divisors(h.tables())
     pair = next((xy for kind, *xy in hits if kind == "zero-divisor"), None)
     return None if pair is None else h.pair(*(h.element_at(i) for i in pair))
@@ -784,14 +779,16 @@ def _default_sample(h):
         vals = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2),
                 Fraction(1, 3), Fraction(3), Fraction(2, 3), Fraction(3, 2)]
         return [element(d, v) for v in vals]
-    raise SpecError("a sample is required for this infinite source")
+    raise SpecError("a sample is required for a source that is infinite or "
+                    "over the enumeration guard")
 
 
 def check_homomorphism(f, src, dst, sample=None):
     """Verify f preserves +, *, and 0 on the source (or a sample of it).
 
-    f is a dict keyed by source elements or a callable.  Finite sources are
-    checked on every pair (exhaustive); infinite sources on the sample.
+    f is a dict keyed by source elements or a callable.  Enumerable sources
+    are checked on every pair (exhaustive); infinite sources, and finite ones
+    over the enumeration guard, on the sample.
     The kernel lists checked elements mapping to zero.
     """
     if src.is_enumerable():
@@ -822,97 +819,27 @@ def check_homomorphism(f, src, dst, sample=None):
 
 
 # ---------------------------------------------------------------------------
-# axiom verification (vectorized over index tables)
-
-
-def _object_tables(h):
-    """(add, mul, zero, one) index tables and indices over h.elements(),
-    built with the handle's own add and mul (one is None without one)."""
-    elems = h.elements()
-    idx = {x: i for i, x in enumerate(elems)}
-    add = np.array([[idx[h.add(x, y)] for y in elems] for x in elems],
-                   dtype=np.intp)
-    mul = np.array([[idx[h.mul(x, y)] for y in elems] for x in elems],
-                   dtype=np.intp)
-    one = getattr(h, "one", None)
-    return add, mul, idx[h.zero], None if one is None else idx[one]
-
-
-# The axioms verify_axioms checks, in order: (law, arity, holds, report),
-# where holds(add, mul, zero, one, *xs) takes index arrays and report
-# orders the scanned indices of a violation as its witness.  Right
-# distributivity is scanned in (y, z, x) order and reported as (x, y, z),
-# so report[-1] of an arity-3 law is the argument slot of z; the laws of
-# one come last, and a handle without one stops before them.
-_AXIOMS = (
-    ("zero-identity", 1, lambda A, M, e, u, x: A[e, x] == x, (0,)),
-    ("zero-identity", 1, lambda A, M, e, u, x: A[x, e] == x, (0,)),
-    ("addition-not-commutative", 2,
-     lambda A, M, e, u, x, y: A[x, y] == A[y, x], (0, 1)),
-    ("addition-not-associative", 3,
-     lambda A, M, e, u, x, y, z: A[A[x, y], z] == A[x, A[y, z]], (0, 1, 2)),
-    ("not-left-distributive", 3,
-     lambda A, M, e, u, x, y, z: M[x, A[y, z]] == A[M[x, y], M[x, z]],
-     (0, 1, 2)),
-    ("not-right-distributive", 3,
-     lambda A, M, e, u, y, z, x: M[A[y, z], x] == A[M[y, x], M[z, x]],
-     (2, 0, 1)),
-    ("zero-absorption", 1, lambda A, M, e, u, x: M[e, x] == e, (0,)),
-    ("zero-absorption", 1, lambda A, M, e, u, x: M[x, e] == e, (0,)),
-    ("one-identity", 1, lambda A, M, e, u, x: M[u, x] == x, (0,)),
-    ("one-identity", 1, lambda A, M, e, u, x: M[x, u] == x, (0,)),
-)
+# axiom verification
 
 
 def verify_axioms(h):
-    """Exhaustively check additive commutativity/associativity, the zero
-    identity, both distributive laws, zero absorption and, when the handle
-    has a one, the identity laws of one on a finite handle (``_AXIOMS``).
-
-    The three arity-3 laws are first checked with their z slot running
-    over an additive generating set only (``first_violation`` has the
-    argument); the distributive laws come after additive associativity,
-    which their argument needs.
-
-    Handles run on their compiled tables; other objects with elements(),
-    add, mul, zero (and optionally one) on tables built from their own
-    arithmetic.  Returns (ok, witness); the witness names the failing law
-    and the elements.
+    """Exhaustively check the semiring laws on a finite handle's compiled
+    tables (``tables.axiom_failure``): additive commutativity and
+    associativity, the zero identity, both distributive laws, zero
+    absorption and, when the handle has a one, the identity laws of one.
+    Returns (ok, witness); the witness names the failing law and the
+    elements.
     """
-    if isinstance(h, SemiringHandle):
-        t = h.tables()
-        ops = t.add, t.mul, t.zero, t.one
-    else:
-        ops = _object_tables(h)
-    add, mul, zero, one = ops
-    k = len(add)
-    gens = generators(_gathers([add]), k, [zero, *range(k)])
-    reads = LawTable(add), LawTable(mul), zero, one
-    for law, arity, holds, report in _AXIOMS:
-        if law == "one-identity" and one is None:
-            break
-        bad = first_violation(range(k), arity, lambda *xs: holds(*reads, *xs),
-                              gens, report[-1])
-        if bad:
-            at = h.element_at if isinstance(h, SemiringHandle) \
-                else h.elements().__getitem__
-            return (False, (law,) + tuple(at(bad[i]) for i in report))
-    return (True, None)
+    t = h.tables()
+    bad = tables.axiom_failure(t.add, t.mul, t.zero, t.one)
+    if bad is None:
+        return (True, None)
+    law, *idx = bad
+    return (False, (law, *map(h.element_at, idx)))
 
 
 # ---------------------------------------------------------------------------
 # theorem sweeps
-
-
-def _primes_upto(n):
-    sieve = [True] * (n + 1)
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for q in range(p * p, n + 1, p):
-                sieve[q] = False
-    return out
 
 
 # Each sweep yields (label, failure, scanned, elements) per instance: the
@@ -921,7 +848,7 @@ def _primes_upto(n):
 
 
 def _sweep_zn_prime_clean(pmax=97):
-    for p in _primes_upto(pmax):
+    for p in filter(_is_prime, range(pmax + 1)):
         h = SemiringHandle.for_domain(zn_interval(p))
         label = (f"p={p}",)
         zd = find_zero_divisors(h)
@@ -964,12 +891,12 @@ def _sweep_loop_laws(nmin=5, nmax=25):
 
 
 def _sweep_zn_composite_zd(nmax=100):
-    primes = set(_primes_upto(nmax))
     for n in range(4, nmax + 1):
-        if n in primes:
+        if _is_prime(n):
             continue
         d = zn_interval(n)
-        p = next(q for q in _primes_upto(n) if n % q == 0)
+        # the least divisor above 1 is the least prime factor
+        p = next(q for q in range(2, n) if n % q == 0)
         x = element(d, p)
         y = element(d, n // p)
         zero = domain_zero(d)

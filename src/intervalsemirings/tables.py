@@ -19,11 +19,12 @@ axis, so the sizes of the running sum add up to at most q/(q-1) blocks a
 slot, where explicit indices cost one block per term.
 
 The scans below work on element indices and return index tuples in the
-scan order each docstring states; ``analysis`` renders them.  Subsets are
-checked on their local tables (:class:`Local`), sliced from the compiled
-tables or, on a handle without them, built from object arithmetic; the
-subset searches (closures, semifield subsets, the Smarandache searches)
-run on the same tables.
+scan order each docstring states; ``analysis`` renders them.  The semiring
+laws are checked by ``axiom_failure`` on any pair of k x k index tables.
+Subsets are checked on their local tables (:class:`Local`), sliced from
+the compiled tables or, on a handle without them, built from object
+arithmetic; the subset searches (closures, semifield subsets, the
+Smarandache searches) run on the same tables.
 """
 
 import itertools
@@ -489,6 +490,57 @@ def classify(t):
     zd = (mul == t.zero) & (mul.T == t.zero) & nonzero[:, None] \
         & nonzero[None, :] & (every[:, None] <= every[None, :])
     return strict, noncommuting_pair(t), has_identity(t), _first(zd.T)
+
+
+# The laws axiom_failure checks, in order: (law, arity, holds, report),
+# where holds(add, mul, zero, one, *xs) takes index arrays and report
+# orders the scanned indices of a violation as its witness.  Right
+# distributivity is scanned in (y, z, x) order and reported as (x, y, z),
+# so report[-1] of an arity-3 law is the argument slot of z; the laws of
+# one come last, and tables without one stop before them.
+_AXIOMS = (
+    ("zero-identity", 1, lambda A, M, e, u, x: A[e, x] == x, (0,)),
+    ("zero-identity", 1, lambda A, M, e, u, x: A[x, e] == x, (0,)),
+    ("addition-not-commutative", 2,
+     lambda A, M, e, u, x, y: A[x, y] == A[y, x], (0, 1)),
+    ("addition-not-associative", 3,
+     lambda A, M, e, u, x, y, z: A[A[x, y], z] == A[x, A[y, z]], (0, 1, 2)),
+    ("not-left-distributive", 3,
+     lambda A, M, e, u, x, y, z: M[x, A[y, z]] == A[M[x, y], M[x, z]],
+     (0, 1, 2)),
+    ("not-right-distributive", 3,
+     lambda A, M, e, u, y, z, x: M[A[y, z], x] == A[M[y, x], M[z, x]],
+     (2, 0, 1)),
+    ("zero-absorption", 1, lambda A, M, e, u, x: M[e, x] == e, (0,)),
+    ("zero-absorption", 1, lambda A, M, e, u, x: M[x, e] == e, (0,)),
+    ("one-identity", 1, lambda A, M, e, u, x: M[u, x] == x, (0,)),
+    ("one-identity", 1, lambda A, M, e, u, x: M[x, u] == x, (0,)),
+)
+
+
+def axiom_failure(add, mul, zero, one):
+    """The first semiring law that the k x k index tables add and mul break,
+    as (law, *indices), or None: the laws of ``_AXIOMS`` in order, the
+    identity laws of one only when one is not None.
+
+    The three arity-3 laws are first checked with their z slot running
+    over an additive generating set only (``carriers.first_violation`` has
+    the argument); the distributive laws come after additive associativity,
+    which their argument needs.  The indices are the lexicographically
+    first violation in scan order, permuted by the law's report.
+    """
+    k = len(add)
+    gens = carriers.generators(carriers._gathers([add]), k, [zero, *range(k)])
+    reads = carriers.LawTable(add), carriers.LawTable(mul), zero, one
+    for law, arity, holds, report in _AXIOMS:
+        if law == "one-identity" and one is None:
+            break
+        bad = carriers.first_violation(range(k), arity,
+                                       lambda *xs: holds(*reads, *xs),
+                                       gens, report[-1])
+        if bad:
+            return (law, *(bad[i] for i in report))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from intervalsemirings import analysis, carriers
+from intervalsemirings import analysis, carriers, tables
 from intervalsemirings import (
     PolyBasis,
     ROW,
@@ -456,6 +457,18 @@ def test_bad_map_witnessed():
     assert r.witness[0] == "zero"
 
 
+def test_hom_source_over_the_guard_needs_a_sample():
+    # zn(2^21) is finite but over the enumeration guard: it has no default
+    # sample, and a given one is checked without enumerating the handle
+    h = dh(zn_interval(1 << 21))
+    with pytest.raises(SpecError, match="over the enumeration guard"):
+        check_homomorphism(lambda x: x, h, h)
+    r = check_homomorphism(lambda x: x, h, h,
+                           sample=[h.zero, element(h.domain, 1)])
+    assert r.ok and not r.exhaustive
+    assert h._elements is None
+
+
 # ---------------------------------------------------------------------------
 # axiom verification
 
@@ -479,25 +492,6 @@ def test_verify_axioms_needs_finite_handle():
         verify_axioms(dh(nat_interval()))
 
 
-class TableHandle:
-    """Stand-in handle over explicit add/mul tables on 0..k-1 (zero is 0)."""
-
-    zero = 0
-
-    def __init__(self, add, mul):
-        self.add_table = add
-        self.mul_table = mul
-
-    def elements(self):
-        return list(range(len(self.add_table)))
-
-    def add(self, x, y):
-        return self.add_table[x][y]
-
-    def mul(self, x, y):
-        return self.mul_table[x][y]
-
-
 _MAX3 = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
 _ZERO3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
 
@@ -518,7 +512,9 @@ _ZERO3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
      ("not-right-distributive", 1, 0, 1)),
 ], ids=lambda v: v[0] if isinstance(v[0], str) else None)
 def test_verify_axioms_failure_witness(add, mul, witness):
-    assert verify_axioms(TableHandle(add, mul)) == (False, witness)
+    # index tables on 0..k-1 with zero 0 and no one
+    assert tables.axiom_failure(np.array(add), np.array(mul), 0, None) == \
+        witness
 
 
 # ---------------------------------------------------------------------------

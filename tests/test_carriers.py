@@ -32,7 +32,7 @@ from intervalsemirings import (
     validate_witness,
 )
 from intervalsemirings import carriers
-from intervalsemirings.analysis import _AXIOMS
+from intervalsemirings.tables import _AXIOMS
 from intervalsemirings.carriers import (
     _LAWS,
     LawTable,

@@ -141,6 +141,17 @@ def test_tables_leaves_the_slot_layout_to_the_handle():
         == set()
 
 
+def test_analysis_leaves_the_law_scans_to_tables():
+    # carriers and tables scan, analysis compiles tables and renders what
+    # they find: it reads no law table and takes every query on a handle
+    tree = TREES["analysis.py"]
+    assert _referenced(tree) & {"LawTable", "first_violation", "generators",
+                                "_gathers"} == set()
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func)
+            == "isinstance" and "SemiringHandle" in ast.unparse(node)] == []
+
+
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_f_string_has_a_placeholder(module):
     tree = TREES[module]

@@ -52,7 +52,6 @@ from intervalsemirings.analysis import (
     _closure_under_ops,
     _domain_zero_divisor_pair,
     _finish_classification,
-    _object_tables,
     _report,
     _strict_domain,
     _wit,
@@ -74,6 +73,19 @@ def fsh(coeff, basis, **kw):
 
 def mh(d, shape):
     return SemiringHandle.for_matrices(d, shape)
+
+
+def _object_tables(h):
+    """(add, mul, zero, one) index tables and indices over h.elements(),
+    built with the handle's own add and mul (one is None without one)."""
+    elems = h.elements()
+    idx = {x: i for i, x in enumerate(elems)}
+    add = np.array([[idx[h.add(x, y)] for y in elems] for x in elems],
+                   dtype=np.intp)
+    mul = np.array([[idx[h.mul(x, y)] for y in elems] for x in elems],
+                   dtype=np.intp)
+    one = getattr(h, "one", None)
+    return add, mul, idx[h.zero], None if one is None else idx[one]
 
 
 # the Boolean lattice 2x2 with its bottom at index 1, so the zero is not
@@ -805,26 +817,6 @@ class _Sink:
 # the laws verify_axioms added after the five additive/distributive ones
 
 
-class OneTableHandle:
-    """Stand-in handle over explicit tables on 0..k-1; zero is 0, one is 1."""
-
-    zero = 0
-    one = 1
-
-    def __init__(self, add, mul):
-        self.add_table = add
-        self.mul_table = mul
-
-    def elements(self):
-        return list(range(len(self.add_table)))
-
-    def add(self, x, y):
-        return self.add_table[x][y]
-
-    def mul(self, x, y):
-        return self.mul_table[x][y]
-
-
 _MAX3 = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
 
 
@@ -839,7 +831,9 @@ _MAX3 = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
     ([[0, 0, 0], [0, 1, 2], [0, 1, 2]], ("one-identity", 2)),
 ], ids=["zero-row", "zero-column", "one-row", "one-column"])
 def test_verify_axioms_absorption_and_identity_witness(mul, witness):
-    assert verify_axioms(OneTableHandle(_MAX3, mul)) == (False, witness)
+    # index tables on 0..2 with zero 0 and one 1
+    assert tables.axiom_failure(np.array(_MAX3), np.array(mul), 0, 1) == \
+        witness
 
 
 def test_verify_axioms_new_laws_hold_on_table_lattice():
@@ -851,17 +845,9 @@ def test_verify_axioms_new_laws_hold_on_table_lattice():
 # verify_axioms checks its arity-3 laws on additive generators first
 
 
-class IndexHandle(OneTableHandle):
-    """Stand-in handle over index tables with a given zero and one."""
-
-    def __init__(self, add, mul, zero, one):
-        super().__init__(add, mul)
-        self.zero, self.one = zero, one
-
-
 def ref_verify_axioms(ops, elems):
     """Every law of ``_AXIOMS`` scanned in full over the tables of ops."""
-    for law, arity, holds, report in analysis._AXIOMS:
+    for law, arity, holds, report in tables._AXIOMS:
         if law == "one-identity" and ops[3] is None:
             break
         bad = carriers.first_violation(range(len(ops[0])), arity,
@@ -914,10 +900,9 @@ def test_verify_axioms_witness_is_first_violation_not_generator(add, mul,
     # z = 1 while the first violation has z = 2
     assert carriers.generators(carriers._gathers([np.array(add)]), 4,
                                [0, *range(4)]) == [0, 1]
-    h = IndexHandle(add, mul, 0, None)
-    assert verify_axioms(h) == (False, witness)
-    assert ref_verify_axioms(_object_tables(h), h.elements()) == \
-        (False, witness)
+    ops = (np.array(add), np.array(mul), 0, None)
+    assert tables.axiom_failure(*ops) == witness
+    assert ref_verify_axioms(ops, range(4)) == (False, witness)
 
 
 @given(st.sampled_from(list(HANDLES)),
@@ -944,8 +929,55 @@ def test_verify_axioms_matches_full_scan(name, change, data):
         # right distributivity is reached
         mul[i] = mul[j]
     ops = (add, mul, t.zero, t.one)
-    assert verify_axioms(IndexHandle(add.tolist(), mul.tolist(), t.zero,
-                                     t.one)) == ref_verify_axioms(ops, range(k))
+    bad = tables.axiom_failure(*ops)
+    assert ref_verify_axioms(ops, range(k)) == (bad is None, bad)
+
+
+def ref_axiom_failure(add, mul, zero, one):
+    """The first violation of each ``_AXIOMS`` law in turn, in its scan
+    order and permuted by its report, found by applying the law to Python
+    ints over plain numpy tables."""
+    for law, arity, holds, report in tables._AXIOMS:
+        if law == "one-identity" and one is None:
+            break
+        for xs in itertools.product(range(len(add)), repeat=arity):
+            if not holds(add, mul, zero, one, *xs):
+                return (law, *(xs[i] for i in report))
+    return None
+
+
+@st.composite
+def axiom_tables(draw):
+    """(add, mul, zero, one) on 2 to 4 indices.  Either both tables are
+    drawn at random, or add is a commutative monoid with zero 0 (max, or +
+    mod k) and mul a law that distributes over it (min, or * mod k), with a
+    few entries redrawn, so the distributive and identity laws are reached
+    and may hold."""
+    k = draw(st.integers(2, 4))
+    entry = st.integers(0, k - 1)
+    x, y = np.ogrid[:k, :k]
+    kind = draw(st.sampled_from(["random", "max", "mod"]))
+    if kind == "random":
+        add, mul = (np.array(draw(st.lists(entry, min_size=k * k,
+                                           max_size=k * k))).reshape(k, k)
+                    for _ in range(2))
+        zero = draw(entry)
+    else:
+        add = np.maximum(x, y) if kind == "max" else (x + y) % k
+        mul = np.minimum(x, y) if kind == "max" else (x * y) % k
+        zero = 0
+        for _ in range(draw(st.integers(0, 2))):
+            table = draw(st.sampled_from([add, mul]))
+            table[draw(entry), draw(entry)] = draw(entry)
+    one = draw(st.one_of(st.none(), entry))
+    dtype = draw(st.sampled_from([np.intp, np.uint8]))
+    return add.astype(dtype), mul.astype(dtype), zero, one
+
+
+@given(axiom_tables())
+@settings(max_examples=300, deadline=None)
+def test_axiom_failure_matches_plain_loop(ops):
+    assert tables.axiom_failure(*ops) == ref_axiom_failure(*ops)
 
 
 # ---------------------------------------------------------------------------
@@ -1227,7 +1259,7 @@ def test_domain_zero_divisor_pair_matches_reference(d):
     h = dh(d)
     want = next(_zero_divisor_pairs(h, h.elements()), None)
     want = None if want is None else h.pair(*want)
-    assert _domain_zero_divisor_pair(d) == want
+    assert _domain_zero_divisor_pair(h) == want
 
 
 def test_local_tables_use_the_small_entry_type_and_count_their_bytes():
@@ -1341,7 +1373,7 @@ def test_exhaustive_search_pins():
                          ids=["zn(6)", "zn(12)", "chain(3)", "bool4",
                               "neutro-mixed(zn(4))"])
 def test_strictness_witness_from_tables_matches_object_scan(d):
-    assert _strict_domain(d) == is_strict_domain(d)
+    assert _strict_domain(dh(d)) == is_strict_domain(d)
 
 
 def test_structural_classification_refuses_large_coefficient_domains():
