@@ -3,12 +3,16 @@
 Every finite handle is a vector of n slots over a coefficient domain with q
 elements, laid out by ``SemiringHandle._slots``: a domain is one slot, a
 formal sum one slot per basis key, a matrix one slot per entry.  Both
-operations act through the q x q domain tables: slot o of x + y is
-x[o] + y[o], and slot o of x * y is the domain sum of x[l] * y[r] over the
-slot pairs (l, r), row-major, whose unit product lands on o; a slot no
-product lands on is zero.  Element i is the slot vector whose
-domain-element indices are the base-q digits of i, first slot most
-significant, which is the order of ``SemiringHandle.elements()``.
+operations act slot by slot through the domain operations: slot o of
+x + y is x[o] + y[o], and slot o of x * y is the domain sum of x[l] * y[r]
+over the slot pairs (l, r), row-major, whose unit product lands on o; a
+slot no product lands on is zero.  Element i is the slot vector whose
+domain-element indices (digits) are the base-q digits of i, first slot
+most significant, which is the order of ``SemiringHandle.elements()``.
+Domain entries come from the domain's array kernel (``dom_kernel``),
+integer arithmetic on digit arrays, or from the q x q domain tables built
+with it; the object operations ``domains.dom_add`` and ``dom_mul`` are the
+reference the kernels are tested against.
 
 A table is computed a block at a time.  A side that covers every element
 (all of a full table's columns) is not a list of indices but n broadcast
@@ -46,8 +50,9 @@ _BLOCK_ENTRIES = carriers._BLOCK_ENTRIES
 class Tables:
     """Add/mul index tables of one finite handle, over elements() order.
 
-    Domain tables are built once enough entries are asked for (see
-    ``_dom_op``), each from its own domain operation.  Full k x k tables
+    Domain entries come from the array kernels of ``dom_kernel``, and the
+    q x q domain tables are built with them once enough entries are asked
+    for (see ``_dom_op``).  Full k x k tables
     are built on the first query that needs random access to every entry
     and kept, and ``add`` and ``mul`` return them, as on a :class:`Local`;
     ``block`` computes a few rows or columns without building the whole
@@ -58,10 +63,11 @@ class Tables:
         domain = h._coefficient_handle().domain
         keys, product = h._slots()
         self.n = len(keys)
-        self._dom = domains.domain_elements(domain)
-        self._digit = {domains.element_key(x): i
-                       for i, x in enumerate(self._dom)}
-        self.q = len(self._dom)
+        self._digit = {domains.element_key(x): i for i, x
+                       in enumerate(domains.domain_elements(domain))}
+        self.q = len(self._digit)
+        self._kernel = {kind: dom_kernel(domain, kind)
+                        for kind in ("add", "mul")}
         self.k = self.q ** self.n
         self.dtype = np.min_scalar_type(self.k - 1)
         self._place = [self.q ** (self.n - 1 - s) for s in range(self.n)]
@@ -90,34 +96,30 @@ class Tables:
     def _dom_op(self, kind, x, y):
         """Digits of x (kind) y in the coefficient domain, broadcasting.
 
-        The q x q domain table is built at once when it has no more entries
+        Entries come from the domain's array kernel (``dom_kernel``).  The
+        q x q domain table is built at once when it has no more entries
         than a block, and otherwise once the pairs asked for reach its q^2
         entries; never when it does not fit the byte cap.  Until then each
-        pair runs the domain operation, so a few entries of a large domain
-        cost a few operations and neither route costs more than twice the
-        other.
+        call runs the kernel on the pairs asked for.
         """
         table = self._dom_tables.get(kind)
         if table is None:
-            x, y = np.broadcast_arrays(x, y)
+            f = self._kernel[kind]
+            x, y = np.broadcast_arrays(np.asarray(x, dtype=np.intp),
+                                       np.asarray(y, dtype=np.intp))
             self._dom_spent[kind] += x.size
             size = self.q * self.q
             fits = size * np.dtype(np.intp).itemsize <= TABLE_BYTE_CAP
             pays = size <= _BLOCK_ENTRIES or self._dom_spent[kind] >= size
             if not (fits and pays):
-                return self._dom_direct(kind, x, y)
+                return f(x, y)
             every = np.arange(self.q)
-            table = self._dom_tables[kind] = \
-                self._dom_direct(kind, every[:, None], every[None, :])
+            table = self._dom_tables[kind] = np.empty((self.q, self.q),
+                                                      dtype=np.intp)
+            step = max(1, _BLOCK_ENTRIES // self.q)
+            for r in range(0, self.q, step):
+                table[r:r + step] = f(every[r:r + step, None], every)
         return table[x, y]
-
-    def _dom_direct(self, kind, x, y):
-        f = domains.dom_add if kind == "add" else domains.dom_mul
-        x, y = np.broadcast_arrays(x, y)
-        dom, digit = self._dom, self._digit
-        out = [digit[domains.element_key(f(dom[a], dom[b]))]
-               for a, b in zip(x.flat, y.flat)]
-        return np.array(out, dtype=np.intp).reshape(x.shape)
 
     def _digits(self, idx, m, trail):
         """Slot digits of the positions idx * q^m + t, t < q^m, as broadcast
@@ -223,6 +225,40 @@ class Tables:
     def nonzero(self):
         """Indices of the nonzero elements, in order."""
         return np.delete(np.arange(self.k), self.zero)
+
+
+def dom_kernel(d, kind):
+    """The domain operation ``kind`` ("add" or "mul") of the finite domain d
+    on digit arrays: f(x, y) is the digit of x (kind) y, broadcasting, where
+    a digit is a position in ``domains.domain_elements`` order.
+
+    It computes in intp, never with objects; ``domains.dom_add`` and
+    ``dom_mul`` stay the reference.  A zn product is exact because
+    ``SemiringHandle.tables`` admits q <= 2^20, so (q - 1)^2 < 2^41.  The
+    digit of a + bI over a base of q_b elements is a * q_b + b.
+    """
+    add = kind == "add"
+    if d.kind == domains.ZN:
+        n = d.n
+        return (lambda x, y: (x + y) % n) if add else (lambda x, y: x * y % n)
+    if d.kind == domains.CHAIN:
+        return np.maximum if add else np.minimum
+    if d.kind == domains.TABLE:
+        table = np.array(d.join if add else d.meet, dtype=np.intp)
+        return lambda x, y: table[x, y]
+    if d.kind == domains.NEUTRO_PURE:   # aI (kind) cI = (a (kind) c)I
+        return dom_kernel(d.base, kind)
+    q = domains.domain_size(d.base)
+    plus, times = dom_kernel(d.base, "add"), dom_kernel(d.base, "mul")
+
+    def mixed(x, y):
+        (a, b), (c, e) = np.divmod(x, q), np.divmod(y, q)
+        if add:
+            return plus(a, c) * q + plus(b, e)
+        # (a + bI)(c + eI) = ac + (ae + bc + be)I
+        return times(a, c) * q + plus(plus(times(a, e), times(b, c)),
+                                      times(b, e))
+    return mixed
 
 
 def _check_bytes(what, k, nbytes):

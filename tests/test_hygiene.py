@@ -163,3 +163,10 @@ def test_every_f_string_has_a_placeholder(module):
             and not any(isinstance(v, ast.FormattedValue)
                         for v in node.values)]
     assert bare == []
+
+
+def test_tables_computes_domain_entries_without_object_arithmetic():
+    # the compile reads a domain through its array kernel (tables.dom_kernel),
+    # so it cannot fall back to the object operations, which stay the
+    # reference the tests compare it with
+    assert _referenced(TREES["tables.py"]) & {"dom_add", "dom_mul"} == set()

@@ -8,6 +8,7 @@ arithmetic; the table scans must match them exactly, witnesses and
 import functools
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -1251,6 +1252,107 @@ def test_generated_search_refuses_its_local_tables_first(monkeypatch):
     assert h.tables()._full == {}
 
 
+# ---------------------------------------------------------------------------
+# the array kernels of the domain operations against the object arithmetic
+
+
+# the divisors of 12 under lcm and gcd: distributive, and not a chain
+_DIV12 = (1, 2, 3, 4, 6, 12)
+DIV12 = table_lattice(
+    [[_DIV12.index(math.lcm(a, b)) for b in _DIV12] for a in _DIV12],
+    [[_DIV12.index(math.gcd(a, b)) for b in _DIV12] for a in _DIV12],
+    names=tuple(f"d{a}" for a in _DIV12))
+
+_KERNEL_BASES = ([zn_interval(n) for n in range(2, 41)]
+                 + [chain_lattice(k) for k in range(2, 7)] + [BOOL4, DIV12])
+_NEUTRO_BASES = [zn_interval(2), zn_interval(6), zn_interval(9),
+                 chain_lattice(3), BOOL4, DIV12]
+KERNEL_DOMAINS = _KERNEL_BASES + [f(b) for f in (neutro_pure, neutro_mixed)
+                                  for b in _NEUTRO_BASES]
+
+
+def _object_domain_table(d, kind):
+    """The q x q digit table of d built with dom_add or dom_mul and
+    element_key, over domain_elements order."""
+    elems = domains.domain_elements(d)
+    digit = {element_key(x): i for i, x in enumerate(elems)}
+    f = domains.dom_add if kind == "add" else domains.dom_mul
+    return np.array([[digit[element_key(f(x, y))] for y in elems]
+                     for x in elems], dtype=np.intp)
+
+
+@pytest.mark.parametrize("kind", ["add", "mul"])
+@pytest.mark.parametrize("d", KERNEL_DOMAINS, ids=domains.describe_domain)
+def test_domain_kernel_matches_the_object_arithmetic(d, kind):
+    every = np.arange(domains.domain_size(d))
+    got = tables.dom_kernel(d, kind)(every[:, None], every)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, _object_domain_table(d, kind))
+
+
+def test_zn_kernel_is_exact_at_the_enumeration_guard():
+    # the largest zn a handle compiles: its products stay far inside intp
+    from intervalsemirings.formalsums import _ENUM_GUARD
+    n = _ENUM_GUARD
+    assert dh(zn_interval(n)).is_enumerable()
+    assert not dh(zn_interval(n + 1)).is_enumerable()
+    assert (n - 1) ** 2 < 1 << 41 < np.iinfo(np.intp).max
+    x = np.array([0, 1, n // 2, n - 2, n - 1], dtype=np.intp)
+    for kind, f in (("add", lambda a, b: (a + b) % n),
+                    ("mul", lambda a, b: a * b % n)):
+        got = tables.dom_kernel(zn_interval(n), kind)(x[:, None], x)
+        assert got.tolist() == [[f(a, b) for b in x.tolist()]
+                                for a in x.tolist()]
+
+
+def test_small_index_types_are_widened_before_the_kernel(monkeypatch):
+    # zn(300) with its intp domain table over the cap, so the kernel reads
+    # the digits of the uint16 indices: 299 * 299 overflows uint16
+    monkeypatch.setattr(tables, "TABLE_BYTE_CAP", 8 * 300 * 300 - 1)
+    t = dh(zn_interval(300)).tables()
+    idx = np.array([0, 7, 298, 299], dtype=np.uint16)
+    want = np.array([[a * b % 300 for b in idx.tolist()] for a in idx.tolist()])
+    assert np.array_equal(t.block("mul", idx, idx), want)
+    assert t._dom_tables == {}
+
+
+def _strictness_sums(monkeypatch, h):
+    """_strict_domain(h) and how many dom_add calls it made."""
+    sums, dom_add = [], domains.dom_add
+
+    def counted_add(x, y):
+        sums.append(None)
+        return dom_add(x, y)
+
+    monkeypatch.setattr(domains, "dom_add", counted_add)
+    return _strict_domain(h), len(sums)
+
+
+@pytest.mark.parametrize("d", [zn_interval(30), neutro_mixed(zn_interval(4)),
+                               neutro_pure(DIV12)],
+                         ids=domains.describe_domain)
+def test_strictness_past_the_domain_table_cap_matches_object_scan(
+        monkeypatch, d):
+    # a cap that the full k x k table fits and the intp domain table does not
+    want = is_strict_domain(d)
+    k = domains.domain_size(d)
+    monkeypatch.setattr(tables, "TABLE_BYTE_CAP", 2 * k * k)
+    h = dh(d)
+    assert _strictness_sums(monkeypatch, h) == (want, 0)
+    assert h.tables()._dom_tables == {}
+
+
+def test_strictness_of_zn3000_runs_no_object_sums(monkeypatch):
+    # 3000 elements: the 72 MB intp domain table is over the cap, so every
+    # entry of the full add table comes from the kernel.  The object scan
+    # (is_strict_domain, about 10 s) finds [0,1500] + [0,1500] = [0,0].
+    d = zn_interval(3000)
+    h = dh(d)
+    half = element(d, 1500)
+    assert _strictness_sums(monkeypatch, h) == ((False, (half, half)), 0)
+    assert h.tables()._dom_tables == {}
+
+
 @pytest.mark.parametrize("d", [zn_interval(12), zn_interval(7), BOOL4,
                                neutro_mixed(zn_interval(4)), chain_lattice(4)],
                          ids=["zn(12)", "zn(7)", "bool4", "neutro-mixed(zn(4))",
@@ -1436,9 +1538,10 @@ def test_structural_classification_compiles_the_domain_once(
         "true" if h.kind == "formal-sum" else "false")
     assert want in json.dumps(classify_semiring(h).to_json())
     # one strictness scan of the 300 x 300 domain table, reused by the
-    # zero-divisor question
+    # zero-divisor question; the table comes from the array kernel, so the
+    # only object sums are the pattern's
     assert built == ["chain(300)"]
-    assert len(sums) == 300 * 300 + pattern_sums
+    assert len(sums) == pattern_sums
 
 
 @pytest.mark.parametrize("n, m", [(7, 3), (9, 2)])
