@@ -7,12 +7,11 @@ exhaustively; infinite or oversized handles fall back to structural arguments
 (reported with ``exhaustive=True`` only when the argument actually decides the
 query) or to pattern instantiations (reported with ``exhaustive=False``).
 The element scans, axiom checks, subset checks, closures and Smarandache
-searches run on the handle's compiled integer tables (``tables``) and
-render their witnesses with ``SemiringHandle.element_at``, which decodes an
-index without enumerating the handle; a given subset of an infinite
-handle, or one of m members in a domain of more than m^2 elements (whose
-tables would enumerate the whole domain), is checked on local tables built
-from its own m^2 object operations.  Homomorphism checks run on the
+searches of an enumerable handle run on its compiled integer tables
+(``tables``); ``SemiringHandle.index`` and ``element_at`` convert between
+elements and table indices by arithmetic, without enumerating anything.  A
+given subset of a handle that is not enumerable is checked on local tables
+built from its own m^2 object operations.  Homomorphism checks run on the
 element objects.
 """
 
@@ -487,7 +486,7 @@ def check_substructure(h, subset, kind="subsemiring"):
         raise SpecError("ideal absorption checks require a finite handle")
     t = h.tables()
     w = tables.first_not_absorbing(
-        t, [t.index(h, x) for x in ordered],
+        t, [h.index(x) for x in ordered],
         kind in ("ideal", "left-ideal"), kind in ("ideal", "right-ideal"))
     if w is None:
         return (True, None)
@@ -495,26 +494,13 @@ def check_substructure(h, subset, kind="subsemiring"):
     return (False, (law, h.element_at(x), h.element_at(y)))
 
 
-def _sliced(h, m):
-    """Whether a subset of m members of h is checked on slices of its
-    compiled tables.
-
-    An enumerable formal-sum or matrix handle compiles tables over a small
-    coefficient domain.  A domain handle's tables enumerate all k elements,
-    which pays once the subset's m^2 operations reach k; a smaller subset
-    costs its own m^2 object operations, as on an infinite handle.
-    """
-    return h.is_enumerable() and (h.kind != "domain" or m * m >= h.size())
-
-
 def _subset_tables(h, members):
-    """(local tables, members) of the distinct members in key order,
-    sliced from the compiled tables or built from m^2 object sums and
-    products (see _sliced)."""
+    """(local tables, members) of the distinct members in key order, sliced
+    from the compiled tables of an enumerable handle, or else built from m^2
+    object sums and products."""
     ordered = sorted(set(members), key=h.key)
-    if _sliced(h, len(ordered)):
-        t = h.tables()
-        return tables.restrict(t, [t.index(h, x) for x in ordered]), ordered
+    if h.is_enumerable():
+        return tables.restrict(h.tables(), [h.index(x) for x in ordered]), ordered
     pos = {x: i for i, x in enumerate(ordered)}
     m = len(ordered)
 
@@ -633,8 +619,8 @@ def _classify_structural(h):
 
 def _closure_under_ops(h, seed, cap=_CLOSURE_CAP):
     """Closure of seed under + and * (None if it exceeds the cap), on element
-    objects: only where the seed is not sliced from compiled tables (on
-    infinite handles and small seeds in large domains, see _sliced)."""
+    objects: only on a handle that is not enumerable, which has no compiled
+    tables."""
     out = set(seed)
     frontier = list(seed)
     while frontier:
@@ -741,12 +727,12 @@ def _pseudo_superset(h, mset):
     semifield or S-subsemiring, as members in key order, or None; a closure
     past the cap decides nothing."""
     seed = mset | {h.zero}
-    if _sliced(h, len(seed)):
+    if h.is_enumerable():
         t = h.tables()
         # blocks of the sums and products: no full table is built
         c = closure([lambda s: t.block("add", s, s),
                      lambda s: t.block("mul", s, s)],
-                    t.k, [t.index(h, x) for x in seed], _CLOSURE_CAP)
+                    t.k, [h.index(x) for x in seed], _CLOSURE_CAP)
         c = None if c is None else [h.element_at(i) for i in c]
     else:
         c = _closure_under_ops(h, seed)

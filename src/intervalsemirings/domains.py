@@ -437,17 +437,25 @@ def domain_size(d: DomainSpec) -> int:
 
 
 def domain_elements(d: DomainSpec) -> list[IntervalElem]:
-    """All elements in canonical order; raises SpecError on infinite domains."""
-    if not is_finite_domain(d):
-        raise SpecError(f"{describe_domain(d)} is infinite; cannot enumerate")
-    if d.kind == ZN:
-        return [IntervalElem(d, a) for a in range(d.n)]
-    if d.kind in _LATTICE_KINDS:
-        return [IntervalElem(d, i) for i in range(d.k)]
-    base_payloads = [e.a for e in domain_elements(d.base)]
-    if d.kind == NEUTRO_PURE:
-        return [IntervalElem(d, a) for a in base_payloads]
-    return [IntervalElem(d, a, b) for a in base_payloads for b in base_payloads]
+    """All elements in canonical order; domain_size raises SpecError on an
+    infinite domain."""
+    return [domain_element_at(d, i) for i in range(domain_size(d))]
+
+
+def domain_element_at(d: DomainSpec, i: int) -> IntervalElem:
+    """The element at position i of a finite domain's canonical order: the
+    payload i (a residue, a lattice index, or the I-coefficient of aI), or
+    a + bI with (a, b) = divmod(i, q) over a base of q elements."""
+    if d.kind == NEUTRO_MIXED:
+        return IntervalElem(d, *divmod(i, domain_size(d.base)))
+    return IntervalElem(d, i)
+
+
+def domain_position(d: DomainSpec, key) -> int:
+    """Inverse of domain_element_at, from the element's ``element_key``."""
+    if d.kind == NEUTRO_MIXED:
+        return key[0] * domain_size(d.base) + key[1]
+    return key[0]
 
 
 def element_key(x: IntervalElem):

@@ -11,7 +11,6 @@ reassociates, so nonassociative bases behave exactly as parenthesized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Iterable, Optional
 
 from . import domains
@@ -304,18 +303,11 @@ def semiring_size(spec: SemiringSpec) -> int:
 
 def enumerate_elements(spec: SemiringSpec) -> list[FormalSum]:
     """All elements in canonical order (coefficient vectors over the basis
-    keys, first key most significant). Guarded to 2^20 elements."""
-    size = semiring_size(spec)
-    if size > _ENUM_GUARD:
-        raise SpecError(
-            f"semiring has {size} elements, beyond the {_ENUM_GUARD} guard"
-        )
-    keys = basis_keys(spec)
-    coeffs = domains.domain_elements(spec.coefficients)
-    out = []
-    for combo in iter_product(coeffs, repeat=len(keys)):
-        out.append(FormalSum(spec, list(zip(keys, combo))))
-    return out
+    keys, first key most significant), as ``SemiringHandle.elements``
+    builds them. Guarded to 2^20 elements."""
+    from .handle import SemiringHandle   # handle builds on this module
+
+    return SemiringHandle.for_formal_sums(spec).elements()
 
 
 def print_formal_sum(p: FormalSum) -> str:

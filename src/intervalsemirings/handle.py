@@ -11,6 +11,7 @@ first query that needs them, so an ``isl table`` or ``isl eval`` process
 never loads them.
 """
 
+import functools
 import itertools
 
 from .domains import (
@@ -20,15 +21,17 @@ from .domains import (
     RAT,
     TABLE,
     ZN,
+    domain_element_at,
     domain_elements,
     domain_one,
+    domain_position,
     domain_size,
     domain_zero,
     element_key,
     format_element,
     is_finite_domain,
 )
-from .errors import SpecError
+from .errors import DomainMismatchError, SpecError
 from .formalsums import (
     FormalSum,
     PolyBasis,
@@ -36,7 +39,6 @@ from .formalsums import (
     _basis_op,
     basis_is_finite,
     basis_keys,
-    enumerate_elements,
     fs_one,
     fs_zero,
 )
@@ -192,45 +194,64 @@ class SemiringHandle:
 
     def elements(self):
         """All elements in canonical order, ascending by key (guarded)."""
-        if self._elements is not None:
-            return self._elements
-        self._require_enumerable()
+        if self._elements is None:
+            self._require_enumerable()
+            dom = domain_elements(self._coefficient_handle().domain)
+            self._elements = list(map(self._slot_constructor, itertools.product(
+                dom, repeat=len(self._slots()[0]))))
+        return self._elements
+
+    @functools.cached_property
+    def _slot_constructor(self):
+        """f(values): the element whose slots hold the coefficient domain
+        elements values, first slot first (made once)."""
         if self.kind == "domain":
-            out = domain_elements(self.domain)
-        elif self.kind == "formal-sum":
-            out = enumerate_elements(self.spec)
-        else:
-            slots = len(self._slots()[0])
-            dom = domain_elements(self.domain)
-            out = []
-            for combo in itertools.product(dom, repeat=slots):
-                out.append(IntervalMatrix(self.domain, self.shape, tuple(combo)))
-        self._elements = out
-        return out
+            return lambda values: values[0]
+        if self.kind == "formal-sum":
+            spec, keys = self.spec, self._slots()[0]
+            return lambda values: FormalSum(spec, zip(keys, values))
+        domain, shape = self.domain, self.shape
+        return lambda values: IntervalMatrix(domain, shape, tuple(values))
 
     def element_at(self, i):
-        """elements()[i] without enumerating the handle: the element whose
-        slot values are the coefficient domain's elements at the base-q
-        digits of i, first slot most significant (memoized per index)."""
+        """elements()[i] without enumerating any handle, memoized per index:
+        a domain's element at position i (``domain_element_at``), or the
+        element whose slots hold the coefficient handle's elements at the
+        base-q digits of i, first slot most significant."""
         if self._elements is not None:
             return self._elements[i]
         x = self._decoded.get(i)
         if x is None:
-            dom = self._coefficient_handle().elements()
             if self.kind == "domain":
-                return dom[i]
-            keys = self._slots()[0]
-            digits, rest = [], i
-            for _ in keys:
-                rest, d = divmod(rest, len(dom))
-                digits.append(dom[d])
-            digits.reverse()
-            if self.kind == "formal-sum":
-                x = FormalSum(self.spec, zip(keys, digits))
+                x = domain_element_at(self.domain, i)
             else:
-                x = IntervalMatrix(self.domain, self.shape, tuple(digits))
+                c = self._coefficient_handle()
+                q, rest, values = domain_size(c.domain), i, []
+                for _ in self._slots()[0]:
+                    rest, digit = divmod(rest, q)
+                    values.append(c.element_at(digit))
+                x = self._slot_constructor(values[::-1])
             self._decoded[i] = x
         return x
+
+    def index(self, x):
+        """Position of element x in elements() order, the inverse of
+        element_at: the base-q number of its slots' domain positions
+        (``domain_position``), first slot most significant.  An element of
+        another domain, spec or shape is refused."""
+        ours = x.spec == self.spec if self.kind == "formal-sum" else (
+            x.domain == self.domain and getattr(x, "shape", None) == self.shape)
+        if not ours:
+            raise DomainMismatchError(f"{x} is not an element of "
+                                      f"{self.describe()}")
+        d = self._coefficient_handle().domain
+        key = self.key(x)
+        if self.kind == "domain":
+            return domain_position(d, key)
+        q, i = domain_size(d), 0
+        for part in key:
+            i = i * q + domain_position(d, part)
+        return i
 
     def tables(self):
         """Integer add/mul tables over elements() order (compiled once)."""

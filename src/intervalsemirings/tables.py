@@ -6,9 +6,12 @@ formal sum one slot per basis key, a matrix one slot per entry.  Both
 operations act slot by slot through the domain operations: slot o of
 x + y is x[o] + y[o], and slot o of x * y is the domain sum of x[l] * y[r]
 over the slot pairs (l, r), row-major, whose unit product lands on o; a
-slot no product lands on is zero.  Element i is the slot vector whose
-domain-element indices (digits) are the base-q digits of i, first slot
-most significant, which is the order of ``SemiringHandle.elements()``.
+slot no product lands on is zero.  A domain element's digit is its
+position, ``domains.domain_position``: its payload a, or a * q_b + b for
+a + bI over a base of q_b elements.  Element i is the slot vector whose
+digits are the base-q digits of i, first slot most significant, which is
+the order of ``SemiringHandle.elements()``; ``SemiringHandle.index`` and
+``element_at`` convert by this arithmetic, so no compile enumerates.
 Domain entries come from the domain's array kernel (``dom_kernel``),
 integer arithmetic on digit arrays, or from the q x q domain tables built
 with it; the object operations ``domains.dom_add`` and ``dom_mul`` are the
@@ -63,9 +66,7 @@ class Tables:
         domain = h._coefficient_handle().domain
         keys, product = h._slots()
         self.n = len(keys)
-        self._digit = {domains.element_key(x): i for i, x
-                       in enumerate(domains.domain_elements(domain))}
-        self.q = len(self._digit)
+        self.q = domains.domain_size(domain)
         self._kernel = {kind: dom_kernel(domain, kind)
                         for kind in ("add", "mul")}
         self.k = self.q ** self.n
@@ -77,21 +78,12 @@ class Tables:
             if (o := product(l, r)) is not None:
                 mul[o].append((l, r))
         self._terms = {"add": [[(s, s)] for s in range(self.n)], "mul": mul}
-        self._zero_digit = self._digit[
-            domains.element_key(domains.domain_zero(domain))]
         self._dom_tables = {}
         self._dom_spent = {"add": 0, "mul": 0}
         self._full = {}
-        self.zero = self.index(h, h.zero)
-        self.one = None if h.one is None else self.index(h, h.one)
-
-    def index(self, h, x):
-        """Position of element x of handle h in elements() order."""
-        key = h.key(x)
-        i = 0
-        for part in ((key,) if h.kind == "domain" else key):
-            i = i * self.q + self._digit[part]
-        return i
+        self.zero = h.index(h.zero)
+        self._zero_digit = self.zero % self.q  # the zero is zero in every slot
+        self.one = None if h.one is None else h.index(h.one)
 
     def _dom_op(self, kind, x, y):
         """Digits of x (kind) y in the coefficient domain, broadcasting.
@@ -230,7 +222,7 @@ class Tables:
 def dom_kernel(d, kind):
     """The domain operation ``kind`` ("add" or "mul") of the finite domain d
     on digit arrays: f(x, y) is the digit of x (kind) y, broadcasting, where
-    a digit is a position in ``domains.domain_elements`` order.
+    a digit is a domain position (``domains.domain_position``).
 
     It computes in intp, never with objects; ``domains.dom_add`` and
     ``dom_mul`` stay the reference.  A zn product is exact because

@@ -170,3 +170,11 @@ def test_tables_computes_domain_entries_without_object_arithmetic():
     # so it cannot fall back to the object operations, which stay the
     # reference the tests compare it with
     assert _referenced(TREES["tables.py"]) & {"dom_add", "dom_mul"} == set()
+
+
+def test_tables_reads_domain_positions_through_the_handle():
+    # a digit is a domain position (domains.domain_position), which
+    # SemiringHandle.index computes: the compile lists no domain's elements
+    # and keys no element itself
+    assert _referenced(TREES["tables.py"]) & {"domain_elements",
+                                              "element_key"} == set()

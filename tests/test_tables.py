@@ -47,7 +47,7 @@ from intervalsemirings import (
     verify_axioms,
     zn_interval,
 )
-from intervalsemirings import analysis, carriers, cli, domains, tables
+from intervalsemirings import analysis, carriers, cli, domains, handle, tables
 from intervalsemirings.analysis import (
     Finding,
     _closure_under_ops,
@@ -717,9 +717,9 @@ def test_slot_product_matches_the_compiled_tables(name):
     for p, q in itertools.product(range(len(keys)), repeat=2):
         x, y = unit(p, c), unit(q, c)
         o = product(p, q)
-        want = t.index(h, h.zero if o is None else unit(o, c * c))
-        assert want == t.index(h, h.mul(x, y))
-        assert want == int(t.op("mul", t.index(h, x), t.index(h, y)))
+        want = h.index(h.zero if o is None else unit(o, c * c))
+        assert want == h.index(h.mul(x, y))
+        assert want == int(t.op("mul", h.index(x), h.index(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -1182,30 +1182,69 @@ def test_scan_memory_estimates_are_refused_before_allocating():
 # cost on large domains and the memory of local tables
 
 
-def test_subsets_of_a_large_domain_cost_their_own_operations():
-    # 50000 elements: a domain table would be 50000^2 entries
-    h = dh(zn_interval(50000))
+def _refuse_enumeration(monkeypatch):
+    """Make every binding of domains.domain_elements raise."""
+    def refuse(d):
+        raise AssertionError(f"{domains.describe_domain(d)} enumerated")
+
+    for module in (domains, analysis, handle):
+        monkeypatch.setattr(module, "domain_elements", refuse)
+
+
+def test_subsets_of_a_large_domain_cost_their_own_operations(monkeypatch):
+    # 50000 elements: a domain table would be 50000^2 entries, and the
+    # subset checks enumerate no element: the kernel computes the m x m
+    # entries of the subset and, for absorption, k x m entries
+    h, ref = dh(zn_interval(50000)), dh(zn_interval(50000))
     subset = [element(h.domain, v) for v in (0, 1, 25000)]
-    assert semifield_within(h, subset) == ref_semifield_within(h, subset)
-    assert check_substructure(h, subset, "subsemiring") == \
-        ref_check_substructure(h, subset, "subsemiring")
-    for kind in CANDIDATE_KINDS:
-        got = smarandache_search(h, candidate=subset, candidate_kind=kind)
+    with monkeypatch.context() as m:
+        _refuse_enumeration(m)
+        within = semifield_within(h, subset)
+        kinds = ("subsemiring", "ideal", "left-ideal", "right-ideal")
+        subs = [check_substructure(h, subset, kind) for kind in kinds]
+        candidates = [smarandache_search(h, candidate=subset,
+                                         candidate_kind=kind)
+                      for kind in CANDIDATE_KINDS]
+    assert within == ref_semifield_within(ref, subset)
+    assert subs == [ref_check_substructure(ref, subset, kind)
+                    for kind in kinds]
+    for kind, got in zip(CANDIDATE_KINDS, candidates):
         assert got.to_json_str() == \
-            ref_candidate(h, subset, kind).to_json_str()
+            ref_candidate(ref, subset, kind).to_json_str()
         # the closure of {0, 1} is all 50000 elements, past the cap
         assert got.exhaustive == (kind not in PSEUDO_KINDS)
-    assert h._tables is None
-    # absorption reads every element, through k x m direct operations
-    for kind in ("ideal", "left-ideal", "right-ideal"):
-        assert check_substructure(h, subset, kind) == \
-            ref_check_substructure(h, subset, kind)
+    assert h._elements is None
     assert h.tables()._dom_tables == {} and h.tables()._full == {}
-    # 4 members of 12 elements: 16 operations pay for the compiled tables
+    # an enumerable handle checks every subset on its compiled tables
     h = dh(zn_interval(12))
     subset = [element(h.domain, v) for v in (0, 3, 6, 9)]
     assert semifield_within(h, subset) == ref_semifield_within(h, subset)
     assert h._tables is not None
+
+
+def test_queries_on_the_largest_zn_enumerate_nothing(monkeypatch):
+    # zn(2^20), the largest zn the enumeration guard admits: a position is
+    # a payload, so the compile, the scans and the subset checks list no
+    # element.  The outputs are those of the object scans: x*x = x only at
+    # 0 and 1, no product in row [0,1] vanishes, and 1 + 1 = 2 leaves the
+    # subset.
+    _refuse_enumeration(monkeypatch)
+    h = dh(zn_interval(1 << 20))
+    t = h.tables()
+    assert (t.k, t.zero, t.one) == (1 << 20, 0, 1)
+    assert find_zero_divisors(h, budget=1000).to_json_str() == (
+        '{"query": "zero-divisors on zn(1048576)", "exhaustive": false, '
+        '"findings": [], "budget": {"pairs_scanned": 1000}}')
+    assert find_idempotents(h).to_json_str() == (
+        '{"query": "idempotents on zn(1048576)", "exhaustive": true, '
+        '"findings": [{"kind": "idempotent", "witness": ["[0,0]"]}, '
+        '{"kind": "idempotent", "witness": ["[0,1]"]}], '
+        '"budget": {"pairs_scanned": 1048576}}')
+    subset = [element(h.domain, v) for v in (0, 1, 1 << 19)]
+    unclosed = (False, ("not-closed-under-addition", subset[1], subset[1]))
+    assert semifield_within(h, subset) == unclosed
+    assert check_substructure(h, subset, "subsemiring") == unclosed
+    assert h._elements is None
 
 
 @pytest.mark.parametrize("n", [2000, 12000])
@@ -1269,6 +1308,43 @@ _NEUTRO_BASES = [zn_interval(2), zn_interval(6), zn_interval(9),
                  chain_lattice(3), BOOL4, DIV12]
 KERNEL_DOMAINS = _KERNEL_BASES + [f(b) for f in (neutro_pure, neutro_mixed)
                                   for b in _NEUTRO_BASES]
+
+
+@pytest.mark.parametrize("d", KERNEL_DOMAINS, ids=domains.describe_domain)
+def test_domain_positions_round_trip(d):
+    q = domains.domain_size(d)
+    elems = [domains.domain_element_at(d, i) for i in range(q)]
+    assert elems == domains.domain_elements(d)
+    # positions ascend with the canonical key and invert the decoding
+    assert sorted(elems, key=element_key) == elems and len(set(elems)) == q
+    assert [domains.domain_position(d, element_key(x)) for x in elems] == \
+        list(range(q))
+
+
+@pytest.mark.parametrize("name", list(HANDLES))
+def test_handle_index_inverts_element_at(name):
+    h = HANDLES[name]()
+    assert [h.index(h.element_at(i)) for i in range(h.size())] == \
+        list(range(h.size()))
+
+
+# for a handle of HANDLES, another handle whose elements' keys may still
+# read as positions of its order
+FOREIGN = {
+    "zn(12)": lambda: dh(zn_interval(7)),
+    "zn(4).C3 [64]": lambda: fsh(zn_interval(2), cyclic_group(3)),
+    "row(3) zn(3) [27]": lambda: mh(zn_interval(3), (ROW, 2)),
+    "square(2) zn(2) [16]": lambda: mh(zn_interval(2), (ROW, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(FOREIGN))
+def test_an_element_of_another_handle_has_no_index(name):
+    h, x = HANDLES[name](), FOREIGN[name]().element_at(1)
+    with pytest.raises(SpecError, match="is not an element of"):
+        h.index(x)
+    with pytest.raises(SpecError):
+        semifield_within(h, [h.zero, x])
 
 
 def _object_domain_table(d, kind):
@@ -1699,7 +1775,7 @@ def test_full_mul_at_1024_elements_matches_object_products():
     rng = np.random.default_rng(10)
     for i, j in rng.integers(0, t.k, (200, 2)):
         x, y = h.element_at(int(i)), h.element_at(int(j))
-        assert mul[i, j] == t.index(h, h.mul(x, y))
+        assert mul[i, j] == h.index(h.mul(x, y))
 
 
 @pytest.mark.parametrize("build, kinds", [
@@ -1739,8 +1815,8 @@ def test_compile_keeps_every_domain_operation_within_a_block(monkeypatch,
 def test_element_at_matches_elements(name):
     h = HANDLES[name]()
     decoded = [h.element_at(i) for i in range(h.size())]
-    # a domain's elements are its coefficient list: decoding builds them
-    assert (h._elements is None) == (h.kind != "domain")
+    # decoding is arithmetic on i: it enumerates no handle
+    assert h._elements is None and h._coefficient_handle()._elements is None
     assert decoded == HANDLES[name]().elements()
     assert [h.render(x) for x in decoded] == \
         [h.render(x) for x in HANDLES[name]().elements()]
