@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 # Every public name, under the module that defines it.  Importing the
 # package loads none of them: ``__getattr__`` loads a name's module on its
 # first access, so a process compiles only the modules it uses (`isl table`
-# adds carriers alone to cli, and only a query loads analysis, tables and
-# numpy).
+# adds carriers alone to cli, and only a query loads analysis, tables, laws
+# and numpy).
 _NAMES = {
     "errors": ("SpecError", "DomainMismatchError", "ParseError"),
     "domains": (
@@ -32,11 +32,13 @@ _NAMES = {
         "is_finite_domain", "is_strict_domain", "domain_to_json",
         "domain_from_json"),
     "carriers": (
-        "Magma", "CarrierMeta", "LawProfile", "build_loop", "loop_parameters",
+        "Magma", "CarrierMeta", "build_loop", "loop_parameters",
         "build_groupoid", "cyclic_group", "dihedral_group", "symmetric_group",
         "symmetric_semigroup", "mult_semigroup_zn", "additive_group_zn",
         "mult_group_zp", "build_carrier", "carrier_kinds", "carrier_to_json",
-        "render_table", "check_laws", "loop_law_summary", "validate_witness",
+        "render_table"),
+    "laws": (
+        "LawProfile", "check_laws", "loop_law_summary", "validate_witness",
         "closure_of", "associator_closure", "enumerate_substructures"),
     "formalsums": (
         "FormalSum", "PolyBasis", "SemiringSpec", "make_spec", "fs_zero",

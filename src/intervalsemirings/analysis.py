@@ -15,8 +15,6 @@ built from its own m^2 object operations.  Homomorphism checks run on the
 element objects.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 import itertools
 import json
 import math
@@ -24,16 +22,7 @@ import math
 import numpy as np
 
 from . import tables
-from .carriers import (
-    Magma,
-    _is_prime,
-    _law_witness,
-    build_loop,
-    closure,
-    loop_law_summary,
-    loop_parameters,
-    substructures,
-)
+from .carriers import Magma, _is_prime, build_loop, loop_parameters
 from .domains import (
     CHAIN,
     NAT,
@@ -53,9 +42,10 @@ from .domains import (
     neutro_pure,
     zn_interval,
 )
-from .errors import SpecError
-from .formalsums import _ENUM_GUARD, FormalSum
-from .handle import SemiringHandle
+from .errors import Frozen, SpecError
+from .formalsums import FormalSum
+from .handle import _ENUM_GUARD, SemiringHandle
+from .laws import _law_witness, closure, loop_law_summary, substructures
 from .matrices import ROW, SQUARE, IntervalMatrix
 
 _GENERATED_GUARD = 1 << 14
@@ -63,24 +53,26 @@ _EXHAUSTIVE_SUBSET_LIMIT = 20
 _CLOSURE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Frozen):
     """One analysis result: a kind tag, rendered witness, raw payload."""
 
-    kind: str
-    witness: tuple
-    elements: tuple = ()
+    __slots__ = _fields = ("kind", "witness", "elements")
+
+    def __init__(self, kind: str, witness: tuple, elements: tuple = ()):
+        self._fill(kind, witness, elements)
 
     def to_json(self):
         return {"kind": self.kind, "witness": list(self.witness)}
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    query: str
-    findings: tuple
-    exhaustive: bool
-    budget_spent: dict
+class AnalysisReport(Frozen):
+    """The findings of one query, whether they are complete, and its cost."""
+
+    __slots__ = _fields = ("query", "findings", "exhaustive", "budget_spent")
+
+    def __init__(self, query: str, findings: tuple, exhaustive: bool,
+                 budget_spent: dict):
+        self._fill(query, findings, exhaustive, budget_spent)
 
     def to_json(self):
         return {
@@ -117,7 +109,7 @@ def _first_nonzero_scalar(d):
     if d.kind == NAT:
         return element(d, d.multiple)
     if d.kind == RAT:
-        return element(d, Fraction(1))
+        return element(d, 1)
     if d.kind in (ZN, CHAIN):
         return element(d, 1)   # the least nonzero element, its own square
     # the base's choice as an I-multiple, the least nonzero key as a scan
@@ -380,6 +372,8 @@ def _s_special_patterns(h, kind, query):
             # nonzero elements; idempotents are only 0 and 1, and the only
             # unit of nat is 1, all excluded as anchors
             return _report(query, [], True, 0)
+        from fractions import Fraction
+
         x = element(d, Fraction(2))
         y = element(d, Fraction(1, 2))
         a = element(d, Fraction(1, 4))
@@ -475,18 +469,17 @@ def check_substructure(h, subset, kind="subsemiring"):
         return (True, None)
     if h.zero not in set(members):
         return (False, ("missing-zero",))
-    s, ordered = _subset_tables(h, members)
+    s, ordered, idx = _subset_tables(h, members)
     unclosed = tables.first_unclosed(s)
     if unclosed is not None:
         law, i, j = unclosed
         return (False, (law, ordered[i], ordered[j]))
     if kind == "subsemiring":
         return (True, None)
-    if not h.is_enumerable():
+    if idx is None:
         raise SpecError("ideal absorption checks require a finite handle")
-    t = h.tables()
     w = tables.first_not_absorbing(
-        t, [h.index(x) for x in ordered],
+        h.tables(), idx,
         kind in ("ideal", "left-ideal"), kind in ("ideal", "right-ideal"))
     if w is None:
         return (True, None)
@@ -495,12 +488,14 @@ def check_substructure(h, subset, kind="subsemiring"):
 
 
 def _subset_tables(h, members):
-    """(local tables, members) of the distinct members in key order, sliced
-    from the compiled tables of an enumerable handle, or else built from m^2
-    object sums and products."""
+    """(local tables, members, indices) of the distinct members in key
+    order: sliced from the compiled tables of an enumerable handle at the
+    members' indices, or else built from m^2 object sums and products, with
+    indices None."""
     ordered = sorted(set(members), key=h.key)
     if h.is_enumerable():
-        return tables.restrict(h.tables(), [h.index(x) for x in ordered]), ordered
+        idx = [h.index(x) for x in ordered]
+        return tables.restrict(h.tables(), idx), ordered, idx
     pos = {x: i for i, x in enumerate(ordered)}
     m = len(ordered)
 
@@ -508,22 +503,26 @@ def _subset_tables(h, members):
         return np.array([[pos.get(op(x, y), m) for y in ordered]
                          for x in ordered], dtype=np.intp).reshape(m, m)
 
-    return tables.Local(table(h.add), table(h.mul), pos.get(h.zero)), ordered
+    return tables.Local(table(h.add), table(h.mul), pos.get(h.zero)), \
+        ordered, None
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-@dataclass(frozen=True)
-class Classification:
-    strict: bool
-    commutative: bool
-    has_one: bool
-    zero_divisor_free: bool
-    semifield: bool
-    witnesses: dict
-    exhaustive: bool
+class Classification(Frozen):
+    """Semifield flags, a witness per False flag, and exhaustiveness."""
+
+    __slots__ = _fields = ("strict", "commutative", "has_one",
+                           "zero_divisor_free", "semifield", "witnesses",
+                           "exhaustive")
+
+    def __init__(self, strict: bool, commutative: bool, has_one: bool,
+                 zero_divisor_free: bool, semifield: bool, witnesses: dict,
+                 exhaustive: bool):
+        self._fill(strict, commutative, has_one, zero_divisor_free, semifield,
+                   witnesses, exhaustive)
 
     def to_json(self):
         return {
@@ -643,7 +642,7 @@ def semifield_within(h, subset):
     Returns (ok, reason).  Requires the handle zero inside, closure, strict
     addition, commutativity, an internal identity, and no zero divisors.
     """
-    s, members = _subset_tables(h, subset)
+    s, members, _ = _subset_tables(h, subset)
     w = tables.semifield_failure(s)
     if w is None:
         return (True, None)
@@ -657,10 +656,10 @@ def smarandache_search(h, mode="generated", *, seed_size=2, max_subset=None,
     Without a candidate the finding kind is "semifield-subset" and each
     witness lists the subset.  Generated mode keeps the distinct closures
     of {0, x} and {0, x, y} under both operations, skipping a pair whose
-    closure is that of {0, x} or {0, y} (``carriers.generated_closures``);
+    closure is that of {0, x} or {0, y} (``laws.generated_closures``);
     every seed counts in pairs_scanned; seed_size 1 keeps the singles.
     Exhaustive mode enumerates the closed subsets with 0 of handles with at
-    most 20 elements (``carriers.closed_sets``).  With a candidate, the
+    most 20 elements (``laws.closed_sets``).  With a candidate, the
     candidate_kind selects the certificate: semifield-subset, s-subsemiring,
     s-ideal, s-pseudo-subsemiring, or s-pseudo-ideal.
     """
@@ -696,7 +695,7 @@ def _evaluate_candidate(h, members, kind):
     if kind not in _CANDIDATE_KINDS:
         raise SpecError(f"unknown candidate kind {kind!r}")
     query = f"{kind} candidate on {h.describe()}"
-    s, ordered = _subset_tables(h, members)
+    s, ordered, _ = _subset_tables(h, members)
     decided = True
     if kind == "s-pseudo-subsemiring":
         found, decided = _pseudo_superset(h, set(ordered))
@@ -738,7 +737,7 @@ def _pseudo_superset(h, mset):
         c = _closure_under_ops(h, seed)
     if c is None or (h.is_finite() and len(c) >= h.size()):
         return None, c is not None
-    s, ordered = _subset_tables(h, c)
+    s, ordered, _ = _subset_tables(h, c)
     if tables.semifield_failure(s) is None or \
             tables.s_subsemiring(s) is not None:
         return ordered, True
@@ -749,12 +748,14 @@ def _pseudo_superset(h, mset):
 # homomorphisms
 
 
-@dataclass(frozen=True)
-class HomReport:
-    ok: bool
-    witness: tuple
-    kernel: tuple
-    exhaustive: bool
+class HomReport(Frozen):
+    """Verdict, first failing (op, x, y), kernel, and exhaustiveness."""
+
+    __slots__ = _fields = ("ok", "witness", "kernel", "exhaustive")
+
+    def __init__(self, ok: bool, witness: tuple, kernel: tuple,
+                 exhaustive: bool):
+        self._fill(ok, witness, kernel, exhaustive)
 
 
 def _default_sample(h):
@@ -762,6 +763,8 @@ def _default_sample(h):
     if d is not None and d.kind == NAT:
         return [element(d, i * d.multiple) for i in range(8)]
     if d is not None and d.kind == RAT:
+        from fractions import Fraction
+
         vals = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2),
                 Fraction(1, 3), Fraction(3), Fraction(2, 3), Fraction(3, 2)]
         return [element(d, v) for v in vals]

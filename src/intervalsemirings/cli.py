@@ -16,7 +16,9 @@ import time
 from .errors import DomainMismatchError, ParseError, SpecError
 
 # Each command imports what it uses when it runs: `isl --help` loads only
-# this module and errors, and `isl table` adds carriers.  So the parser
+# this module and errors, `isl table` adds carriers, and `isl eval` adds
+# domains, handle and expressions, with formalsums for a basis (carriers
+# too for a carrier one) or matrices for a matrix spec.  So the parser
 # spells out carriers.carrier_kinds() here.
 TABLE_KINDS = ("additive-group", "cyclic", "dihedral", "groupoid", "loop",
                "mult-group", "mult-semigroup", "symmetric-group",
@@ -36,7 +38,6 @@ _MATRIX_KEYS = {"shape", "n"}
 def load_spec_file(path):
     """Build a SemiringHandle from a SpecFile JSON document."""
     from .domains import domain_from_json
-    from .formalsums import make_spec
     from .handle import SemiringHandle
 
     try:
@@ -71,6 +72,8 @@ def load_spec_file(path):
     if "basis" in doc and "matrix" in doc:
         raise SpecError('spec file may hold "basis" or "matrix", not both')
     if "basis" in doc:
+        from .formalsums import make_spec
+
         basis = _basis_from_json(doc["basis"], interval_labels)
         spec = make_spec(domain, basis, absorb_zero_basis=absorb)
         return SemiringHandle.for_formal_sums(spec)

@@ -19,11 +19,12 @@ All arithmetic is exact; no floats anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .errors import DomainMismatchError, SpecError
+from .errors import DomainMismatchError, Frozen, SpecError
+
+if TYPE_CHECKING:   # rational payloads load fractions where they are made
+    from fractions import Fraction
 
 ZN = "zn-interval"
 NAT = "nat-interval"
@@ -36,29 +37,47 @@ NEUTRO_MIXED = "neutro-mixed"
 _LATTICE_KINDS = (CHAIN, TABLE)
 _NEUTRO_KINDS = (NEUTRO_PURE, NEUTRO_MIXED)
 
-Payload = Union[int, Fraction]
+Payload = Union[int, "Fraction"]
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Immutable description of one coefficient domain.
+class DomainSpec(Frozen):
+    """Immutable description of one coefficient domain: the zn modulus n,
+    the nat restriction to endpoints in multiple*Z>=0, the lattice size k,
+    element names (index order) and join/meet tables, the neutrosophic base.
 
     Only the fields relevant to ``kind`` are set; the rest stay at their
     defaults so specs compare and hash by value.
     """
 
-    kind: str
-    n: int = 0                      # zn modulus
-    multiple: int = 1               # nat restriction: endpoints in multiple*Z>=0
-    k: int = 0                      # lattice size
-    names: tuple[str, ...] = ()     # lattice element names, index order
-    join: tuple[tuple[int, ...], ...] = ()
-    meet: tuple[tuple[int, ...], ...] = ()
-    base: Optional["DomainSpec"] = None
+    __slots__ = _fields = ("kind", "n", "multiple", "k", "names", "join",
+                           "meet", "base")
+
+    def __init__(self, kind: str, n: int = 0, multiple: int = 1, k: int = 0,
+                 names: tuple[str, ...] = (),
+                 join: tuple[tuple[int, ...], ...] = (),
+                 meet: tuple[tuple[int, ...], ...] = (),
+                 base: Optional[DomainSpec] = None):
+        self._fill(kind, n, multiple, k, names, join, meet, base)
+
+    # every element operation compares two specs and every element hash
+    # hashes one, often of equal specs built apart (a parsed element and
+    # a handle's own), so both are written out
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return (self.kind, self.n, self.multiple, self.k, self.names,
+                    self.join, self.meet, self.base) == (
+                other.kind, other.n, other.multiple, other.k, other.names,
+                other.join, other.meet, other.base)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.multiple, self.k, self.names,
+                     self.join, self.meet, self.base))
 
 
-@dataclass(frozen=True)
-class IntervalElem:
+class IntervalElem(Frozen):
     """One interval [0, a] (or [0, a + bI] for mixed neutrosophic domains).
 
     ``a`` holds the endpoint payload: a residue, natural, Fraction, lattice
@@ -66,9 +85,22 @@ class IntervalElem:
     I-coefficient for mixed neutrosophic domains and None otherwise.
     """
 
-    domain: DomainSpec
-    a: Payload
-    b: Optional[Payload] = None
+    __slots__ = _fields = ("domain", "a", "b")
+
+    def __init__(self, domain: DomainSpec, a: Payload,
+                 b: Optional[Payload] = None):
+        _set_domain(self, domain)
+        _set_a(self, a)
+        _set_b(self, b)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.domain, self.a, self.b) == (
+                other.domain, other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.domain, self.a, self.b))
 
     def __add__(self, other: "IntervalElem") -> "IntervalElem":
         return dom_add(self, other)
@@ -78,6 +110,9 @@ class IntervalElem:
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+_set_domain, _set_a, _set_b = IntervalElem._setters()
 
 
 def zn_interval(n: int) -> DomainSpec:
@@ -246,6 +281,8 @@ def _scalar_check(d: DomainSpec, v) -> Payload:
             )
         return v
     if d.kind == RAT:
+        from fractions import Fraction
+
         if isinstance(v, int):
             v = Fraction(v)
         if not isinstance(v, Fraction):
@@ -281,7 +318,7 @@ def _scalar_mul(d: DomainSpec, x: Payload, y: Payload) -> Payload:
 
 def _scalar_zero(d: DomainSpec) -> Payload:
     if d.kind == RAT:
-        return Fraction(0)
+        return _scalar_check(d, 0)
     if d.kind in _LATTICE_KINDS:
         return _lattice_bottom(d)
     return 0
@@ -293,7 +330,7 @@ def _scalar_one(d: DomainSpec) -> Optional[Payload]:
     if d.kind == NAT:
         return 1 if d.multiple == 1 else None
     if d.kind == RAT:
-        return Fraction(1)
+        return _scalar_check(d, 1)
     return _lattice_top(d)
 
 
@@ -611,6 +648,8 @@ def _parse_scalar(d: DomainSpec, text: str) -> Payload:
             raise DomainMismatchError(
                 f"rational literal in {describe_domain(d)} domain"
             )
+        from fractions import Fraction
+
         num, _, den = text.partition("/")
         try:
             return _scalar_check(d, Fraction(int(num), int(den)))
@@ -620,8 +659,6 @@ def _parse_scalar(d: DomainSpec, text: str) -> Payload:
         value = int(text)
     except ValueError:
         raise SpecError(f"malformed integer {text!r}") from None
-    if d.kind == RAT:
-        return _scalar_check(d, Fraction(value))
     return _scalar_check(d, value)
 
 

@@ -10,7 +10,8 @@ parentheses because formal-sum multiplication is generally nonassociative):
 INTERVAL is a literal like [0,7], [0,1/2], or [0,2+3I]; MATRIX is a bracket
 list of entries ([ .. , .. ] for a row, [[..],[..]] for a square); SYMBOL is
 a basis token (e, g5, 4b, x^2) or a lattice element name.  Parse errors carry
-the offending position.
+the offending position.  Evaluation loads ``formalsums`` or ``matrices`` only
+for a handle of that kind, so a domain expression loads neither.
 """
 
 import re
@@ -22,22 +23,7 @@ from .domains import (
     parse_element,
 )
 from .errors import DomainMismatchError, ParseError, SpecError
-from .formalsums import (
-    PolyBasis,
-    fs_add,
-    fs_mul,
-    fs_scale,
-    fs_term,
-    resolve_basis_token,
-)
 from .handle import SemiringHandle
-from .matrices import (
-    identity_matrix,
-    mat_add,
-    mat_mul,
-    matrix_from_rows,
-    scale_matrix,
-)
 
 _INTERVAL_AT = re.compile(r"\[\s*0\s*,\s*[^\][]*?\]")
 _SYMBOL_AT = re.compile(r"[A-Za-z0-9_^]+")
@@ -219,6 +205,8 @@ def _coeff_domain(h):
 
 
 def _identity_key(spec):
+    from .formalsums import PolyBasis
+
     b = spec.basis
     if isinstance(b, PolyBasis):
         return 0
@@ -226,6 +214,8 @@ def _identity_key(spec):
 
 
 def _to_sum(h, v):
+    from .formalsums import fs_term
+
     spec = h.spec
     tag, payload = v
     if tag == "sum":
@@ -266,6 +256,8 @@ def _eval(h, node):
 
 def _eval_symbol(h, text):
     if h.kind == "formal-sum":
+        from .formalsums import resolve_basis_token
+
         try:
             return ("basis", resolve_basis_token(h.spec, text))
         except SpecError:
@@ -285,6 +277,8 @@ def _eval_symbol(h, text):
 def _eval_matrix(h, node):
     if h.kind != "matrix":
         raise DomainMismatchError("matrix literal outside a matrix structure")
+    from .matrices import matrix_from_rows
+
     d = h.domain
     items = node[1]
     if items and isinstance(items[0], tuple):
@@ -301,16 +295,18 @@ def _eval_matrix(h, node):
 
 def _combine_add(h, a, b):
     if h.kind == "formal-sum":
-        return ("sum", fs_add(_to_sum(h, a), _to_sum(h, b)))
+        return ("sum", h.add(_to_sum(h, a), _to_sum(h, b)))
     if a[0] == "coeff" and b[0] == "coeff":
         return ("coeff", dom_add(a[1], b[1]))
     if h.kind == "matrix":
-        return ("matrix", mat_add(_to_matrix(h, a), _to_matrix(h, b)))
+        return ("matrix", h.add(_to_matrix(h, a), _to_matrix(h, b)))
     raise DomainMismatchError("cannot add these values in this structure")
 
 
 def _combine_mul(h, a, b):
     if h.kind == "formal-sum":
+        from .formalsums import fs_scale, fs_term
+
         ta, tb = a[0], b[0]
         if ta == "coeff" and tb == "coeff":
             return ("coeff", dom_mul(a[1], b[1]))
@@ -322,15 +318,17 @@ def _combine_mul(h, a, b):
             return ("sum", fs_scale(a[1], _to_sum(h, b)))
         if tb == "coeff":
             return ("sum", fs_scale(b[1], _to_sum(h, a)))
-        return ("sum", fs_mul(_to_sum(h, a), _to_sum(h, b)))
+        return ("sum", h.mul(_to_sum(h, a), _to_sum(h, b)))
     if a[0] == "coeff" and b[0] == "coeff":
         return ("coeff", dom_mul(a[1], b[1]))
     if h.kind == "matrix":
+        from .matrices import scale_matrix
+
         if a[0] == "coeff":
             return ("matrix", scale_matrix(a[1], _to_matrix(h, b)))
         if b[0] == "coeff":
             return ("matrix", scale_matrix(b[1], _to_matrix(h, a)))
-        return ("matrix", mat_mul(_to_matrix(h, a), _to_matrix(h, b)))
+        return ("matrix", h.mul(_to_matrix(h, a), _to_matrix(h, b)))
     raise DomainMismatchError("cannot multiply these values in this structure")
 
 
@@ -338,6 +336,8 @@ def _to_matrix(h, v):
     if v[0] == "matrix":
         return v[1]
     if v[0] == "coeff":
+        from .matrices import identity_matrix, scale_matrix
+
         if domain_one(h.domain) is None:
             raise DomainMismatchError(
                 "bare coefficient needs a multiplicative identity to make "

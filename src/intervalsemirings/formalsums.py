@@ -10,14 +10,11 @@ reassociates, so nonassociative bases behave exactly as parenthesized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import domains
 from .domains import DomainSpec, IntervalElem
-from .errors import DomainMismatchError, SpecError
-
-_ENUM_GUARD = 1 << 20
+from .errors import DomainMismatchError, Frozen, SpecError
 
 # carriers whose elements are residues mod n (their tokens are "<r>b")
 RESIDUE_KINDS = ("groupoid", "mult-semigroup", "additive-group", "mult-group")
@@ -25,19 +22,18 @@ RESIDUE_KINDS = ("groupoid", "mult-semigroup", "additive-group", "mult-group")
 E_KINDS = ("loop", "cyclic", "dihedral", "symmetric-group")
 
 
-@dataclass(frozen=True)
-class PolyBasis:
+class PolyBasis(Frozen):
     """Monomial basis x^0, x^1, ...; ``cyclic=k`` folds exponents mod k."""
 
-    cyclic: Optional[int] = None
+    __slots__ = _fields = ("cyclic",)
 
-    def __post_init__(self):
-        if self.cyclic is not None and self.cyclic < 1:
+    def __init__(self, cyclic: Optional[int] = None):
+        if cyclic is not None and cyclic < 1:
             raise SpecError("poly-cyclic period must be >= 1")
+        self._fill(cyclic)
 
 
-@dataclass(frozen=True)
-class SemiringSpec:
+class SemiringSpec(Frozen):
     """Coefficient domain + basis (a PolyBasis or a carriers.Magma) + the
     zero-basis absorption flag.  Only a carrier basis loads carriers.
 
@@ -46,9 +42,11 @@ class SemiringSpec:
     identified with the semiring zero and dropped.
     """
 
-    coefficients: DomainSpec
-    basis: object
-    absorb_zero_basis: bool = False
+    __slots__ = _fields = ("coefficients", "basis", "absorb_zero_basis")
+
+    def __init__(self, coefficients: DomainSpec, basis,
+                 absorb_zero_basis: bool = False):
+        self._fill(coefficients, basis, absorb_zero_basis)
 
 
 def make_spec(
@@ -304,7 +302,7 @@ def semiring_size(spec: SemiringSpec) -> int:
 def enumerate_elements(spec: SemiringSpec) -> list[FormalSum]:
     """All elements in canonical order (coefficient vectors over the basis
     keys, first key most significant), as ``SemiringHandle.elements``
-    builds them. Guarded to 2^20 elements."""
+    builds them, under its enumeration guard (2^20 elements)."""
     from .handle import SemiringHandle   # handle builds on this module
 
     return SemiringHandle.for_formal_sums(spec).elements()

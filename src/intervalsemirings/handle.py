@@ -8,7 +8,8 @@ analysis queries (``analysis``) and expression evaluation
 and rendering its elements use only the exact object arithmetic; numpy and
 the compiled tables are loaded by :meth:`SemiringHandle.tables`, on the
 first query that needs them, so an ``isl table`` or ``isl eval`` process
-never loads them.
+never loads them.  Likewise ``formalsums`` and ``matrices`` are loaded by
+the first handle of that kind, so a domain handle loads neither.
 """
 
 import functools
@@ -32,24 +33,9 @@ from .domains import (
     is_finite_domain,
 )
 from .errors import DomainMismatchError, SpecError
-from .formalsums import (
-    FormalSum,
-    PolyBasis,
-    _ENUM_GUARD,
-    _basis_op,
-    basis_is_finite,
-    basis_keys,
-    fs_one,
-    fs_zero,
-)
-from .matrices import (
-    ROW,
-    SQUARE,
-    IntervalMatrix,
-    identity_matrix,
-    render_matrix,
-    zero_matrix,
-)
+
+# The most elements a handle enumerates, and so compiles to tables.
+_ENUM_GUARD = 1 << 20
 
 
 def _describe_domain_short(d):
@@ -69,6 +55,8 @@ def _describe_domain_short(d):
 
 
 def _describe_basis(spec):
+    from .formalsums import PolyBasis
+
     b = spec.basis
     if isinstance(b, PolyBasis):
         return "poly" if b.cyclic is None else f"poly-cyclic-{b.cyclic}"
@@ -90,7 +78,7 @@ class SemiringHandle:
             if domain is None or shape is None:
                 raise SpecError("matrix handle requires a domain and a shape")
             mk, n = shape
-            if mk not in (ROW, SQUARE) or not isinstance(n, int) or n < 1:
+            if mk not in ("row", "square") or not isinstance(n, int) or n < 1:
                 raise SpecError(f"invalid matrix shape {shape!r}")
         self.kind = kind
         self.domain = domain
@@ -106,9 +94,13 @@ class SemiringHandle:
             self.zero = domain_zero(domain)
             self.one = domain_one(domain)
         elif kind == "formal-sum":
+            from .formalsums import fs_one, fs_zero
+
             self.zero = fs_zero(spec)
             self.one = fs_one(spec)
         else:
+            from .matrices import identity_matrix, zero_matrix
+
             self.zero = zero_matrix(domain, shape)
             if domain_one(domain) is None:
                 self.one = None
@@ -146,6 +138,8 @@ class SemiringHandle:
         if self.kind == "domain":
             return is_finite_domain(self.domain)
         if self.kind == "formal-sum":
+            from .formalsums import basis_is_finite
+
             return (is_finite_domain(self.spec.coefficients)
                     and basis_is_finite(self.spec.basis))
         return is_finite_domain(self.domain)
@@ -163,12 +157,14 @@ class SemiringHandle:
         """
         if self._layout is None:
             if self.kind == "formal-sum":
+                from .formalsums import _basis_op, basis_is_finite, basis_keys
+
                 spec = self.spec
                 keys = basis_keys(spec) if basis_is_finite(spec.basis) else [0]
                 at = {k: i for i, k in enumerate(keys)}
                 self._layout = keys, lambda p, q: at.get(
                     _basis_op(spec, keys[p], keys[q]))
-            elif self.kind == "matrix" and self.shape[0] == SQUARE:
+            elif self.kind == "matrix" and self.shape[0] == "square":
                 n = self.shape[1]   # p = i*n + l times q = k*n + j
                 self._layout = range(n * n), lambda p, q: (
                     p - p % n + q % n if p % n == q // n else None)
@@ -178,6 +174,11 @@ class SemiringHandle:
         return self._layout
 
     def size(self):
+        return self._size
+
+    @functools.cached_property
+    def _size(self):
+        """The number of elements (made once); an infinite handle raises."""
         if not self.is_finite():
             raise SpecError("handle is infinite")
         return domain_size(self._coefficient_handle().domain) \
@@ -208,8 +209,12 @@ class SemiringHandle:
         if self.kind == "domain":
             return lambda values: values[0]
         if self.kind == "formal-sum":
+            from .formalsums import FormalSum
+
             spec, keys = self.spec, self._slots()[0]
             return lambda values: FormalSum(spec, zip(keys, values))
+        from .matrices import IntervalMatrix
+
         domain, shape = self.domain, self.shape
         return lambda values: IntervalMatrix(domain, shape, tuple(values))
 
@@ -217,11 +222,15 @@ class SemiringHandle:
         """elements()[i] without enumerating any handle, memoized per index:
         a domain's element at position i (``domain_element_at``), or the
         element whose slots hold the coefficient handle's elements at the
-        base-q digits of i, first slot most significant."""
-        if self._elements is not None:
+        base-q digits of i, first slot most significant.  An i outside
+        range(size()) raises IndexError."""
+        if self._elements is not None and i >= 0:
             return self._elements[i]
         x = self._decoded.get(i)
         if x is None:
+            if not 0 <= i < self._size:
+                raise IndexError(f"element index {i} out of range for "
+                                 f"{self.describe()}")
             if self.kind == "domain":
                 x = domain_element_at(self.domain, i)
             else:
@@ -282,10 +291,8 @@ class SemiringHandle:
         if hit is None:
             if self.kind == "domain":
                 text = format_element(x)
-            elif self.kind == "formal-sum":
+            else:   # a formal sum or a matrix prints its literal
                 text = str(x)
-            else:
-                text = render_matrix(x)
             hit = self._rendered[id(x)] = (x, text)
         return hit[1]
 
@@ -294,6 +301,8 @@ class SemiringHandle:
         if self.kind == "domain":
             return element_key(x)
         if self.kind == "formal-sum":
+            from .formalsums import basis_is_finite, basis_keys
+
             if basis_is_finite(self.spec.basis):
                 return tuple(element_key(x.coeff(k)) for k in basis_keys(self.spec))
             return tuple((k, element_key(c)) for k, c in x.terms.items())

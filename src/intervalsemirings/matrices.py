@@ -7,22 +7,36 @@ shapes are rejected: nothing in the supported algebra multiplies them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import domains
 from .domains import DomainSpec, IntervalElem
-from .errors import DomainMismatchError, SpecError
+from .errors import DomainMismatchError, Frozen, SpecError
 
 ROW = "row"
 SQUARE = "square"
 
 
-@dataclass(frozen=True)
-class IntervalMatrix:
-    domain: DomainSpec
-    shape: tuple[str, int]
-    entries: tuple[IntervalElem, ...]  # row-major
+class IntervalMatrix(Frozen):
+    """A row or square matrix: its domain, its shape (ROW or SQUARE, n) and
+    its entries, row-major."""
+
+    __slots__ = _fields = ("domain", "shape", "entries")
+
+    def __init__(self, domain: DomainSpec, shape: tuple[str, int],
+                 entries: tuple[IntervalElem, ...]):
+        _set_domain(self, domain)
+        _set_shape(self, shape)
+        _set_entries(self, entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.domain, self.shape, self.entries) == (
+                other.domain, other.shape, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.domain, self.shape, self.entries))
 
     @property
     def n(self) -> int:
@@ -49,6 +63,9 @@ class IntervalMatrix:
 
     def __str__(self):
         return render_matrix(self)
+
+
+_set_domain, _set_shape, _set_entries = IntervalMatrix._setters()
 
 
 def _check_entries(domain: DomainSpec, entries) -> tuple[IntervalElem, ...]:

@@ -38,7 +38,7 @@ import itertools
 
 import numpy as np
 
-from . import carriers, domains
+from . import domains, laws
 from .errors import SpecError
 
 # Largest table (or block of one) a query may allocate, in bytes.
@@ -46,8 +46,8 @@ TABLE_BYTE_CAP = 1 << 26
 # Entries of one computed block (explicit rows or columns times the
 # broadcast digit axes), and so of every array a domain operation takes or
 # returns while a table is built: about 64 KB of intp each.  The law scan
-# (``carriers.first_violation``) evaluates blocks of the same size.
-_BLOCK_ENTRIES = carriers._BLOCK_ENTRIES
+# (``laws.first_violation``) evaluates blocks of the same size.
+_BLOCK_ENTRIES = laws._BLOCK_ENTRIES
 
 
 class Tables:
@@ -552,20 +552,20 @@ def axiom_failure(add, mul, zero, one):
     identity laws of one only when one is not None.
 
     The three arity-3 laws are first checked with their z slot running
-    over an additive generating set only (``carriers.first_violation`` has
+    over an additive generating set only (``laws.first_violation`` has
     the argument); the distributive laws come after additive associativity,
     which their argument needs.  The indices are the lexicographically
     first violation in scan order, permuted by the law's report.
     """
     k = len(add)
-    gens = carriers.generators(carriers._gathers([add]), k, [zero, *range(k)])
-    reads = carriers.LawTable(add), carriers.LawTable(mul), zero, one
+    gens = laws.generators(laws._gathers([add]), k, [zero, *range(k)])
+    reads = laws.LawTable(add), laws.LawTable(mul), zero, one
     for law, arity, holds, report in _AXIOMS:
         if law == "one-identity" and one is None:
             break
-        bad = carriers.first_violation(range(k), arity,
-                                       lambda *xs: holds(*reads, *xs),
-                                       gens, report[-1])
+        bad = laws.first_violation(range(k), arity,
+                                   lambda *xs: holds(*reads, *xs),
+                                   gens, report[-1])
         if bad:
             return (law, *(bad[i] for i in report))
     return None
@@ -678,10 +678,10 @@ def semifield_failure(s):
 def semifields(t, mode, top, pairs=True):
     """(semifield subsets of at most top elements, by size then positions;
     scanned) of t (the compiled tables or a Local): the closed subsets
-    with 0 that ``carriers.substructures`` finds in mode and that pass
+    with 0 that ``laws.substructures`` finds in mode and that pass
     ``semifield_failure``."""
-    found, scanned = carriers.substructures([t.add, t.mul], (t.zero,), mode,
-                                            top, pairs)
+    found, scanned = laws.substructures([t.add, t.mul], (t.zero,), mode,
+                                        top, pairs)
     return [c for c in found
             if semifield_failure(restrict(t, c)) is None], scanned
 

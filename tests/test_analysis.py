@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from intervalsemirings import analysis, carriers, tables
+from intervalsemirings import analysis, laws, tables
 from intervalsemirings import (
     PolyBasis,
     ROW,
@@ -620,7 +620,7 @@ def test_sweep_composite_zd_counterexample(monkeypatch):
 
 
 def test_sweep_neutro_prime_counterexample(monkeypatch):
-    real = carriers.closed_sets
+    real = laws.closed_sets
 
     def closed_sets(tables, base, top):
         # at p = 7, plant every set with base whose last index passes 3
@@ -630,7 +630,7 @@ def test_sweep_neutro_prime_counterexample(monkeypatch):
         return [tuple(sorted(base + c)) for r in range(top - len(base) + 1)
                 for c in itertools.combinations(rest, r) if max(base + c) > 3]
 
-    monkeypatch.setattr(carriers, "closed_sets", closed_sets)
+    monkeypatch.setattr(laws, "closed_sets", closed_sets)
     assert theorem_sweep("neutro-prime-no-subsemiring").to_json() == {
         "query": "sweep neutro-prime-no-subsemiring", "exhaustive": False,
         "findings": [{"kind": "counterexample",
@@ -641,12 +641,12 @@ def test_sweep_neutro_prime_counterexample(monkeypatch):
 def test_sweep_neutro_prime_refuses_past_the_guard(monkeypatch):
     # 2^(p-1) subsets: p = 21 is at the 2^20 guard, p = 23 past it; the
     # refusal comes before p = 3 is swept
-    real = carriers.closed_sets
-    monkeypatch.setattr(carriers, "closed_sets", None)
+    real = laws.closed_sets
+    monkeypatch.setattr(laws, "closed_sets", None)
     with pytest.raises(SpecError, match=r"p=23: 2\^22 subsets"):
         theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 23))
     # at a guard of 16, p = 5 (2^4 subsets) is swept and n = 6 is not
-    monkeypatch.setattr(carriers, "closed_sets", real)
+    monkeypatch.setattr(laws, "closed_sets", real)
     monkeypatch.setattr(analysis, "_ENUM_GUARD", 16)
     assert sweep_passed(theorem_sweep("neutro-prime-no-subsemiring",
                                       primes=(3, 5)))

@@ -31,12 +31,12 @@ from intervalsemirings import (
     symmetric_semigroup,
     validate_witness,
 )
-from intervalsemirings import carriers
+from intervalsemirings import laws
 from intervalsemirings.tables import _AXIOMS
-from intervalsemirings.carriers import (
+from intervalsemirings.carriers import CarrierMeta, Magma
+from intervalsemirings.laws import (
     _LAWS,
     LawTable,
-    Magma,
     _cayley,
     _gathers,
     _law_witness,
@@ -89,6 +89,38 @@ def test_loop_interval_labels():
     g = build_loop(5, 2, interval=True)
     assert g.elements[g.identity] == "[0,e]"
     assert "[0,3]" in g.elements
+
+
+def ref_build_loop(n, m, interval):
+    """L_n(m) filled entry by entry, its identity found by scanning for the
+    first two-sided one."""
+    k = n + 1
+    table = [[0] * k for _ in range(k)]
+    for j in range(k):
+        table[0][j] = j
+        table[j][0] = j
+    for i in range(1, k):
+        for j in range(1, k):
+            if i != j:
+                r = (m * j - (m - 1) * i) % n
+                table[i][j] = r if r else n
+    identity = next(e for e in range(k) if all(
+        table[e][x] == table[x][e] == x for x in range(k)))
+    labels = ["e"] + [str(i) for i in range(1, k)]
+    if interval:
+        labels = [f"[0,{lbl}]" for lbl in labels]
+    return Magma(tuple(labels), tuple(map(tuple, table)),
+                 CarrierMeta("loop", (n, m)), interval, identity)
+
+
+@pytest.mark.parametrize("n", range(5, 42))
+def test_build_loop_matches_entrywise_construction(n):
+    # the row formula and the identity at index 0 against the entrywise
+    # table and a scan for the identity, for every loop the sweeps build
+    for m in loop_parameters(n):
+        for interval in (False, True):
+            assert build_loop(n, m, interval) == ref_build_loop(n, m,
+                                                                interval)
 
 
 @given(st.sampled_from([(n, m) for n in range(5, 16, 2)
@@ -513,18 +545,18 @@ def test_exhaustive_substructures_match_reference_loop(g, max_size):
         "T3"])
 def test_associativity_is_inherited_by_every_closed_subset(g, mode):
     # the per-set path decides each closed set on its own scan
-    closed, _ = carriers.substructures([_cayley(g)], (), mode, g.order)
+    closed, _ = laws.substructures([_cayley(g)], (), mode, g.order)
     per_set = {
         "subsemigroup": [c for c in closed
                          if _law_witness(g, "associative", c) is None],
-        "subgroup": [c for c in closed if carriers._has_inverses(g, c)
+        "subgroup": [c for c in closed if laws._has_inverses(g, c)
                      and _law_witness(g, "associative", c) is None],
     }
     associative = _law_witness(g, "associative") is None
-    real = carriers._law_witness
+    real = laws._law_witness
     for kind, want in per_set.items():
         calls = []
-        with mock.patch.object(carriers, "_law_witness",
+        with mock.patch.object(laws, "_law_witness",
                                lambda g, law, subset=None: calls.append(subset)
                                or real(g, law, subset)):
             assert enumerate_substructures(g, kind, mode=mode) == want, kind
@@ -578,15 +610,15 @@ def test_generated_closures_match_closing_every_seed(case, pairs):
 
 
 @given(closure_tables(8), st.integers(0, 8),
-       st.sampled_from([1, 7, carriers._BLOCK_ENTRIES]))
+       st.sampled_from([1, 7, laws._BLOCK_ENTRIES]))
 @settings(max_examples=300, deadline=None)
 def test_closed_sets_match_every_subset(case, top, entries):
     k, ops, base = case
     want = [c for r in range(min(top, k) + 1) for c in combinations(range(k), r)
             if set(base) <= set(c)
             and all(t[x, y] in c for t in ops for x in c for y in c)]
-    with mock.patch.object(carriers, "_BLOCK_ENTRIES", entries):
-        got = carriers.closed_sets(ops, base, top)
+    with mock.patch.object(laws, "_BLOCK_ENTRIES", entries):
+        got = laws.closed_sets(ops, base, top)
     assert sorted(got) == sorted(want)
 
 
@@ -607,17 +639,17 @@ def test_exhaustive_substructure_pins():
 
 def test_closed_sets_close_only_what_the_batch_check_rejects(monkeypatch):
     calls = []
-    real = carriers.closure
-    monkeypatch.setattr(carriers, "closure",
+    real = laws.closure
+    monkeypatch.setattr(laws, "closure",
                         lambda *args: calls.append(args) or real(*args))
     # every subset of a chain with 0 is closed under max and min, and every
     # extension passes the batch check, so closure runs once, for the root
     t = SemiringHandle.for_domain(chain_lattice(12)).tables()
-    assert len(carriers.closed_sets([t.add, t.mul], (t.zero,), t.k)) == 2 ** 11
+    assert len(laws.closed_sets([t.add, t.mul], (t.zero,), t.k)) == 2 ** 11
     assert len(calls) == 1
     # C24: the empty set and the 8 subgroups, from at most k closures each
     calls.clear()
-    found = carriers.closed_sets([_cayley(cyclic_group(24))], (), 24)
+    found = laws.closed_sets([_cayley(cyclic_group(24))], (), 24)
     assert len(found) == 9
     assert len(calls) <= 24 * (len(found) + 1)
 
@@ -748,7 +780,7 @@ def law_scans(draw):
             draw(st.integers(0, 2)), *ops, draw(cell), draw(cell))
 
 
-@given(law_scans(), st.sampled_from([1, 7, carriers._BLOCK_ENTRIES]))
+@given(law_scans(), st.sampled_from([1, 7, laws._BLOCK_ENTRIES]))
 @settings(max_examples=300, deadline=None)
 def test_first_violation_matches_plain_array_evaluation(case, block):
     (arity, holds), indices, gens, slot, add, mul, zero, one = case
@@ -756,7 +788,7 @@ def test_first_violation_matches_plain_array_evaluation(case, block):
         indices, arity, lambda *xs: holds(add, mul, zero, one, *xs), gens,
         slot)
     reads = LawTable(add), LawTable(mul), zero, one
-    with mock.patch.object(carriers, "_BLOCK_ENTRIES", block):
+    with mock.patch.object(laws, "_BLOCK_ENTRIES", block):
         assert first_violation(indices, arity,
                                lambda *xs: holds(*reads, *xs),
                                gens, slot) == want
@@ -780,7 +812,7 @@ def test_first_violation_reads_rows_a_block_at_a_time():
     assert first_violation(range(40), 2, spy) == (38, 39)
     assert shapes == [(40, 40)]   # 8192 entries hold 204 rows
     shapes.clear()
-    with mock.patch.object(carriers, "_BLOCK_ENTRIES", 7):
+    with mock.patch.object(laws, "_BLOCK_ENTRIES", 7):
         assert first_violation(range(40), 2, spy) == (38, 39)
     assert shapes == [(1, 40)] * 39
 
@@ -822,7 +854,7 @@ def test_latin_witness_matches_python_scan_on_drawn_tables(case):
                  dtype=np.intp)
     for x, y, v in planted:
         t[x, y] = v
-    assert carriers._w_latin(t) == ref_w_latin(t.tolist(), k)
+    assert laws._w_latin(t) == ref_w_latin(t.tolist(), k)
 
 
 # ---------------------------------------------------------------------------
@@ -835,15 +867,15 @@ def test_latin_witness_matches_python_scan_on_drawn_tables(case):
 def test_associativity_decides_the_laws_it_implies(g):
     scans = {law: _law_witness(g, law) for law in _LAWS}
     scanned = []
-    real = carriers._law_witness
+    real = laws._law_witness
 
     def spy(g, law, subset=None):
         scanned.append(law)
         return real(g, law, subset)
 
-    with mock.patch.object(carriers, "_law_witness", spy):
-        assert carriers._law_witnesses(g, _LAWS) == scans
-    implied = set(carriers._ASSOCIATIVE_IMPLIES)
+    with mock.patch.object(laws, "_law_witness", spy):
+        assert laws._law_witnesses(g, _LAWS) == scans
+    implied = set(laws._ASSOCIATIVE_IMPLIES)
     if g.identity is None:
         assert scans["wip"] == ()
         implied.discard("wip")
@@ -856,13 +888,13 @@ def test_a_failed_implied_law_refutes_associativity():
     # without deciding associativity
     g = build_loop(7, 3)
     scanned = []
-    real = carriers._law_witness
+    real = laws._law_witness
 
     def spy(g, law, subset=None):
         scanned.append(law)
         return real(g, law, subset)
 
-    with mock.patch.object(carriers, "_law_witness", spy):
+    with mock.patch.object(laws, "_law_witness", spy):
         loop_law_summary(g)
     assert scanned == ["commutative", "left_alternative",
                        "right_alternative", "wip"]

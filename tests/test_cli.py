@@ -544,8 +544,11 @@ def test_script_prints_json_lines(script, args):
 # numpy and every package module the process has loaded
 _LOADED = ("sorted(m for m in sys.modules "
            "if m == 'numpy' or m.startswith('intervalsemirings.'))")
+# the standard modules no table or eval process may load: dataclasses
+# (with inspect) and fractions (with decimal)
+_HEAVY = "sorted({'dataclasses', 'fractions'} & set(sys.modules))"
 _CLI = ["cli", "errors"]
-_EVAL = _CLI + ["domains", "expressions", "formalsums", "handle", "matrices"]
+_EVAL = _CLI + ["domains", "expressions", "handle"]
 
 
 def run_fresh(source):
@@ -565,28 +568,31 @@ def run_fresh(source):
     (None, ["table", "loop", "--n", "7", "--m", "3"], _CLI + ["carriers"]),
     (None, ["table", "cyclic", "--k", "6", "--json"], _CLI + ["carriers"]),
     (GROUPOID_NAT, ["eval", "--lhs", "[0,7]*4b", "--rhs", "[0,12]*2b",
-                    "--op", "mul", "--trace"], _EVAL + ["carriers"]),
+                    "--op", "mul", "--trace"],
+     _EVAL + ["carriers", "formalsums"]),
     (POLY_NAT, ["eval", "--lhs", "[0,7]*x^1", "--rhs", "[0,2]*x^3",
-                "--op", "mul", "--trace"], _EVAL),
+                "--op", "mul", "--trace"], _EVAL + ["formalsums"]),
     (ROW2_ZN4, ["eval", "--lhs", "[[0,1], [0,2]]", "--rhs", "[[0,3], [0,3]]",
-                "--op", "mul"], _EVAL),
+                "--op", "mul"], _EVAL + ["matrices"]),
     (ZN18, ["eval", "--lhs", "[0,5]", "--rhs", "[0,7]", "--op", "add"], _EVAL),
 ], ids=["help", "table-loop", "table-cyclic-json", "eval-formal-sum-trace",
         "eval-poly-trace", "eval-matrix", "eval-domain"])
 def test_short_command_loads_neither_numpy_nor_analysis(tmp_path, doc, argv,
                                                         modules):
     # table, eval and --help run no query, so they must not pay for numpy;
-    # each loads exactly the package modules it uses, and only a carrier
-    # (a table, or a carrier basis) loads carriers
+    # each loads exactly the package modules it uses: only a carrier (a
+    # table, or a carrier basis) loads carriers, only a basis formalsums and
+    # only a matrix spec matrices, and none loads dataclasses or fractions
     if doc is not None:
         argv = argv[:1] + ["--spec", write_spec(tmp_path, doc)] + argv[1:]
-    code, loaded = run_fresh(
+    code, loaded, heavy = run_fresh(
         "import json, sys\n"
         "from intervalsemirings.cli import main\n"
         f"code = main({argv!r})\n"
-        f"print(json.dumps([code, {_LOADED}]))")
+        f"print(json.dumps([code, {_LOADED}, {_HEAVY}]))")
     assert code == 0
     assert loaded == sorted(f"intervalsemirings.{m}" for m in modules)
+    assert heavy == []
 
 
 def test_table_kinds_are_the_carrier_kinds():
@@ -623,7 +629,7 @@ def test_package_import_loads_analysis_on_first_access():
     assert after == sorted(
         ["numpy"] + [f"intervalsemirings.{m}" for m in (
             "analysis", "carriers", "domains", "errors", "formalsums",
-            "handle", "matrices", "tables")])
+            "handle", "laws", "matrices", "tables")])
     assert wrong == []
     assert unbound == []
 

@@ -47,7 +47,7 @@ from intervalsemirings import (
     verify_axioms,
     zn_interval,
 )
-from intervalsemirings import analysis, carriers, cli, domains, handle, tables
+from intervalsemirings import analysis, cli, domains, handle, laws, tables
 from intervalsemirings.analysis import (
     Finding,
     _closure_under_ops,
@@ -851,8 +851,8 @@ def ref_verify_axioms(ops, elems):
     for law, arity, holds, report in tables._AXIOMS:
         if law == "one-identity" and ops[3] is None:
             break
-        bad = carriers.first_violation(range(len(ops[0])), arity,
-                                       lambda *xs: holds(*ops, *xs))
+        bad = laws.first_violation(range(len(ops[0])), arity,
+                                   lambda *xs: holds(*ops, *xs))
         if bad:
             return (False, (law,) + tuple(elems[bad[i]] for i in report))
     return (True, None)
@@ -899,8 +899,8 @@ def test_verify_axioms_witness_is_first_violation_not_generator(add, mul,
                                                                  witness):
     # the additive generators are 0 and 1, so the generator that fails is
     # z = 1 while the first violation has z = 2
-    assert carriers.generators(carriers._gathers([np.array(add)]), 4,
-                               [0, *range(4)]) == [0, 1]
+    assert laws.generators(laws._gathers([np.array(add)]), 4,
+                           [0, *range(4)]) == [0, 1]
     ops = (np.array(add), np.array(mul), 0, None)
     assert tables.axiom_failure(*ops) == witness
     assert ref_verify_axioms(ops, range(4)) == (False, witness)
@@ -1368,7 +1368,7 @@ def test_domain_kernel_matches_the_object_arithmetic(d, kind):
 
 def test_zn_kernel_is_exact_at_the_enumeration_guard():
     # the largest zn a handle compiles: its products stay far inside intp
-    from intervalsemirings.formalsums import _ENUM_GUARD
+    from intervalsemirings.handle import _ENUM_GUARD
     n = _ENUM_GUARD
     assert dh(zn_interval(n)).is_enumerable()
     assert not dh(zn_interval(n + 1)).is_enumerable()
@@ -1454,9 +1454,9 @@ def test_local_tables_use_the_small_entry_type_and_count_their_bytes():
     assert t._full == {} and t._dom_tables == {}
 
 
-@pytest.mark.parametrize("entries", [1, 7, carriers._BLOCK_ENTRIES])
+@pytest.mark.parametrize("entries", [1, 7, laws._BLOCK_ENTRIES])
 def test_neutro_prime_sweep_batches_match_reference(monkeypatch, entries):
-    monkeypatch.setattr(carriers, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(laws, "_BLOCK_ENTRIES", entries)
     got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 5, 7))
     assert got.to_json_str() == ref_sweep_neutro_prime((3, 5, 7)).to_json_str()
     # composite moduli, past the prime check, find a closed subset
@@ -1500,7 +1500,7 @@ def test_batched_closedness_matches_reference(name):
                         itertools.combinations(t.nonzero().tolist(), r))
             if _first_unclosed(h, [elems[i] for i in row],
                                {elems[i] for i in row}) is None]
-    got = carriers.closed_sets([t.add, t.mul], (t.zero,), 3)
+    got = laws.closed_sets([t.add, t.mul], (t.zero,), 3)
     assert sorted(got) == sorted(want)
 
 
@@ -1515,9 +1515,9 @@ def _ref_closed_sets(ops, base, top):
                 yield tuple(sorted(s))
 
 
-@pytest.mark.parametrize("entries", [1, 7, carriers._BLOCK_ENTRIES])
+@pytest.mark.parametrize("entries", [1, 7, laws._BLOCK_ENTRIES])
 def test_closed_subsets_match_reference(monkeypatch, entries):
-    monkeypatch.setattr(carriers, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(laws, "_BLOCK_ENTRIES", entries)
     t = HANDLES["zn(2).C3 [8]"]().tables()
     # a local table: entry 5 marks a sum or product outside the subset
     s = tables.restrict(t, [0, 1, 2, 4, 7])
@@ -1528,7 +1528,7 @@ def test_closed_subsets_match_reference(monkeypatch, entries):
                            ([s.add, s.mul], (s.zero,), 5),
                            ([magma], (), 4),
                            ([loop], (0,), 3)]:
-        got = carriers.closed_sets(ops, base, top)
+        got = laws.closed_sets(ops, base, top)
         assert sorted(got) == sorted(_ref_closed_sets(ops, base, top))
         assert got
 
@@ -1537,8 +1537,8 @@ def test_exhaustive_search_pins():
     # every subset of a chain with 0 is closed: all of them but {0} and the
     # whole chain are found, and all of them are counted as scanned
     t = dh(chain_lattice(16)).tables()
-    found, scanned = carriers.substructures([t.add, t.mul], (t.zero,),
-                                            "exhaustive", t.k - 1)
+    found, scanned = laws.substructures([t.add, t.mul], (t.zero,),
+                                        "exhaustive", t.k - 1)
     assert len(found) == scanned == 32766
     assert smarandache_search(dh(zn_interval(20)), "exhaustive").to_json() == {
         "query": "smarandache on zn(20)", "exhaustive": True, "findings": [],
@@ -1822,6 +1822,21 @@ def test_element_at_matches_elements(name):
         [h.render(x) for x in HANDLES[name]().elements()]
     elems = h.elements()
     assert all(h.element_at(i) is x for i, x in enumerate(elems))
+
+
+@pytest.mark.parametrize("name", list(HANDLES))
+def test_element_at_refuses_an_index_outside_the_handle(name):
+    # no wrap past the end or from a negative index, and no payload outside
+    # the domain, before elements() and after it
+    h = HANDLES[name]()
+    n = h.size()
+    for enumerated in (False, True):
+        if enumerated:
+            h.elements()
+        for i in (n, n + 1, 2 * n, -1, -n):
+            with pytest.raises(IndexError):
+                h.element_at(i)
+        assert h.element_at(n - 1) == h.elements()[-1]
 
 
 def test_findings_render_without_enumerating_the_handle():
