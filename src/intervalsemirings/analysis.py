@@ -31,8 +31,10 @@ from .domains import (
     RAT,
     TABLE,
     ZN,
+    domain_element_at,
     domain_elements,
     domain_one,
+    domain_size,
     domain_zero,
     element,
     element_key,
@@ -258,11 +260,17 @@ def _idempotent_patterns(h, query):
     if h.kind == "formal-sum":
         d = h.spec.coefficients
         if is_finite_domain(d):
-            zero = domain_zero(d)
-            dom_idem = [c for c in domain_elements(d) if c * c == c and c != zero]
+            # the positions c with c*c = c, from the domain's kernel: three
+            # intp arrays of q entries
+            q = domain_size(d)
+            tables._check_bytes("the idempotent scan of a domain", q, 24 * q)
+            every = np.arange(q)
+            square = tables.dom_kernel(d, "mul")(every, every)
+            dom_idem = [domain_element_at(d, i)
+                        for i in np.flatnonzero(square == every).tolist()]
         else:
             dom_idem, _ = _domain_idempotents_structural(d)
-            dom_idem = [c for c in dom_idem if c != domain_zero(d)]
+        dom_idem = [c for c in dom_idem if c != domain_zero(d)]
         findings.append(Finding("idempotent", _wit(h, h.zero), (h.zero,)))
         for k in slots:
             for c in dom_idem:
@@ -665,14 +673,14 @@ def smarandache_search(h, mode="generated", *, seed_size=2, max_subset=None,
     """
     if seed_size not in (1, 2):
         raise SpecError(f"seed_size must be 1 or 2, not {seed_size!r}")
+    if mode not in ("exhaustive", "generated"):
+        raise SpecError(f"unknown search mode {mode!r}")
     if candidate is not None:
         return _evaluate_candidate(h, list(candidate),
                                    candidate_kind or "semifield-subset")
     query = f"smarandache on {h.describe()}"
     if not h.is_finite() or h.size() > _GENERATED_GUARD:
         return _report(query, [], False, 0)
-    if mode not in ("exhaustive", "generated"):
-        raise SpecError(f"unknown search mode {mode!r}")
     if mode == "exhaustive" and h.size() > _EXHAUSTIVE_SUBSET_LIMIT:
         raise SpecError("exhaustive subset search is limited to handles "
                         f"with at most {_EXHAUSTIVE_SUBSET_LIMIT} elements")

@@ -13,9 +13,10 @@ digits are the base-q digits of i, first slot most significant, which is
 the order of ``SemiringHandle.elements()``; ``SemiringHandle.index`` and
 ``element_at`` convert by this arithmetic, so no compile enumerates.
 Domain entries come from the domain's array kernel (``dom_kernel``),
-integer arithmetic on digit arrays, or from the q x q domain tables built
-with it; the object operations ``domains.dom_add`` and ``dom_mul`` are the
-reference the kernels are tested against.
+fixed when the kernel is made: a read of the q x q domain table when that
+table is no larger than a block, integer arithmetic on digit arrays
+otherwise.  The object operations ``domains.dom_add`` and ``dom_mul`` are
+the reference the kernels are tested against.
 
 A table is computed a block at a time.  A side that covers every element
 (all of a full table's columns) is not a list of indices but n broadcast
@@ -53,13 +54,11 @@ _BLOCK_ENTRIES = laws._BLOCK_ENTRIES
 class Tables:
     """Add/mul index tables of one finite handle, over elements() order.
 
-    Domain entries come from the array kernels of ``dom_kernel``, and the
-    q x q domain tables are built with them once enough entries are asked
-    for (see ``_dom_op``).  Full k x k tables
-    are built on the first query that needs random access to every entry
-    and kept, and ``add`` and ``mul`` return them, as on a :class:`Local`;
-    ``block`` computes a few rows or columns without building the whole
-    table.
+    Domain entries come from the two array kernels of ``dom_kernel``, made
+    with the tables and kept as they are.  Full k x k tables are built on
+    the first query that needs random access to every entry and kept, and
+    ``add`` and ``mul`` return them, as on a :class:`Local`; ``block``
+    computes a few rows or columns without building the whole table.
     """
 
     def __init__(self, h):
@@ -78,40 +77,15 @@ class Tables:
             if (o := product(l, r)) is not None:
                 mul[o].append((l, r))
         self._terms = {"add": [[(s, s)] for s in range(self.n)], "mul": mul}
-        self._dom_tables = {}
-        self._dom_spent = {"add": 0, "mul": 0}
         self._full = {}
         self.zero = h.index(h.zero)
         self._zero_digit = self.zero % self.q  # the zero is zero in every slot
         self.one = None if h.one is None else h.index(h.one)
 
     def _dom_op(self, kind, x, y):
-        """Digits of x (kind) y in the coefficient domain, broadcasting.
-
-        Entries come from the domain's array kernel (``dom_kernel``).  The
-        q x q domain table is built at once when it has no more entries
-        than a block, and otherwise once the pairs asked for reach its q^2
-        entries; never when it does not fit the byte cap.  Until then each
-        call runs the kernel on the pairs asked for.
-        """
-        table = self._dom_tables.get(kind)
-        if table is None:
-            f = self._kernel[kind]
-            x, y = np.broadcast_arrays(np.asarray(x, dtype=np.intp),
-                                       np.asarray(y, dtype=np.intp))
-            self._dom_spent[kind] += x.size
-            size = self.q * self.q
-            fits = size * np.dtype(np.intp).itemsize <= TABLE_BYTE_CAP
-            pays = size <= _BLOCK_ENTRIES or self._dom_spent[kind] >= size
-            if not (fits and pays):
-                return f(x, y)
-            every = np.arange(self.q)
-            table = self._dom_tables[kind] = np.empty((self.q, self.q),
-                                                      dtype=np.intp)
-            step = max(1, _BLOCK_ENTRIES // self.q)
-            for r in range(0, self.q, step):
-                table[r:r + step] = f(every[r:r + step, None], every)
-        return table[x, y]
+        """Digits of x (kind) y in the coefficient domain, broadcasting."""
+        return self._kernel[kind](np.asarray(x, dtype=np.intp),
+                                  np.asarray(y, dtype=np.intp))
 
     def _digits(self, idx, m, trail):
         """Slot digits of the positions idx * q^m + t, t < q^m, as broadcast
@@ -149,8 +123,6 @@ class Tables:
         table = self._full.get(kind)
         if table is None:
             self.check_table(kind, self.k, self.k)
-            # it asks for every domain entry: the domain table pays at once
-            self._dom_spent[kind] += self.k * self.k
             every = np.arange(self.k)
             table = self._full[kind] = self._compute(kind, every, every)
         return table
@@ -224,11 +196,28 @@ def dom_kernel(d, kind):
     on digit arrays: f(x, y) is the digit of x (kind) y, broadcasting, where
     a digit is a domain position (``domains.domain_position``).
 
-    It computes in intp, never with objects; ``domains.dom_add`` and
-    ``dom_mul`` stay the reference.  A zn product is exact because
-    ``SemiringHandle.tables`` admits q <= 2^20, so (q - 1)^2 < 2^41.  The
-    digit of a + bI over a base of q_b elements is a * q_b + b.
+    One rule, applied here once: when the q x q table of d has at most
+    ``_BLOCK_ENTRIES`` entries and fits ``TABLE_BYTE_CAP``, f reads that
+    table, built now with the arithmetic; otherwise f is the arithmetic.
+    A neutrosophic domain takes the kernels of its base through the same
+    call.  Both compute in intp, never with objects; ``domains.dom_add``
+    and ``dom_mul`` stay the reference.
     """
+    f = _arithmetic(d, kind)
+    q = domains.domain_size(d)
+    if q * q > min(_BLOCK_ENTRIES, TABLE_BYTE_CAP // np.intp(0).itemsize):
+        return f
+    every = np.arange(q)
+    table = f(every[:, None], every)
+    return lambda x, y: table[x, y]
+
+
+def _arithmetic(d, kind):
+    """The integer arithmetic of ``dom_kernel(d, kind)``.  A zn product is
+    exact: ``SemiringHandle.tables`` admits q <= 2^20, and the idempotent
+    patterns of ``analysis`` refuse digit arrays past the byte cap, so
+    q < 2^22 and (q - 1)^2 < 2^44.  The digit of a + bI over a base of q_b
+    elements is a * q_b + b."""
     add = kind == "add"
     if d.kind == domains.ZN:
         n = d.n

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intervalsemirings import (
+    Magma,
     PolyBasis,
     SpecError,
     basis_is_finite,
@@ -274,3 +275,21 @@ def test_distributivity(p, q, r):
 @settings(max_examples=100, deadline=None)
 def test_add_commutes(p, q):
     assert fs_add(p, q) == fs_add(q, p)
+
+
+def test_a_formal_sum_hashes_its_terms_only(monkeypatch):
+    # the hash of 1*e over C_200 never reaches the 200 x 200 basis table,
+    # and equal sums over the same spec still hash alike
+    spec = make_spec(zn_interval(5), cyclic_group(200))
+    x = fs_term(spec, 0, element(zn_interval(5), 1))
+
+    def refuse(self):
+        raise AssertionError("Magma.__hash__ called")
+
+    monkeypatch.setattr(Magma, "__hash__", refuse)
+    assert hash(x) == hash(fs_term(spec, 0, element(zn_interval(5), 1)))
+    assert len({x, fs_zero(spec), fs_add(x, x)}) == 3
+    # the same terms over another spec hash alike and compare unequal
+    other = fs_term(make_spec(zn_interval(5), cyclic_group(3)), 0,
+                    element(zn_interval(5), 1))
+    assert hash(other) == hash(x) and other != x

@@ -11,6 +11,9 @@ checked again by arithmetic.
 import hashlib
 import json
 
+import pytest
+
+from intervalsemirings import analysis, domains, tables
 from intervalsemirings import (
     PolyBasis,
     ROW,
@@ -175,6 +178,32 @@ def test_free_polynomial_basis_has_the_idempotent_x0():
         r = find_idempotents(handles[f"poly over {dname}"])
         assert not r.exhaustive
         assert [w for f in r.findings for w in f.witness] == witnesses
+
+
+def test_polynomial_idempotents_read_the_domain_kernel(monkeypatch):
+    # the nonzero idempotents of a finite coefficient domain come from its
+    # kernel over every position, and only they are built as objects
+    def refuse(d):
+        raise AssertionError(f"{domains.describe_domain(d)} enumerated")
+
+    for module in (domains, analysis):
+        monkeypatch.setattr(module, "domain_elements", refuse)
+
+    def poly(n):
+        return SemiringHandle.for_formal_sums(
+            make_spec(zn_interval(n), PolyBasis()))
+
+    r = find_idempotents(poly(30))
+    assert [w for f in r.findings for w in f.witness] == \
+        ["0"] + [f"[0,{c}]*x^0" for c in (1, 6, 10, 15, 16, 21, 25)]
+    r = find_idempotents(poly(1 << 21))
+    assert [w for f in r.findings for w in f.witness] == ["0", "[0,1]*x^0"]
+    assert not r.exhaustive
+    # the scan's digit arrays are refused past the table cap: 3 * 8 * 100
+    # bytes over zn(100)
+    monkeypatch.setattr(tables, "TABLE_BYTE_CAP", 1000)
+    with pytest.raises(SpecError, match="idempotent scan .* 2400 bytes"):
+        find_idempotents(poly(100))
 
 
 def test_row_matrix_over_neutro_pure_nat_has_zero_divisors():

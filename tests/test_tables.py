@@ -5,6 +5,7 @@ arithmetic; the table scans must match them exactly, witnesses and
 ``pairs_scanned`` included.
 """
 
+import collections
 import functools
 import itertools
 import json
@@ -1054,6 +1055,17 @@ def test_smarandache_search_refuses_other_seed_sizes():
             "findings": findings, "budget": {"pairs_scanned": scanned}}
 
 
+def test_smarandache_search_refuses_an_unknown_mode_on_every_handle():
+    # an infinite handle, one over the generated guard and a candidate
+    # each return without searching, so the mode is checked first
+    for h, kw in ((dh(nat_interval()), {}),
+                  (fsh(zn_interval(3), cyclic_group(9)), {}),
+                  (dh(chain_lattice(3)),
+                   {"candidate": [element(chain_lattice(3), 0)]})):
+        with pytest.raises(SpecError, match="unknown search mode 'bogus'"):
+            smarandache_search(h, mode="bogus", **kw)
+
+
 @pytest.mark.parametrize("build", [
     # chain(3) is a semifield generated by {0, a1, 1}, which is not proper
     lambda: dh(chain_lattice(3)),
@@ -1191,6 +1203,27 @@ def _refuse_enumeration(monkeypatch):
         monkeypatch.setattr(module, "domain_elements", refuse)
 
 
+def _arithmetic_entries(monkeypatch):
+    """A counter, by (domain, kind), of the entries the domain arithmetic
+    under ``tables.dom_kernel`` computes from now on.  A kernel that reads
+    a domain table computes its q^2 entries when it is made and none after;
+    an arithmetic kernel computes nothing until it is asked."""
+    counts = collections.Counter()
+    arithmetic = tables._arithmetic
+
+    def counted(d, kind):
+        f = arithmetic(d, kind)
+
+        def g(x, y):
+            out = f(x, y)
+            counts[domains.describe_domain(d), kind] += np.size(out)
+            return out
+        return g
+
+    monkeypatch.setattr(tables, "_arithmetic", counted)
+    return counts
+
+
 def test_subsets_of_a_large_domain_cost_their_own_operations(monkeypatch):
     # 50000 elements: a domain table would be 50000^2 entries, and the
     # subset checks enumerate no element: the kernel computes the m x m
@@ -1199,6 +1232,7 @@ def test_subsets_of_a_large_domain_cost_their_own_operations(monkeypatch):
     subset = [element(h.domain, v) for v in (0, 1, 25000)]
     with monkeypatch.context() as m:
         _refuse_enumeration(m)
+        entries = _arithmetic_entries(m)
         within = semifield_within(h, subset)
         kinds = ("subsemiring", "ideal", "left-ideal", "right-ideal")
         subs = [check_substructure(h, subset, kind) for kind in kinds]
@@ -1213,8 +1247,9 @@ def test_subsets_of_a_large_domain_cost_their_own_operations(monkeypatch):
             ref_candidate(ref, subset, kind).to_json_str()
         # the closure of {0, 1} is all 50000 elements, past the cap
         assert got.exhaustive == (kind not in PSEUDO_KINDS)
-    assert h._elements is None
-    assert h.tables()._dom_tables == {} and h.tables()._full == {}
+    assert h._elements is None and h.tables()._full == {}
+    # the kernel computed the entries asked for, a small share of a table
+    assert 0 < max(entries.values()) < 50000 ** 2 // 100
     # an enumerable handle checks every subset on its compiled tables
     h = dh(zn_interval(12))
     subset = [element(h.domain, v) for v in (0, 3, 6, 9)]
@@ -1248,35 +1283,65 @@ def test_queries_on_the_largest_zn_enumerate_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2000, 12000])
-def test_domain_table_is_built_only_when_it_pays_and_fits(n):
-    # k idempotent products on a domain of k: well under the k^2 entries
-    # of its table, which past 2896 elements is over the cap as well
+def test_domain_table_is_built_only_when_it_pays_and_fits(monkeypatch, n):
+    # a table of n^2 entries is more than a block, and past 2896 elements
+    # over the cap as well: the kernel computes the n idempotent products
+    # and nothing more
+    entries = _arithmetic_entries(monkeypatch)
     h = dh(zn_interval(n))
+    h.tables()
+    assert entries == {}
     assert find_idempotents(h).to_json_str() == \
         ref_idempotents(h).to_json_str()
-    assert h.tables()._dom_tables == {}
+    assert entries == {(f"zn-interval({n})", "mul"): n}
 
 
-def test_domain_table_is_built_once_the_entries_reach_it():
-    # zn(100): its 10000-entry table is larger than a block
-    h = mh(zn_interval(100), (ROW, 1))
-    t = h.tables()
-    t.op("mul", [1, 2], [3, 4])
-    assert "mul" not in t._dom_tables
-    assert np.array_equal(t.full("mul"), _object_tables(h)[1])
-    assert t._dom_tables["mul"].shape == (100, 100)
-    # zn(3): a 9-entry table is built on first use
+def test_domain_table_is_built_when_the_kernel_is_made(monkeypatch):
+    entries = _arithmetic_entries(monkeypatch)
+    # zn(3): its 9-entry tables are built with the compiled tables, and
+    # every later domain entry reads them
     t = fsh(zn_interval(3), cyclic_group(2)).tables()
+    built = {("zn-interval(3)", "add"): 9, ("zn-interval(3)", "mul"): 9}
+    assert entries == built
     t.op("mul", [1, 2], [3, 4])
-    assert t._dom_tables["mul"].shape == (3, 3)
+    t.full("add")
+    assert entries == built
+    # zn(100): a 10000-entry table is more than a block, so it is never
+    # built; the full table of row(1)/zn(100) computes its own entries
+    entries.clear()
+    h = mh(zn_interval(100), (ROW, 1))
+    assert np.array_equal(h.tables().full("mul"), _object_tables(h)[1])
+    assert entries == {("zn-interval(100)", "mul"): 100 * 100}
 
 
 def test_domain_table_over_the_cap_is_never_built(monkeypatch):
     # zn(20): the full table takes 400 bytes, the domain table 3200
     monkeypatch.setattr(tables, "TABLE_BYTE_CAP", 1000)
+    entries = _arithmetic_entries(monkeypatch)
     h = dh(zn_interval(20))
+    h.tables()
+    assert entries == {}
     assert np.array_equal(h.tables().full("mul"), _object_tables(h)[1])
-    assert h.tables()._dom_tables == {}
+
+
+def test_neutrosophic_kernels_take_their_base_tables(monkeypatch):
+    # neutro-mixed(zn(10)) has 100 elements, too many for a table of its
+    # own, so its arithmetic reads the 100-entry tables of zn(10); the
+    # 10-element neutro-pure(zn(10)) and the 36-element
+    # neutro-mixed(zn(6)) build a table of their own from their base's
+    entries = _arithmetic_entries(monkeypatch)
+    tables.dom_kernel(neutro_mixed(zn_interval(10)), "mul")
+    assert entries == {("zn-interval(10)", "add"): 100,
+                       ("zn-interval(10)", "mul"): 100}
+    entries.clear()
+    tables.dom_kernel(neutro_pure(zn_interval(10)), "mul")
+    assert entries == {("zn-interval(10)", "mul"): 100,
+                       ("neutro-pure(zn-interval(10))", "mul"): 100}
+    entries.clear()
+    tables.dom_kernel(neutro_mixed(zn_interval(6)), "add")
+    assert entries == {("zn-interval(6)", "add"): 36,
+                       ("zn-interval(6)", "mul"): 36,
+                       ("neutro-mixed(zn-interval(6))", "add"): 36 * 36}
 
 
 def test_generated_search_refuses_its_local_tables_first(monkeypatch):
@@ -1366,6 +1431,19 @@ def test_domain_kernel_matches_the_object_arithmetic(d, kind):
     assert np.array_equal(got, _object_domain_table(d, kind))
 
 
+@pytest.mark.parametrize("kind", ["add", "mul"])
+@pytest.mark.parametrize("d", KERNEL_DOMAINS, ids=domains.describe_domain)
+def test_domain_arithmetic_matches_the_object_arithmetic(monkeypatch, d,
+                                                         kind):
+    # with no table fitting a block every kernel, a neutrosophic one's base
+    # included, is the arithmetic
+    monkeypatch.setattr(tables, "_BLOCK_ENTRIES", 0)
+    every = np.arange(domains.domain_size(d))
+    got = tables.dom_kernel(d, kind)(every[:, None], every)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, _object_domain_table(d, kind))
+
+
 def test_zn_kernel_is_exact_at_the_enumeration_guard():
     # the largest zn a handle compiles: its products stay far inside intp
     from intervalsemirings.handle import _ENUM_GUARD
@@ -1382,14 +1460,14 @@ def test_zn_kernel_is_exact_at_the_enumeration_guard():
 
 
 def test_small_index_types_are_widened_before_the_kernel(monkeypatch):
-    # zn(300) with its intp domain table over the cap, so the kernel reads
-    # the digits of the uint16 indices: 299 * 299 overflows uint16
-    monkeypatch.setattr(tables, "TABLE_BYTE_CAP", 8 * 300 * 300 - 1)
+    # zn(300) has no domain table, so the arithmetic reads the digits of the
+    # uint16 indices: 299 * 299 overflows uint16
+    entries = _arithmetic_entries(monkeypatch)
     t = dh(zn_interval(300)).tables()
     idx = np.array([0, 7, 298, 299], dtype=np.uint16)
     want = np.array([[a * b % 300 for b in idx.tolist()] for a in idx.tolist()])
     assert np.array_equal(t.block("mul", idx, idx), want)
-    assert t._dom_tables == {}
+    assert entries == {("zn-interval(300)", "mul"): 16}
 
 
 def _strictness_sums(monkeypatch, h):
@@ -1413,9 +1491,11 @@ def test_strictness_past_the_domain_table_cap_matches_object_scan(
     want = is_strict_domain(d)
     k = domains.domain_size(d)
     monkeypatch.setattr(tables, "TABLE_BYTE_CAP", 2 * k * k)
+    entries = _arithmetic_entries(monkeypatch)
     h = dh(d)
+    h.tables()
+    assert (domains.describe_domain(d), "add") not in entries
     assert _strictness_sums(monkeypatch, h) == (want, 0)
-    assert h.tables()._dom_tables == {}
 
 
 def test_strictness_of_zn3000_runs_no_object_sums(monkeypatch):
@@ -1423,10 +1503,12 @@ def test_strictness_of_zn3000_runs_no_object_sums(monkeypatch):
     # entry of the full add table comes from the kernel.  The object scan
     # (is_strict_domain, about 10 s) finds [0,1500] + [0,1500] = [0,0].
     d = zn_interval(3000)
+    entries = _arithmetic_entries(monkeypatch)
     h = dh(d)
+    h.tables()
+    assert entries == {}
     half = element(d, 1500)
     assert _strictness_sums(monkeypatch, h) == ((False, (half, half)), 0)
-    assert h.tables()._dom_tables == {}
 
 
 @pytest.mark.parametrize("d", [zn_interval(12), zn_interval(7), BOOL4,
@@ -1451,7 +1533,7 @@ def test_local_tables_use_the_small_entry_type_and_count_their_bytes():
     with pytest.raises(SpecError) as err:
         tables.restrict(t, np.arange(4000))
     assert f"{(2 * 2 + 4) * 4000 * 4000} bytes" in str(err.value)
-    assert t._full == {} and t._dom_tables == {}
+    assert t._full == {}
 
 
 @pytest.mark.parametrize("entries", [1, 7, laws._BLOCK_ENTRIES])
@@ -1716,15 +1798,15 @@ def test_multi_block_compile_matches_object_tables(monkeypatch, name, block):
         assert np.array_equal(HANDLES[name]().tables().full(kind), obj[kind])
 
 
-def _ref_fold(h, t, kind, i, j):
+def _ref_fold(h, t, dom, kind, i, j):
     """Index of element i (kind) element j read digit by digit from the
-    domain tables in t: slot o sums its (l, r) products left to right, in
-    row-major order of (l, r)."""
+    q x q domain tables dom: slot o sums its (l, r) products left to
+    right, in row-major order of (l, r)."""
     keys, product = h._slots()
     n = len(keys)
     x = [i // t.q ** (n - 1 - s) % t.q for s in range(n)]
     y = [j // t.q ** (n - 1 - s) % t.q for s in range(n)]
-    add, op = t._dom_tables["add"], t._dom_tables[kind]
+    add, op = dom["add"], dom[kind]
     out = 0
     for o in range(n):
         if kind == "add":
@@ -1757,15 +1839,16 @@ def test_compile_keeps_the_fold_order(name):
         a, b, c = np.meshgrid(*[np.arange(q)] * 3, indexing="ij")
         if (add != add.T).any() and (add[add[a, b], c] != add[a, add[b, c]]).any():
             break
-    t._dom_tables = {"add": add,
-                     "mul": rng.integers(0, q, (q, q)).astype(np.intp)}
+    dom = {"add": add, "mul": rng.integers(0, q, (q, q)).astype(np.intp)}
+    t._kernel = {kind: functools.partial(lambda a, x, y: a[x, y], a)
+                 for kind, a in dom.items()}
     every = np.arange(t.k)
     for kind in ("add", "mul"):
         full = t.full(kind)
         assert np.array_equal(full, t.op(kind, every[:, None], every[None, :]))
         for i, j in rng.integers(0, t.k, (40, 2)):
             assert full[i, j] == int(t.op(kind, i, j)) \
-                == _ref_fold(h, t, kind, i, j)
+                == _ref_fold(h, t, dom, kind, i, j)
 
 
 def test_full_mul_at_1024_elements_matches_object_products():
