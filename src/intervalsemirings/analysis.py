@@ -45,10 +45,9 @@ from .domains import (
     zn_interval,
 )
 from .errors import Frozen, SpecError
-from .formalsums import FormalSum
 from .handle import _ENUM_GUARD, SemiringHandle
 from .laws import _law_witness, closure, loop_law_summary, substructures
-from .matrices import ROW, SQUARE, IntervalMatrix
+from .matrices import ROW, SQUARE
 
 _GENERATED_GUARD = 1 << 14
 _EXHAUSTIVE_SUBSET_LIMIT = 20
@@ -123,12 +122,9 @@ def _first_nonzero_scalar(d):
 def _support(h, slots, c):
     """The formal sum or matrix of h with coefficient c at the given slot
     keys (basis keys or entry positions) and zero elsewhere."""
-    if h.kind == "formal-sum":
-        return FormalSum(h.spec, [(k, c) for k in slots])
-    entries = [domain_zero(h.domain)] * len(h._slots()[0])
-    for p in slots:
-        entries[p] = c
-    return IntervalMatrix(h.domain, h.shape, tuple(entries))
+    zero = domain_zero(h._coefficient_handle().domain)
+    return h._slot_constructor([c if k in slots else zero
+                                for k in h._slots()[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ def carrier_kinds() -> list[str]:
 
 def build_carrier(kind: str, interval: bool = False, **params) -> Magma:
     """Build any carrier by kind name; used by the CLI and spec files."""
-    if kind not in _STANDARD_BUILDERS:
+    if not isinstance(kind, str) or kind not in _STANDARD_BUILDERS:
         raise SpecError(
             f"unknown carrier kind {kind!r}; known: {carrier_kinds()}"
         )

@@ -193,6 +193,8 @@ _FINDING_QUERIES = {
 }
 
 _SUBSET_QUERIES = ("subsemiring", "ideal", "left-ideal", "right-ideal")
+_SEMIFIELD_PROPERTIES = ("strict", "commutative", "has_one",
+                         "zero_divisor_free", "semifield")
 
 
 def _parse_subset(h, text):
@@ -211,6 +213,7 @@ def _cmd_classify(args, out):
 
     h = load_spec_file(args.spec)
     query = args.query
+    _check_expect(query, args.expect)
     expect_ok = True
     exhaustive = True
     if query in _FINDING_QUERIES:
@@ -223,18 +226,13 @@ def _cmd_classify(args, out):
         if args.json:
             out.write(json.dumps(c.to_json()) + "\n")
         else:
-            for name in ("strict", "commutative", "has_one",
-                         "zero_divisor_free", "semifield"):
+            for name in _SEMIFIELD_PROPERTIES:
                 out.write(f"{name}: {str(getattr(c, name)).lower()}\n")
                 if name in c.witnesses:
                     out.write("  witness: "
                               + ", ".join(c.witnesses[name]) + "\n")
             out.write(f"exhaustive: {str(c.exhaustive).lower()}\n")
         if args.expect is not None:
-            if args.expect not in ("strict", "commutative", "has_one",
-                                   "zero_divisor_free", "semifield"):
-                raise SpecError(f"unknown property {args.expect!r} "
-                                "for the semifield query")
             expect_ok = bool(getattr(c, args.expect))
     elif query in _SUBSET_QUERIES:
         subset = _parse_subset(h, args.subset)
@@ -250,9 +248,6 @@ def _cmd_classify(args, out):
                 w = [witness[0]] + [h.render(x) for x in witness[1:]]
                 out.write("  witness: " + ", ".join(w) + "\n")
         if args.expect is not None:
-            if args.expect != query:
-                raise SpecError(f"unknown property {args.expect!r} "
-                                f"for the {query} query")
             expect_ok = ok
     elif query == "smarandache":
         kwargs = {"mode": args.mode}
@@ -262,13 +257,26 @@ def _cmd_classify(args, out):
         report = analysis.smarandache_search(h, **kwargs)
         exhaustive = report.exhaustive
         expect_ok = _write_findings(args, report, out)
-    else:
-        raise SpecError(f"unknown query {query!r}")
     if args.require_exhaustive and not exhaustive:
         return _EXIT_EXHAUSTIVE
     if not expect_ok:
         return _EXIT_EXPECT
     return 0
+
+
+def _check_expect(query, prop):
+    """Refuse an unknown query, or an --expect property the query does not
+    have, before the query runs."""
+    if query in _FINDING_QUERIES or query == "smarandache":
+        names, where = ("findings", "no-findings", "exhaustive"), "this query"
+    elif query == "semifield":
+        names, where = _SEMIFIELD_PROPERTIES, "the semifield query"
+    elif query in _SUBSET_QUERIES:
+        names, where = (query,), f"the {query} query"
+    else:
+        raise SpecError(f"unknown query {query!r}")
+    if prop is not None and prop not in names:
+        raise SpecError(f"unknown property {prop!r} for {where}")
 
 
 def _write_findings(args, report, out):
@@ -290,9 +298,7 @@ def _check_report_expect(prop, report):
         return bool(report.findings)
     if prop == "no-findings":
         return not report.findings
-    if prop == "exhaustive":
-        return report.exhaustive
-    raise SpecError(f"unknown property {prop!r} for this query")
+    return report.exhaustive
 
 
 def _parse_range(text):

@@ -49,8 +49,8 @@ class DomainSpec(Frozen):
     defaults so specs compare and hash by value.
     """
 
-    __slots__ = _fields = ("kind", "n", "multiple", "k", "names", "join",
-                           "meet", "base")
+    _fields = ("kind", "n", "multiple", "k", "names", "join", "meet", "base")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, kind: str, n: int = 0, multiple: int = 1, k: int = 0,
                  names: tuple[str, ...] = (),
@@ -58,10 +58,12 @@ class DomainSpec(Frozen):
                  meet: tuple[tuple[int, ...], ...] = (),
                  base: Optional[DomainSpec] = None):
         self._fill(kind, n, multiple, k, names, join, meet, base)
+        # every element hash hashes its spec: the join and meet tables of a
+        # table lattice are hashed here, once
+        object.__setattr__(self, "_hash", hash(self._values()))
 
-    # every element operation compares two specs and every element hash
-    # hashes one, often of equal specs built apart (a parsed element and
-    # a handle's own), so both are written out
+    # every element operation compares two specs, often equal ones built
+    # apart (a parsed element and a handle's own), so it is written out
     def __eq__(self, other):
         if other is self:
             return True
@@ -73,8 +75,7 @@ class DomainSpec(Frozen):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.kind, self.n, self.multiple, self.k, self.names,
-                     self.join, self.meet, self.base))
+        return self._hash
 
 
 class IntervalElem(Frozen):
@@ -143,14 +144,17 @@ def chain_lattice(k: int, names: Optional[tuple[str, ...]] = None) -> DomainSpec
     """Totally ordered lattice 0 < a1 < ... < 1 with join=max, meet=min."""
     if k < 2:
         raise SpecError("chain-lattice requires at least 2 elements")
-    if names is None:
-        names = _default_chain_names(k)
-    names = tuple(names)
-    _check_lattice_names(names, k)
+    names = _lattice_names(_default_chain_names(k) if names is None else names,
+                           k)
     return DomainSpec(kind=CHAIN, k=k, names=names)
 
 
-def _check_lattice_names(names: tuple[str, ...], k: int) -> None:
+def _lattice_names(names, k: int) -> tuple[str, ...]:
+    """names as a tuple, refused unless a list or tuple of k distinct
+    strings of letters, digits and underscores."""
+    if not isinstance(names, (list, tuple)) \
+            or not all(isinstance(name, str) for name in names):
+        raise SpecError("lattice names must be a list of strings")
     if len(names) != k:
         raise SpecError(f"expected {k} lattice names, got {len(names)}")
     if len(set(names)) != k:
@@ -158,6 +162,7 @@ def _check_lattice_names(names: tuple[str, ...], k: int) -> None:
     for name in names:
         if not re.fullmatch(r"[A-Za-z0-9_]+", name):
             raise SpecError(f"invalid lattice element name {name!r}")
+    return tuple(names)
 
 
 def table_lattice(
@@ -171,15 +176,16 @@ def table_lattice(
     mutually absorptive, and distributive. Non-distributive lattices
     (the diamond M3, the pentagon N5) are rejected with a witness.
     """
-    join = tuple(tuple(row) for row in join)
-    meet = tuple(tuple(row) for row in meet)
+    try:
+        join = tuple(tuple(row) for row in join)
+        meet = tuple(tuple(row) for row in meet)
+    except TypeError:
+        raise SpecError("join and meet tables must be lists of rows") from None
     k = len(join)
     if k < 2:
         raise SpecError("table-lattice requires at least 2 elements")
-    if names is None:
-        names = tuple(f"m{i}" for i in range(k))
-    names = tuple(names)
-    _check_lattice_names(names, k)
+    names = _lattice_names(
+        tuple(f"m{i}" for i in range(k)) if names is None else names, k)
     for label, table in (("join", join), ("meet", meet)):
         if len(table) != k or any(len(row) != k for row in table):
             raise SpecError(f"{label} table must be {k}x{k}")
@@ -704,7 +710,7 @@ def domain_from_json(data) -> DomainSpec:
     if not isinstance(data, dict):
         raise SpecError("domain description must be a JSON object")
     kind = data.get("kind")
-    if kind not in _JSON_KEYS:
+    if not isinstance(kind, str) or kind not in _JSON_KEYS:
         raise SpecError(f"unknown domain kind {kind!r}")
     unknown = set(data) - _JSON_KEYS[kind]
     if unknown:
@@ -727,16 +733,10 @@ def domain_from_json(data) -> DomainSpec:
         k = data.get("k")
         if not isinstance(k, int):
             raise SpecError("chain-lattice requires integer k")
-        names = data.get("names")
-        if names is not None:
-            names = tuple(names)
-        return chain_lattice(k, names)
+        return chain_lattice(k, data.get("names"))
     if kind == TABLE:
         if "join" not in data or "meet" not in data:
             raise SpecError("table-lattice requires join and meet tables")
-        names = data.get("names")
-        if names is not None:
-            names = tuple(names)
-        return table_lattice(data["join"], data["meet"], names)
+        return table_lattice(data["join"], data["meet"], data.get("names"))
     base = domain_from_json(data.get("base"))
     return neutro_pure(base) if kind == NEUTRO_PURE else neutro_mixed(base)

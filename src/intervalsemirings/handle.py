@@ -16,12 +16,7 @@ import functools
 import itertools
 
 from .domains import (
-    CHAIN,
-    NAT,
-    NEUTRO_PURE,
-    RAT,
-    TABLE,
-    ZN,
+    describe_domain,
     domain_element_at,
     domain_elements,
     domain_one,
@@ -29,7 +24,6 @@ from .domains import (
     domain_size,
     domain_zero,
     element_key,
-    format_element,
     is_finite_domain,
 )
 from .errors import DomainMismatchError, SpecError
@@ -39,19 +33,9 @@ _ENUM_GUARD = 1 << 20
 
 
 def _describe_domain_short(d):
-    if d.kind == ZN:
-        return f"zn({d.n})"
-    if d.kind == NAT:
-        return "nat" if d.multiple == 1 else f"nat(multiple={d.multiple})"
-    if d.kind == RAT:
-        return "rat"
-    if d.kind == CHAIN:
-        return f"chain({d.k})"
-    if d.kind == TABLE:
-        return f"table({d.k})"
-    if d.kind == NEUTRO_PURE:
-        return f"neutro-pure({_describe_domain_short(d.base)})"
-    return f"neutro-mixed({_describe_domain_short(d.base)})"
+    """``describe_domain`` without the kind suffixes: zn(5), chain(3),
+    neutro-mixed(nat(multiple=2))."""
+    return describe_domain(d).replace("-interval", "").replace("-lattice", "")
 
 
 def _describe_basis(spec):
@@ -288,12 +272,8 @@ class SemiringHandle:
         element that ``element_at`` decodes once is rendered once.  The memo
         keeps x, so no other object can take its id while x is in it."""
         hit = self._rendered.get(id(x))
-        if hit is None:
-            if self.kind == "domain":
-                text = format_element(x)
-            else:   # a formal sum or a matrix prints its literal
-                text = str(x)
-            hit = self._rendered[id(x)] = (x, text)
+        if hit is None:   # every element prints its literal
+            hit = self._rendered[id(x)] = (x, str(x))
         return hit[1]
 
     def key(self, x):
@@ -301,10 +281,10 @@ class SemiringHandle:
         if self.kind == "domain":
             return element_key(x)
         if self.kind == "formal-sum":
-            from .formalsums import basis_is_finite, basis_keys
+            from .formalsums import basis_is_finite
 
             if basis_is_finite(self.spec.basis):
-                return tuple(element_key(x.coeff(k)) for k in basis_keys(self.spec))
+                return tuple(element_key(x.coeff(k)) for k in self._slots()[0])
             return tuple((k, element_key(c)) for k, c in x.terms.items())
         return tuple(element_key(e) for e in x.entries)
 

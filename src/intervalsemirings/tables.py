@@ -28,7 +28,8 @@ slot, where explicit indices cost one block per term.
 
 The scans below work on element indices and return index tuples in the
 scan order each docstring states; ``analysis`` renders them.  The semiring
-laws are checked by ``axiom_failure`` on any pair of k x k index tables.
+laws are checked by ``axiom_failure`` on any pair of k x k index tables,
+and each semifield law is one mask over such a pair (``zero_sums``).
 Subsets are checked on their local tables (:class:`Local`), sliced from
 the compiled tables or, on a handle without them, built from object
 arithmetic; the subset searches (closures, semifield subsets, the
@@ -479,34 +480,57 @@ def s_units(t, budget=None):
     return out, scanned, scanned == len(anchors)
 
 
+# The semifield laws, each one mask over the tables t (Tables or a Local):
+# three over pairs (x, y), true where the law fails, and the identities.
+# ``semifield_failure`` reads a pair mask's upper triangle row-major;
+# ``classify`` reads strictness and zero products as (y, x), x <= y.
+
+
+def zero_sums(t):
+    """m[x, y]: x + y = 0, (x, y) other than (0, 0)."""
+    m = t.add == t.zero
+    m[t.zero, t.zero] = False
+    return m
+
+
+def noncommuting(t):
+    """m[x, y]: x*y != y*x."""
+    return t.mul != t.mul.T
+
+
+def zero_products(t):
+    """m[x, y]: nonzero x and y with x*y = y*x = 0."""
+    m = (t.mul == t.zero) & (t.mul.T == t.zero)
+    m[t.zero, :] = m[:, t.zero] = False
+    return m
+
+
+def identities(t):
+    """m[e]: e*x = x*e = x for every x."""
+    every = np.arange(t.k)
+    return ((t.mul == every) & (t.mul.T == every)).all(axis=1)
+
+
 def zero_sum_pair(t):
     """The least (y, x), x <= y, other than (0, 0), with x + y = 0, or None."""
-    # the sum mask and the upper-triangle mask
+    # the sum table's mask and its lower triangle
     _check_bytes("strictness masks", t.k, 2 * t.k * t.k)
-    every = np.arange(t.k)
-    sums_zero = (t.full("add") == t.zero) & (every[:, None] <= every[None, :])
-    sums_zero[t.zero, t.zero] = False
-    return _first(sums_zero.T)
+    return _first(np.tril(zero_sums(t).T))
 
 
 def classify(t):
     """(strict, commutative, has_one, zero_divisor_free) witnesses by index.
 
-    strict: the pair (y, x), x <= y, other than (0, 0) with x + y = 0, least
-    as (y, x); commutative: the row-major first x < y with x*y != y*x;
-    has_one: whether some element is a two-sided identity (a bool);
+    strict: the least (y, x), x <= y, other than (0, 0), with x + y = 0;
+    commutative: the row-major first x < y with x*y != y*x; has_one:
+    whether some element is a two-sided identity (a bool);
     zero_divisor_free: the least (y, x), nonzero x <= y, with x*y = y*x = 0.
     Each witness is None when its law holds.
     """
     # about five k x k boolean masks are alive at once
     _check_bytes("classification masks", t.k, 5 * t.k * t.k)
-    strict = zero_sum_pair(t)
-    mul = t.mul
-    every = np.arange(t.k)
-    nonzero = every != t.zero
-    zd = (mul == t.zero) & (mul.T == t.zero) & nonzero[:, None] \
-        & nonzero[None, :] & (every[:, None] <= every[None, :])
-    return strict, noncommuting_pair(t), has_identity(t), _first(zd.T)
+    return (zero_sum_pair(t), _first(np.triu(noncommuting(t))),
+            bool(identities(t).any()), _first(np.tril(zero_products(t).T)))
 
 
 # The laws axiom_failure checks, in order: (law, arity, holds, report),
@@ -617,31 +641,6 @@ def first_unclosed(s):
     return (f"not-closed-under-{law}",) + hit
 
 
-def non_strict_pair(s):
-    """Row-major first (i, j), i <= j, other than (0, 0), summing to 0."""
-    sums_zero = s.add == s.zero
-    sums_zero[s.zero, s.zero] = False
-    return _first(np.triu(sums_zero))
-
-
-def noncommuting_pair(s):
-    """Row-major first (i, j), i < j, whose products differ by order."""
-    return _first(np.triu(s.mul != s.mul.T, 1))
-
-
-def has_identity(s):
-    """Whether some member acts as a two-sided identity on the members."""
-    pos = np.arange(s.k)
-    return bool(((s.mul == pos) & (s.mul.T == pos)).all(axis=1).any())
-
-
-def zero_divisor_pair(s):
-    """Row-major first (i, j), nonzero i <= j, with zero products both ways."""
-    z = (s.mul == s.zero) & (s.mul.T == s.zero)
-    z[s.zero, :] = z[:, s.zero] = False
-    return _first(np.triu(z))
-
-
 def semifield_failure(s):
     """The first failing semifield law of a subset as (law, positions...):
     zero, size, closure, strictness, commutativity, an identity and zero
@@ -653,14 +652,14 @@ def semifield_failure(s):
     w = first_unclosed(s)
     if w is not None:
         return w
-    for law, scan in (("not-strict", non_strict_pair),
-                      ("not-commutative", noncommuting_pair)):
-        w = scan(s)
+    for law, mask in (("not-strict", zero_sums),
+                      ("not-commutative", noncommuting)):
+        w = _first(np.triu(mask(s)))
         if w is not None:
             return (law,) + w
-    if not has_identity(s):
+    if not identities(s).any():
         return ("no-internal-identity",)
-    w = zero_divisor_pair(s)
+    w = _first(np.triu(zero_products(s)))
     return None if w is None else ("zero-divisor",) + w
 
 

@@ -760,3 +760,24 @@ def test_each_witness_element_is_rendered_once(monkeypatch):
     monkeypatch.undo()
     assert [f.witness for f in findings] == [
         tuple(real(x) for x in f.elements) for f in findings]
+
+
+def test_handles_describe_their_domains_in_short():
+    # the short names are describe_domain's without the kind suffixes
+    table = table_lattice([[0, 1], [1, 1]], [[0, 0], [0, 1]])
+    names = []
+    for b in (zn_interval(5), nat_interval(), nat_interval(3), rat_interval(),
+              chain_lattice(3), table):
+        names += [dh(d).describe() for d in (b, neutro_pure(b), neutro_mixed(b))]
+    assert names == [
+        "zn(5)", "neutro-pure(zn(5))", "neutro-mixed(zn(5))",
+        "nat", "neutro-pure(nat)", "neutro-mixed(nat)",
+        "nat(multiple=3)", "neutro-pure(nat(multiple=3))",
+        "neutro-mixed(nat(multiple=3))",
+        "rat", "neutro-pure(rat)", "neutro-mixed(rat)",
+        "chain(3)", "neutro-pure(chain(3))", "neutro-mixed(chain(3))",
+        "table(2)", "neutro-pure(table(2))", "neutro-mixed(table(2))"]
+    assert fsh(chain_lattice(3), cyclic_group(2)).describe() == \
+        "formal-sum[chain(3); cyclic(2)]"
+    assert mh(neutro_mixed(zn_interval(5)), (SQUARE, 2)).describe() == \
+        "matrix[square,2; neutro-mixed(zn(5))]"

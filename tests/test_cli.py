@@ -154,6 +154,41 @@ def test_spec_missing_file():
     assert "cannot read spec file" in err
 
 
+def _run_isl(argv):
+    """(exit code, stdout, stderr) of an isl process run with argv."""
+    path = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))
+        if p)
+    r = subprocess.run([sys.executable, "-m", "intervalsemirings.cli", *argv],
+                       capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=path))
+    return r.returncode, r.stdout, r.stderr
+
+
+_DIAMOND = {"kind": "table-lattice",
+            "join": [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]],
+            "meet": [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema": "1", "coefficients": {"kind": "chain-lattice", "k": 3,
+                                     "names": [1, 2, 3]}},
+    {"schema": "1", "coefficients": dict(_DIAMOND, join=5)},
+    {"schema": "1", "coefficients": {"kind": "zn-interval", "n": 3},
+     "basis": {"kind": ["x"]}},
+    {"schema": "1", "coefficients": {"kind": "chain-lattice", "k": 3,
+                                     "names": "abc"}},
+    {"schema": "1", "coefficients": {"kind": ["zn-interval"], "n": 3}},
+], ids=["integer-names", "scalar-join", "list-basis-kind", "string-names",
+        "list-domain-kind"])
+def test_malformed_spec_exits_2_without_a_traceback(tmp_path, doc):
+    code, out, err = _run_isl(["classify", "--spec", write_spec(tmp_path, doc),
+                               "--query", "idempotents"])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # table
 
@@ -288,6 +323,32 @@ def test_classify_unknown_expect(tmp_path):
     code, _, _ = run_cli(["classify", "--spec", spec,
                           "--query", "zero-divisors", "--expect", "frobnic"])
     assert code == 2
+
+
+CHAIN3 = {"schema": "1", "coefficients": {"kind": "chain-lattice", "k": 3}}
+
+
+@pytest.mark.parametrize("query, extra, runs, where", [
+    ("smarandache", ["--mode", "exhaustive"], "smarandache_search",
+     "this query"),
+    ("zero-divisors", [], "find_zero_divisors", "this query"),
+    ("semifield", [], "classify_semiring", "the semifield query"),
+    ("subsemiring", ["--subset", "0;1"], "check_substructure",
+     "the subsemiring query"),
+], ids=["smarandache", "zero-divisors", "semifield", "subsemiring"])
+def test_classify_refuses_an_unknown_expect_before_the_query_runs(
+        tmp_path, monkeypatch, query, extra, runs, where):
+    from intervalsemirings import analysis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{runs} ran")
+
+    monkeypatch.setattr(analysis, runs, refuse)
+    spec = write_spec(tmp_path, CHAIN3)
+    code, out, err = run_cli(["classify", "--spec", spec, "--query", query,
+                              *extra, "--expect", "typo"])
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown property 'typo' for {where}\n"
 
 
 def test_classify_semifield(tmp_path):
@@ -593,6 +654,22 @@ def test_short_command_loads_neither_numpy_nor_analysis(tmp_path, doc, argv,
     assert code == 0
     assert loaded == sorted(f"intervalsemirings.{m}" for m in modules)
     assert heavy == []
+
+
+def test_classify_on_a_domain_spec_loads_no_formal_sums(tmp_path):
+    # the analysis builds its pattern elements through the handle, so only
+    # a basis spec loads formalsums
+    spec = write_spec(tmp_path, ZN18)
+    code, loaded = run_fresh(
+        "import json, sys\n"
+        "from intervalsemirings.cli import main\n"
+        f"code = main(['classify', '--spec', {spec!r}, '--query', "
+        "'semifield'])\n"
+        f"print(json.dumps([code, {_LOADED}]))")
+    assert code == 0
+    assert loaded == sorted(["numpy"] + [f"intervalsemirings.{m}" for m in (
+        _CLI + ["analysis", "carriers", "domains", "handle", "laws",
+                "matrices", "tables"])])
 
 
 def test_table_kinds_are_the_carrier_kinds():

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from intervalsemirings import (
     DomainMismatchError,
+    DomainSpec,
+    IntervalElem,
     SpecError,
     canonical_pair,
     chain_lattice,
@@ -253,6 +255,25 @@ def test_domain_json_round_trip_table():
 def test_domain_json_rejects_unknown_kind():
     with pytest.raises(SpecError):
         domain_from_json({"kind": "octonion"})
+
+
+def test_a_domain_spec_hashes_its_tables_once():
+    # every element hash hashes its spec, so a table lattice's join and
+    # meet must not be hashed again on each of them
+    calls = []
+
+    class Counted(tuple):
+        def __hash__(self):
+            calls.append(1)
+            return super().__hash__()
+
+    d = DomainSpec("table-lattice", k=4, names=("0", "a", "b", "1"),
+                   join=Counted(DIAMOND_JOIN), meet=DIAMOND_MEET)
+    assert d == diamond()
+    elements = [IntervalElem(d, a) for a in range(4)] * 50
+    assert len({hash(x) for x in elements}) <= 4
+    assert len(set(elements)) == 4 and hash(d) == hash(diamond())
+    assert len(calls) <= 1
 
 
 # ---------------------------------------------------------------------------

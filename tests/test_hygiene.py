@@ -111,8 +111,8 @@ _PACKAGE_IMPORTS = {
     "expressions.py": {"domains", "errors", "handle"},
     "laws.py": {"carriers", "errors"},
     "tables.py": {"domains", "errors", "laws"},
-    "analysis.py": {"carriers", "domains", "errors", "formalsums", "handle",
-                    "laws", "matrices", "tables"},
+    "analysis.py": {"carriers", "domains", "errors", "handle", "laws",
+                    "matrices", "tables"},
 }
 
 
