@@ -47,7 +47,6 @@ from .domains import (
 from .errors import Frozen, SpecError
 from .handle import _ENUM_GUARD, SemiringHandle
 from .laws import _law_witness, closure, loop_law_summary, substructures
-from .matrices import ROW, SQUARE
 
 _GENERATED_GUARD = 1 << 14
 _EXHAUSTIVE_SUBSET_LIMIT = 20
@@ -86,9 +85,6 @@ class AnalysisReport(Frozen):
     def to_json_str(self):
         return json.dumps(self.to_json())
 
-    def kinds(self):
-        return [f.kind for f in self.findings]
-
 
 def _report(query, findings, exhaustive, scanned):
     return AnalysisReport(query=query, findings=tuple(findings),
@@ -122,7 +118,7 @@ def _first_nonzero_scalar(d):
 def _support(h, slots, c):
     """The formal sum or matrix of h with coefficient c at the given slot
     keys (basis keys or entry positions) and zero elsewhere."""
-    zero = domain_zero(h._coefficient_handle().domain)
+    zero = domain_zero(h.domain)
     return h._slot_constructor([c if k in slots else zero
                                 for k in h._slots()[0]])
 
@@ -174,8 +170,7 @@ def _domain_zero_divisor_pair(h):
 
 
 def _zero_divisor_patterns(h, query):
-    coefficients = h._coefficient_handle()
-    d = coefficients.domain
+    d = h.domain
     keys, product = h._slots()
     if len(keys) == 1 and h.kind != "formal-sum":
         # nat, rat, and neutrosophic domains over them have no zero divisors:
@@ -185,7 +180,7 @@ def _zero_divisor_patterns(h, query):
         return _report(query, [], not is_finite_domain(d), 0)
     pairs = []
     if h.kind == "formal-sum" and is_finite_domain(d):
-        pair = _domain_zero_divisor_pair(coefficients)
+        pair = _domain_zero_divisor_pair(h._coefficient_handle())
         if pair is not None:
             pairs.append(tuple(_support(h, keys[:1], c) for c in pair))
     # the first two unit slots whose products vanish both ways; only a
@@ -206,7 +201,7 @@ def _zero_divisor_patterns(h, query):
     # coefficient domain (coefficients of a product are sums of nonzero
     # products, hence nonzero); a finite domain has no zero divisors here,
     # since its pair would be a finding.
-    return _report(query, [], _strict_domain(coefficients)[0], 0)
+    return _report(query, [], _strict_domain(h._coefficient_handle())[0], 0)
 
 
 def find_idempotents(h):
@@ -253,8 +248,8 @@ def _idempotent_patterns(h, query):
     # a square's diagonal
     keys, product = h._slots()
     slots = [keys[p] for p in range(len(keys)) if product(p, p) == p]
+    d = h.domain
     if h.kind == "formal-sum":
-        d = h.spec.coefficients
         if is_finite_domain(d):
             # the positions c with c*c = c, from the domain's kernel: three
             # intp arrays of q entries
@@ -275,7 +270,6 @@ def _idempotent_patterns(h, query):
                     findings.append(Finding("idempotent", _wit(h, x), (x,)))
         return _report(query, findings, False, 0)
     # matrices: diagonal 0/1 patterns when the domain has a one
-    d = h.domain
     one = domain_one(d)
     zero = domain_zero(d)
     choices = [zero] if one is None else [zero, one]
@@ -286,7 +280,7 @@ def _idempotent_patterns(h, query):
                          one)
             if h.mul(x, x) == x:
                 findings.append(Finding("idempotent", _wit(h, x), (x,)))
-    complete = h.shape[0] == ROW and d.kind in (NAT, RAT) and count <= 256
+    complete = h.shape[0] == "row" and d.kind in (NAT, RAT) and count <= 256
     # row matrices over nat/rat are idempotent exactly when every entry is,
     # and entrywise idempotents are only 0 and 1
     return _report(query, findings, complete, 0)
@@ -384,7 +378,7 @@ def _s_special_patterns(h, kind, query):
         b = element(d, Fraction(4))
         return _report(query, [Finding("s-unit", _wit(h, x, y, a, b),
                                        (x, y, a, b))], False, 0)
-    if h.kind == "matrix" and h.shape[0] == ROW and kind in _S_ROW_PATTERNS:
+    if h.kind == "matrix" and h.shape[0] == "row" and kind in _S_ROW_PATTERNS:
         least, supports = _S_ROW_PATTERNS[kind]
         c = _first_nonzero_scalar(h.domain)
         if h.shape[1] >= least:
@@ -592,11 +586,11 @@ def _classify_structural(h):
     pair = None
     if h.kind == "formal-sum" and isinstance(h.spec.basis, Magma):
         pair = _law_witness(h.spec.basis, "commutative")
-    elif h.kind == "matrix" and h.shape[0] == SQUARE and h.shape[1] >= 2:
+    elif h.kind == "matrix" and h.shape[0] == "square" and h.shape[1] >= 2:
         pair = (0, 1)
     commutative = True
     if pair is not None:
-        c = _first_nonzero_scalar(h._coefficient_handle().domain)
+        c = _first_nonzero_scalar(h.domain)
         x, y = (_support(h, (p,), c) for p in pair)
         if h.mul(x, y) != h.mul(y, x):
             commutative = False
@@ -699,11 +693,11 @@ def _evaluate_candidate(h, members, kind):
     if kind not in _CANDIDATE_KINDS:
         raise SpecError(f"unknown candidate kind {kind!r}")
     query = f"{kind} candidate on {h.describe()}"
-    s, ordered, _ = _subset_tables(h, members)
     decided = True
     if kind == "s-pseudo-subsemiring":
-        found, decided = _pseudo_superset(h, set(ordered))
+        found, decided = _pseudo_superset(h, set(members))
     else:
+        s, ordered, _ = _subset_tables(h, members)
         if kind == "semifield-subset":
             proper = (not h.is_finite()) or len(ordered) < h.size()
             ok = proper and tables.semifield_failure(s) is None
@@ -736,12 +730,16 @@ def _pseudo_superset(h, mset):
         c = closure([lambda s: t.block("add", s, s),
                      lambda s: t.block("mul", s, s)],
                     t.k, [h.index(x) for x in seed], _CLOSURE_CAP)
-        c = None if c is None else [h.element_at(i) for i in c]
+        if c is None or len(c) == t.k:
+            return None, c is not None
+        # c ascends, as the keys of its elements do
+        s = tables.restrict(t, c)
+        ordered = [h.element_at(i) for i in c.tolist()]
     else:
         c = _closure_under_ops(h, seed)
-    if c is None or (h.is_finite() and len(c) >= h.size()):
-        return None, c is not None
-    s, ordered, _ = _subset_tables(h, c)
+        if c is None or (h.is_finite() and len(c) >= h.size()):
+            return None, c is not None
+        s, ordered, _ = _subset_tables(h, c)
     if tables.semifield_failure(s) is None or \
             tables.s_subsemiring(s) is not None:
         return ordered, True

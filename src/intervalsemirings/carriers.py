@@ -314,7 +314,7 @@ def build_carrier(kind: str, interval: bool = False, **params) -> Magma:
             f"unknown parameters for carrier kind {kind!r}: {sorted(unknown)}"
         )
     for p in names:
-        if not isinstance(params[p], int):
+        if type(params[p]) is not int:   # a JSON true is a bool, not 1
             raise SpecError(f"carrier parameter {p!r} must be an integer")
     args = [params[p] for p in names]
     return fn(*args, interval=interval)

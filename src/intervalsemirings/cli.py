@@ -100,7 +100,8 @@ def _basis_from_json(node, interval_labels):
             raise SpecError(
                 f"unknown poly keys: {', '.join(sorted(unknown))}")
         cyclic = params.get("cyclic")
-        if cyclic is not None and (not isinstance(cyclic, int) or cyclic < 1):
+        # a JSON true is a bool, not 1
+        if cyclic is not None and (type(cyclic) is not int or cyclic < 1):
             raise SpecError('"cyclic" must be a positive integer')
         if interval_labels:
             raise SpecError("interval_labels applies to carrier bases only")
@@ -120,7 +121,7 @@ def _shape_from_json(node):
     n = node.get("n")
     if shape not in ("row", "square"):
         raise SpecError('matrix "shape" must be "row" or "square"')
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SpecError('matrix "n" must be a positive integer')
     return (shape, n)
 
@@ -306,9 +307,12 @@ def _parse_range(text):
     if not sep:
         raise SpecError(f"range must look like A..B, got {text!r}")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise SpecError(f"range must hold integers, got {text!r}")
+    if lo > hi:
+        raise SpecError(f"range must not run backwards, got {text!r}")
+    return lo, hi
 
 
 def _cmd_verify(args, out):

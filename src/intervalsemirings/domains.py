@@ -191,7 +191,7 @@ def table_lattice(
             raise SpecError(f"{label} table must be {k}x{k}")
         for i, row in enumerate(table):
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < k:
+                if type(v) is not int or not 0 <= v < k:
                     raise SpecError(
                         f"{label} table entry [{i}][{j}] out of range"
                     )
@@ -719,19 +719,19 @@ def domain_from_json(data) -> DomainSpec:
         )
     if kind == ZN:
         n = data.get("n")
-        if not isinstance(n, int):
+        if type(n) is not int:   # a JSON true is a bool, not 1
             raise SpecError("zn-interval requires integer n")
         return zn_interval(n)
     if kind == NAT:
         multiple = data.get("multiple", 1)
-        if not isinstance(multiple, int):
+        if type(multiple) is not int:
             raise SpecError("nat-interval multiple must be an integer")
         return nat_interval(multiple)
     if kind == RAT:
         return rat_interval()
     if kind == CHAIN:
         k = data.get("k")
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise SpecError("chain-lattice requires integer k")
         return chain_lattice(k, data.get("names"))
     if kind == TABLE:

@@ -200,10 +200,6 @@ def _wrap(node, in_add=False):
 # in identity-less domains and bare coefficients promote lazily.
 
 
-def _coeff_domain(h):
-    return h.spec.coefficients if h.kind == "formal-sum" else h.domain
-
-
 def _identity_key(spec):
     from .formalsums import PolyBasis
 
@@ -227,7 +223,7 @@ def _to_sum(h, v):
                 "bare coefficient needs an identity basis element")
         return fs_term(spec, key, payload)
     if tag == "basis":
-        one = domain_one(spec.coefficients)
+        one = domain_one(h.domain)
         if one is None:
             raise DomainMismatchError(
                 "bare basis token needs a coefficient identity")
@@ -238,7 +234,7 @@ def _to_sum(h, v):
 def _eval(h, node):
     kind = node[0]
     if kind == "interval":
-        return ("coeff", parse_element(_coeff_domain(h), node[1]))
+        return ("coeff", parse_element(h.domain, node[1]))
     if kind == "symbol":
         return _eval_symbol(h, node[1])
     if kind == "matrix":
@@ -262,13 +258,8 @@ def _eval_symbol(h, text):
             return ("basis", resolve_basis_token(h.spec, text))
         except SpecError:
             pass
-        try:
-            return ("coeff", parse_element(h.spec.coefficients, text))
-        except (SpecError, DomainMismatchError):
-            raise DomainMismatchError(
-                f"unknown symbol {text!r} for this structure") from None
     try:
-        return ("coeff", parse_element(_coeff_domain(h), text))
+        return ("coeff", parse_element(h.domain, text))
     except (SpecError, DomainMismatchError):
         raise DomainMismatchError(
             f"unknown symbol {text!r} for this structure") from None

@@ -49,7 +49,11 @@ def _describe_basis(spec):
 
 
 class SemiringHandle:
-    """Uniform facade over a domain, formal-sum, or matrix semiring."""
+    """Uniform facade over a domain, formal-sum, or matrix semiring.
+
+    ``domain`` is the coefficient domain of every kind: a domain handle's
+    own, a formal sum's ``spec.coefficients``, a matrix's entry domain.
+    """
 
     def __init__(self, kind, *, domain=None, spec=None, shape=None):
         if kind not in ("domain", "formal-sum", "matrix"):
@@ -65,11 +69,12 @@ class SemiringHandle:
             if mk not in ("row", "square") or not isinstance(n, int) or n < 1:
                 raise SpecError(f"invalid matrix shape {shape!r}")
         self.kind = kind
-        self.domain = domain
+        self.domain = spec.coefficients if kind == "formal-sum" else domain
         self.spec = spec
         self.shape = shape
         self._elements = None
         self._decoded = {}
+        self._digits = {}
         self._rendered = {}
         self._tables = None
         self._coefficients = None
@@ -86,10 +91,8 @@ class SemiringHandle:
             from .matrices import identity_matrix, zero_matrix
 
             self.zero = zero_matrix(domain, shape)
-            if domain_one(domain) is None:
-                self.one = None
-            else:
-                self.one = identity_matrix(domain, shape)
+            self.one = (None if domain_one(domain) is None
+                        else identity_matrix(domain, shape))
 
     @classmethod
     def for_domain(cls, domain):
@@ -104,13 +107,13 @@ class SemiringHandle:
         return cls("matrix", domain=domain, shape=shape)
 
     def describe(self):
+        d = _describe_domain_short(self.domain)
         if self.kind == "domain":
-            return _describe_domain_short(self.domain)
+            return d
         if self.kind == "formal-sum":
-            return (f"formal-sum[{_describe_domain_short(self.spec.coefficients)};"
-                    f" {_describe_basis(self.spec)}]")
+            return f"formal-sum[{d}; {_describe_basis(self.spec)}]"
         mk, n = self.shape
-        return f"matrix[{mk},{n}; {_describe_domain_short(self.domain)}]"
+        return f"matrix[{mk},{n}; {d}]"
 
     def add(self, x, y):
         return x + y
@@ -119,13 +122,11 @@ class SemiringHandle:
         return x * y
 
     def is_finite(self):
-        if self.kind == "domain":
-            return is_finite_domain(self.domain)
         if self.kind == "formal-sum":
             from .formalsums import basis_is_finite
 
-            return (is_finite_domain(self.spec.coefficients)
-                    and basis_is_finite(self.spec.basis))
+            if not basis_is_finite(self.spec.basis):
+                return False
         return is_finite_domain(self.domain)
 
     def _slots(self):
@@ -165,8 +166,7 @@ class SemiringHandle:
         """The number of elements (made once); an infinite handle raises."""
         if not self.is_finite():
             raise SpecError("handle is infinite")
-        return domain_size(self._coefficient_handle().domain) \
-            ** len(self._slots()[0])
+        return domain_size(self.domain) ** len(self._slots()[0])
 
     def is_enumerable(self):
         return self.is_finite() and self.size() <= _ENUM_GUARD
@@ -181,7 +181,7 @@ class SemiringHandle:
         """All elements in canonical order, ascending by key (guarded)."""
         if self._elements is None:
             self._require_enumerable()
-            dom = domain_elements(self._coefficient_handle().domain)
+            dom = domain_elements(self.domain)
             self._elements = list(map(self._slot_constructor, itertools.product(
                 dom, repeat=len(self._slots()[0]))))
         return self._elements
@@ -203,10 +203,10 @@ class SemiringHandle:
         return lambda values: IntervalMatrix(domain, shape, tuple(values))
 
     def element_at(self, i):
-        """elements()[i] without enumerating any handle, memoized per index:
-        a domain's element at position i (``domain_element_at``), or the
-        element whose slots hold the coefficient handle's elements at the
-        base-q digits of i, first slot most significant.  An i outside
+        """elements()[i] without enumerating the handle, memoized per index:
+        the element whose slots hold the domain elements at the base-q
+        digits of i (``domain_element_at``, each made once per handle),
+        first slot most significant; a domain is one slot.  An i outside
         range(size()) raises IndexError."""
         if self._elements is not None and i >= 0:
             return self._elements[i]
@@ -215,16 +215,15 @@ class SemiringHandle:
             if not 0 <= i < self._size:
                 raise IndexError(f"element index {i} out of range for "
                                  f"{self.describe()}")
-            if self.kind == "domain":
-                x = domain_element_at(self.domain, i)
-            else:
-                c = self._coefficient_handle()
-                q, rest, values = domain_size(c.domain), i, []
-                for _ in self._slots()[0]:
-                    rest, digit = divmod(rest, q)
-                    values.append(c.element_at(digit))
-                x = self._slot_constructor(values[::-1])
-            self._decoded[i] = x
+            d, rest, values = self.domain, i, []
+            q = domain_size(d)
+            for _ in self._slots()[0]:
+                rest, digit = divmod(rest, q)
+                c = self._digits.get(digit)
+                if c is None:
+                    c = self._digits[digit] = domain_element_at(d, digit)
+                values.append(c)
+            x = self._decoded[i] = self._slot_constructor(values[::-1])
         return x
 
     def index(self, x):
@@ -237,7 +236,7 @@ class SemiringHandle:
         if not ours:
             raise DomainMismatchError(f"{x} is not an element of "
                                       f"{self.describe()}")
-        d = self._coefficient_handle().domain
+        d = self.domain
         key = self.key(x)
         if self.kind == "domain":
             return domain_position(d, key)
@@ -256,15 +255,13 @@ class SemiringHandle:
         return self._tables
 
     def _coefficient_handle(self):
-        """The handle of a formal sum's or matrix's coefficient domain (a
-        domain handle's own), made once so that its compiled tables serve
-        every question about it."""
+        """The handle of the coefficient domain (a domain handle is its
+        own), made once so that its compiled tables serve every question
+        about it."""
         if self.kind == "domain":
             return self
         if self._coefficients is None:
-            self._coefficients = SemiringHandle.for_domain(
-                self.spec.coefficients if self.kind == "formal-sum"
-                else self.domain)
+            self._coefficients = SemiringHandle.for_domain(self.domain)
         return self._coefficients
 
     def render(self, x):

@@ -7,7 +7,7 @@ shapes are rejected: nothing in the supported algebra multiplies them.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import domains
 from .domains import DomainSpec, IntervalElem
@@ -41,19 +41,6 @@ class IntervalMatrix(Frozen):
     @property
     def n(self) -> int:
         return self.shape[1]
-
-    def entry(self, i: int, j: Optional[int] = None) -> IntervalElem:
-        if self.shape[0] == ROW:
-            return self.entries[i if j is None else j]
-        if j is None:
-            raise SpecError("square matrix entries take two indices")
-        return self.entries[i * self.n + j]
-
-    def rows(self) -> list[list[IntervalElem]]:
-        if self.shape[0] == ROW:
-            return [list(self.entries)]
-        n = self.n
-        return [list(self.entries[i * n : (i + 1) * n]) for i in range(n)]
 
     def __add__(self, other):
         return mat_add(self, other)

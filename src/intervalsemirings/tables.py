@@ -63,7 +63,7 @@ class Tables:
     """
 
     def __init__(self, h):
-        domain = h._coefficient_handle().domain
+        domain = h.domain
         keys, product = h._slots()
         self.n = len(keys)
         self.q = domains.domain_size(domain)

@@ -420,6 +420,20 @@ def test_loop_semiring_candidate_kinds():
     assert r.findings
 
 
+def test_a_pseudo_subsemiring_candidate_builds_no_tables_of_its_own(
+        monkeypatch):
+    # only the closure's tables are read, and over nat the closure of
+    # {0, 2, 4} passes the cap before any are built
+    calls = []
+    subset_tables = analysis._subset_tables
+    monkeypatch.setattr(analysis, "_subset_tables",
+                        lambda *a: calls.append(a) or subset_tables(*a))
+    d = nat_interval()
+    r = smarandache_search(dh(d), candidate=[element(d, v) for v in (0, 2, 4)],
+                           candidate_kind="s-pseudo-subsemiring")
+    assert (r.findings, r.exhaustive, calls) == ((), False, [])
+
+
 def test_generated_mode_not_exhaustive():
     r = smarandache_search(dh(chain_lattice(3)), mode="generated")
     assert not r.exhaustive

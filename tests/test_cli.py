@@ -179,8 +179,19 @@ _DIAMOND = {"kind": "table-lattice",
     {"schema": "1", "coefficients": {"kind": "chain-lattice", "k": 3,
                                      "names": "abc"}},
     {"schema": "1", "coefficients": {"kind": ["zn-interval"], "n": 3}},
+    # a JSON true is a bool, never the integer 1
+    {"schema": "1", "coefficients": {"kind": "zn-interval", "n": 3},
+     "basis": {"kind": "cyclic", "k": True}},
+    dict(ROW2_ZN4, matrix={"shape": "row", "n": True}),
+    {"schema": "1", "coefficients": {"kind": "zn-interval", "n": 3},
+     "basis": {"kind": "poly", "cyclic": True}},
+    {"schema": "1", "coefficients": {"kind": "nat-interval", "multiple": True}},
+    {"schema": "1", "coefficients": {"kind": "table-lattice",
+                                     "join": [[0, True], [True, True]],
+                                     "meet": [[0, 0], [0, True]]}},
 ], ids=["integer-names", "scalar-join", "list-basis-kind", "string-names",
-        "list-domain-kind"])
+        "list-domain-kind", "bool-cyclic-k", "bool-matrix-n", "bool-poly-cyclic",
+        "bool-nat-multiple", "bool-table-entries"])
 def test_malformed_spec_exits_2_without_a_traceback(tmp_path, doc):
     code, out, err = _run_isl(["classify", "--spec", write_spec(tmp_path, doc),
                                "--query", "idempotents"])
@@ -469,6 +480,10 @@ def test_verify_bad_range():
     code, _, err = run_cli(["verify", "loop-laws", "--n", "5-9"])
     assert code == 2
     assert "A..B" in err
+    # a reversed range would pass over no instances
+    code, out, err = run_cli(["verify", "loop-laws", "--n", "9..5"])
+    assert (code, out) == (2, "")
+    assert "backwards" in err
 
 
 def test_verify_primes_list():
@@ -656,10 +671,14 @@ def test_short_command_loads_neither_numpy_nor_analysis(tmp_path, doc, argv,
     assert heavy == []
 
 
-def test_classify_on_a_domain_spec_loads_no_formal_sums(tmp_path):
+@pytest.mark.parametrize("doc, kind_module", [
+    (ZN18, []), ({**ZN18, "basis": {"kind": "cyclic", "k": 2}}, ["formalsums"]),
+], ids=["domain", "basis"])
+def test_classify_loads_no_matrices_and_formal_sums_only_for_a_basis(
+        tmp_path, doc, kind_module):
     # the analysis builds its pattern elements through the handle, so only
-    # a basis spec loads formalsums
-    spec = write_spec(tmp_path, ZN18)
+    # a basis spec loads formalsums, and only a matrix spec matrices
+    spec = write_spec(tmp_path, doc)
     code, loaded = run_fresh(
         "import json, sys\n"
         "from intervalsemirings.cli import main\n"
@@ -668,8 +687,8 @@ def test_classify_on_a_domain_spec_loads_no_formal_sums(tmp_path):
         f"print(json.dumps([code, {_LOADED}]))")
     assert code == 0
     assert loaded == sorted(["numpy"] + [f"intervalsemirings.{m}" for m in (
-        _CLI + ["analysis", "carriers", "domains", "handle", "laws",
-                "matrices", "tables"])])
+        _CLI + kind_module + ["analysis", "carriers", "domains", "handle",
+                              "laws", "tables"])])
 
 
 def test_table_kinds_are_the_carrier_kinds():
@@ -706,7 +725,7 @@ def test_package_import_loads_analysis_on_first_access():
     assert after == sorted(
         ["numpy"] + [f"intervalsemirings.{m}" for m in (
             "analysis", "carriers", "domains", "errors", "formalsums",
-            "handle", "laws", "matrices", "tables")])
+            "handle", "laws", "tables")])
     assert wrong == []
     assert unbound == []
 

@@ -112,7 +112,7 @@ _PACKAGE_IMPORTS = {
     "laws.py": {"carriers", "errors"},
     "tables.py": {"domains", "errors", "laws"},
     "analysis.py": {"carriers", "domains", "errors", "handle", "laws",
-                    "matrices", "tables"},
+                    "tables"},
 }
 
 

@@ -1908,6 +1908,18 @@ def test_element_at_matches_elements(name):
 
 
 @pytest.mark.parametrize("name", list(HANDLES))
+def test_every_kind_names_its_coefficient_domain(name):
+    # h.domain is the domain every slot of every element is drawn from
+    h = HANDLES[name]()
+    coefficients = {"domain": lambda x: [x.domain],
+                    "formal-sum": lambda x: [x.spec.coefficients],
+                    "matrix": lambda x: [e.domain for e in x.entries]}[h.kind]
+    assert h._coefficient_handle().domain == h.domain
+    assert h.size() == domains.domain_size(h.domain) ** len(h._slots()[0])
+    assert {d for x in h.elements() for d in coefficients(x)} == {h.domain}
+
+
+@pytest.mark.parametrize("name", list(HANDLES))
 def test_element_at_refuses_an_index_outside_the_handle(name):
     # no wrap past the end or from a negative index, and no payload outside
     # the domain, before elements() and after it
