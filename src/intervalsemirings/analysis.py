@@ -440,7 +440,7 @@ def _materialize_pattern(h, pattern):
             raise SpecError(f"bad structural pattern {pattern!r}")
         if h.kind == "domain" and h.domain.kind == ZN:
             d = h.domain
-            return [element(d, v) for v in range(0, d.n, k) if v % k == 0], None
+            return [element(d, v) for v in range(0, d.n, k)], None
         if h.kind == "domain" and h.domain.kind == NAT:
             return None, k
         raise SpecError("structural patterns apply to zn or nat domain handles")
@@ -713,7 +713,8 @@ def _evaluate_candidate(h, members, kind):
                 _pseudo_superset(h, set(ordered))
             at = None if base is None else next(
                 (a for a in tables.semifield_subsets(s)
-                 if tables.absorbs(s, a, a if own else range(s.k))), None)
+                 if tables.first_not_absorbing(
+                     s, a, into=a if own else range(s.k)) is None), None)
         found = None if at is None else [ordered[i] for i in at]
     return _report(query, [] if found is None else [
         Finding(kind, _wit(h, *found), tuple(found))], decided, 0)

@@ -238,15 +238,14 @@ def _cmd_classify(args, out):
     elif query in _SUBSET_QUERIES:
         subset = _parse_subset(h, args.subset)
         ok, witness = analysis.check_substructure(h, subset, query)
+        w = [] if witness is None else \
+            [witness[0]] + [h.render(x) for x in witness[1:]]
         if args.json:
-            w = [] if witness is None else \
-                [witness[0]] + [h.render(x) for x in witness[1:]]
             out.write(json.dumps({"query": query, "ok": ok, "witness": w})
                       + "\n")
         else:
             out.write(f"{query}: {str(ok).lower()}\n")
-            if witness is not None:
-                w = [witness[0]] + [h.render(x) for x in witness[1:]]
+            if w:
                 out.write("  witness: " + ", ".join(w) + "\n")
         if args.expect is not None:
             expect_ok = ok

@@ -195,9 +195,13 @@ def _wrap(node, in_add=False):
 # ---------------------------------------------------------------------------
 # evaluation against a handle
 #
-# Values carry a tag: ("coeff", element), ("basis", key), ("sum", FormalSum),
-# ("matrix", IntervalMatrix).  Tags exist so coefficient*token products work
-# in identity-less domains and bare coefficients promote lazily.
+# Values carry a tag: ("coeff", element of h.domain), ("basis", key) or
+# ("elem", element of the handle).  A coefficient scales what it multiplies
+# (``_scale``), so coefficient*token products work in identity-less domains;
+# ``_lift`` is the one place a value becomes an element: a token k is 1*k and
+# a coefficient c alone is c times the identity token or matrix.  A domain
+# handle only makes coefficients, a formal-sum handle never makes a matrix
+# and a matrix handle never makes a token.
 
 
 def _identity_key(spec):
@@ -209,26 +213,44 @@ def _identity_key(spec):
     return b.identity
 
 
-def _to_sum(h, v):
-    from .formalsums import fs_term
+def _scale(h, c, v):
+    """c times a basis token or an element of a formal-sum or matrix
+    handle."""
+    if h.kind == "formal-sum":
+        from .formalsums import fs_scale, fs_term
 
-    spec = h.spec
+        if v[0] == "basis":
+            return fs_term(h.spec, v[1], c)
+        return fs_scale(c, v[1])
+    from .matrices import scale_matrix
+
+    return scale_matrix(c, v[1])
+
+
+def _lift(h, v):
+    """The element of the handle that the value v stands for."""
     tag, payload = v
-    if tag == "sum":
+    if tag == "elem" or h.kind == "domain":
         return payload
-    if tag == "coeff":
-        key = _identity_key(spec)
-        if key is None:
-            raise DomainMismatchError(
-                "bare coefficient needs an identity basis element")
-        return fs_term(spec, key, payload)
     if tag == "basis":
         one = domain_one(h.domain)
         if one is None:
             raise DomainMismatchError(
                 "bare basis token needs a coefficient identity")
-        return fs_term(spec, payload, one)
-    raise DomainMismatchError("matrix value in a formal-sum context")
+        return _scale(h, one, v)
+    if h.kind == "formal-sum":
+        key = _identity_key(h.spec)
+        if key is None:
+            raise DomainMismatchError(
+                "bare coefficient needs an identity basis element")
+        return _scale(h, payload, ("basis", key))
+    if domain_one(h.domain) is None:
+        raise DomainMismatchError(
+            "bare coefficient needs a multiplicative identity to make "
+            "a matrix")
+    from .matrices import identity_matrix
+
+    return _scale(h, payload, ("elem", identity_matrix(h.domain, h.shape)))
 
 
 def _eval(h, node):
@@ -281,75 +303,30 @@ def _eval_matrix(h, node):
         mk, n = h.shape
         raise DomainMismatchError(
             f"expected a {mk} matrix with n={n}, got {m.shape[0]} n={m.n}")
-    return ("matrix", m)
+    return ("elem", m)
 
 
 def _combine_add(h, a, b):
-    if h.kind == "formal-sum":
-        return ("sum", h.add(_to_sum(h, a), _to_sum(h, b)))
-    if a[0] == "coeff" and b[0] == "coeff":
+    # a formal sum lifts coefficients as soon as it adds them; elsewhere a
+    # sum of coefficients stays one
+    if a[0] == b[0] == "coeff" and h.kind != "formal-sum":
         return ("coeff", dom_add(a[1], b[1]))
-    if h.kind == "matrix":
-        return ("matrix", h.add(_to_matrix(h, a), _to_matrix(h, b)))
-    raise DomainMismatchError("cannot add these values in this structure")
+    return ("elem", h.add(_lift(h, a), _lift(h, b)))
 
 
 def _combine_mul(h, a, b):
-    if h.kind == "formal-sum":
-        from .formalsums import fs_scale, fs_term
-
-        ta, tb = a[0], b[0]
-        if ta == "coeff" and tb == "coeff":
-            return ("coeff", dom_mul(a[1], b[1]))
-        if ta == "coeff" and tb == "basis":
-            return ("sum", fs_term(h.spec, b[1], a[1]))
-        if ta == "basis" and tb == "coeff":
-            return ("sum", fs_term(h.spec, a[1], b[1]))
-        if ta == "coeff":
-            return ("sum", fs_scale(a[1], _to_sum(h, b)))
-        if tb == "coeff":
-            return ("sum", fs_scale(b[1], _to_sum(h, a)))
-        return ("sum", h.mul(_to_sum(h, a), _to_sum(h, b)))
-    if a[0] == "coeff" and b[0] == "coeff":
+    if a[0] == b[0] == "coeff":
         return ("coeff", dom_mul(a[1], b[1]))
-    if h.kind == "matrix":
-        from .matrices import scale_matrix
-
-        if a[0] == "coeff":
-            return ("matrix", scale_matrix(a[1], _to_matrix(h, b)))
-        if b[0] == "coeff":
-            return ("matrix", scale_matrix(b[1], _to_matrix(h, a)))
-        return ("matrix", h.mul(_to_matrix(h, a), _to_matrix(h, b)))
-    raise DomainMismatchError("cannot multiply these values in this structure")
-
-
-def _to_matrix(h, v):
-    if v[0] == "matrix":
-        return v[1]
-    if v[0] == "coeff":
-        from .matrices import identity_matrix, scale_matrix
-
-        if domain_one(h.domain) is None:
-            raise DomainMismatchError(
-                "bare coefficient needs a multiplicative identity to make "
-                "a matrix")
-        return scale_matrix(v[1], identity_matrix(h.domain, h.shape))
-    raise DomainMismatchError("expected a matrix value")
-
-
-def _finalize(h, v):
-    if h.kind == "domain":
-        if v[0] != "coeff":
-            raise DomainMismatchError("expected a plain interval value")
-        return v[1]
-    if h.kind == "formal-sum":
-        return _to_sum(h, v)
-    return _to_matrix(h, v)
+    if a[0] == "coeff":
+        return ("elem", _scale(h, a[1], b))
+    if b[0] == "coeff":
+        return ("elem", _scale(h, b[1], a))
+    return ("elem", h.mul(_lift(h, a), _lift(h, b)))
 
 
 def eval_expression(h, text):
     """Parse and evaluate text to an element of the handle's semiring."""
-    return _finalize(h, _eval(h, parse_expression(text)))
+    return _lift(h, _eval(h, parse_expression(text)))
 
 
 def eval_pair(h, lhs, rhs, op):
@@ -357,9 +334,9 @@ def eval_pair(h, lhs, rhs, op):
     va = _eval(h, parse_expression(lhs))
     vb = _eval(h, parse_expression(rhs))
     if op == "add":
-        return _finalize(h, _combine_add(h, va, vb))
+        return _lift(h, _combine_add(h, va, vb))
     if op == "mul":
-        return _finalize(h, _combine_mul(h, va, vb))
+        return _lift(h, _combine_mul(h, va, vb))
     raise SpecError(f"unknown operation {op!r}")
 
 

@@ -66,7 +66,7 @@ class SemiringHandle:
             if domain is None or shape is None:
                 raise SpecError("matrix handle requires a domain and a shape")
             mk, n = shape
-            if mk not in ("row", "square") or not isinstance(n, int) or n < 1:
+            if mk not in ("row", "square") or type(n) is not int or n < 1:
                 raise SpecError(f"invalid matrix shape {shape!r}")
         self.kind = kind
         self.domain = spec.coefficients if kind == "formal-sum" else domain

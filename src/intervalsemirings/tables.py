@@ -688,26 +688,17 @@ def s_subsemiring(s):
     return next((c for c in semifield_subsets(s) if len(c) < s.k), None)
 
 
-def absorbs(s, inner, into):
-    """Whether p*a and a*p land among the positions into for every member
-    p and every a in inner."""
-    # the extra False entry is what an outside entry reads
-    target = np.zeros(s.k + 1, dtype=bool)
-    target[list(into)] = True
-    inner = list(inner)
-    return bool(target[s.mul[:, inner]].all()
-                and target[s.mul[inner, :]].all())
-
-
-def first_not_absorbing(t, idx, left, right):
-    """First (law, x, y) with s over every element, then p over the member
-    indices idx: s*p leaving the members (left) before p*s (right)."""
+def first_not_absorbing(t, idx, left=True, right=True, into=None):
+    """First (law, x, y) with s over every element of t (the compiled
+    tables or a Local), then p over the member indices idx: s*p leaving
+    into (the members by default; left) before p*s (right)."""
     idx = np.asarray(idx, dtype=np.intp)
     every = np.arange(t.k)
-    member = np.zeros(t.k, dtype=bool)
-    member[idx] = True
-    bad_left = ~member[t.block("mul", every, idx)] if left else False
-    bad_right = ~member[t.block("mul", idx, every).T] if right else False
+    # the extra False entry is what an outside entry of a Local reads
+    target = np.zeros(t.k + 1, dtype=bool)
+    target[idx if into is None else list(into)] = True
+    bad_left = ~target[t.block("mul", every, idx)] if left else False
+    bad_right = ~target[t.block("mul", idx, every).T] if right else False
     hit = _first(bad_left | bad_right)
     if hit is None:
         return None

@@ -215,6 +215,19 @@ def test_zn12_s_idempotents():
     assert got == [(4, 8), (9, 3)]
 
 
+@pytest.mark.parametrize("h, count", [
+    (dh(zn_interval(12)), 2),
+    (fsh(chain_lattice(2), build_loop(5, 3)), 1),
+])
+def test_s_idempotent_certificates_recheck(h, count):
+    r = find_s_special(h, "s-idempotent")
+    assert len(r.findings) == count
+    for f in r.findings:
+        a, b = f.elements
+        assert validate_s_certificate(h, "s-idempotent", (a, b))
+        assert not validate_s_certificate(h, "s-idempotent", (a, a))
+
+
 def test_zn13_has_no_s_idempotents():
     assert not find_s_special(dh(zn_interval(13)), "s-idempotent").findings
 
@@ -469,6 +482,21 @@ def test_bad_map_witnessed():
     r = check_homomorphism(f, h4, h2)
     assert not r.ok
     assert r.witness[0] == "zero"
+
+
+@pytest.mark.parametrize("n, fmap, witness", [
+    # x -> 2x keeps sums but 2*1*1 = 2 while 2*2 = 0
+    (4, lambda h, x: h.add(x, x), ("mul", 1, 1)),
+    # x -> x^2 keeps products but (1+1)^2 = 1 while 1 + 1 = 2
+    (3, lambda h, x: h.mul(x, x), ("add", 1, 1)),
+])
+def test_hom_witness_is_the_first_failing_pair_add_before_mul(n, fmap,
+                                                              witness):
+    h = dh(zn_interval(n))
+    r = check_homomorphism(lambda x: fmap(h, x), h, h)
+    assert not r.ok and r.exhaustive
+    op, x, y = r.witness
+    assert (op, x.a, y.a) == witness
 
 
 def test_hom_source_over_the_guard_needs_a_sample():

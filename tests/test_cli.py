@@ -402,6 +402,27 @@ def test_classify_subset_pattern(tmp_path):
     assert "ideal: true" in out
 
 
+@pytest.mark.parametrize("n, query, subset, flags, want", [
+    (4, "subsemiring", "[0,0]; [0,1]", [],
+     "subsemiring: false\n"
+     "  witness: not-closed-under-addition, [0,1], [0,1]\n"),
+    (4, "subsemiring", "[0,0]; [0,1]", ["--json"],
+     '{"query": "subsemiring", "ok": false, "witness": '
+     '["not-closed-under-addition", "[0,1]", "[0,1]"]}\n'),
+    (12, "ideal", "multiples-of-4", [], "ideal: true\n"),
+    (10, "subsemiring", "multiples-of-3", [],
+     "subsemiring: false\n"
+     "  witness: not-closed-under-multiplication, [0,3], [0,6]\n"),
+])
+def test_classify_subset_output(tmp_path, n, query, subset, flags, want):
+    doc = {"schema": "1", "coefficients": {"kind": "zn-interval", "n": n}}
+    spec = write_spec(tmp_path, doc)
+    code, out, _ = run_cli(["classify", "--spec", spec, "--query", query,
+                            "--subset", subset, *flags])
+    assert code == 0
+    assert out == want
+
+
 def test_classify_subset_missing(tmp_path):
     spec = write_spec(tmp_path, ZN18)
     code, _, err = run_cli(["classify", "--spec", spec, "--query", "ideal"])

@@ -226,3 +226,51 @@ def test_distributes_over_parenthesized_sum():
     a = eval_expression(POLY, "([0,2]*x^1) * ([0,1]*x^0 + [0,1]*x^1)")
     b = eval_expression(POLY, "[0,2]*x^1 + [0,2]*x^2")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# promotion: a coefficient scales what it multiplies; a bare token is 1*k and
+# a bare coefficient c is c times the identity token or c*I
+
+
+ZN3_C4 = SemiringHandle.for_formal_sums(make_spec(zn_interval(3),
+                                                  cyclic_group(4)))
+NAT2_C3 = SemiringHandle.for_formal_sums(make_spec(nat_interval(2),
+                                                   cyclic_group(3)))
+ZN3_GROUPOID = SemiringHandle.for_formal_sums(
+    make_spec(zn_interval(3), build_groupoid(5, 3, 2)))
+SQ_ZN5 = SemiringHandle.for_matrices(zn_interval(5), (SQUARE, 2))
+SQ_NAT2 = SemiringHandle.for_matrices(nat_interval(2), (SQUARE, 2))
+_M5 = "[[[0,1], [0,2]], [[0,3], [0,4]]]"
+_MN2 = "[[[0,2], [0,0]], [[0,4], [0,2]]]"
+_NO_TOKEN_ONE = "bare basis token needs a coefficient identity"
+_NO_BASIS_ONE = "bare coefficient needs an identity basis element"
+_NO_MATRIX_ONE = ("bare coefficient needs a multiplicative identity to make "
+                  "a matrix")
+
+
+@pytest.mark.parametrize("h, lhs, op, rhs, want", [
+    (ZN3_C4, "g1", "mul", "[0,2]", "[0,2]*g1"),
+    (ZN3_C4, "g1", "mul", "g3", "[0,1]*e"),
+    (ZN3_C4, "[0,2]", "mul", "[0,1]*e + [0,1]*g1", "[0,2]*e + [0,2]*g1"),
+    (ZN3_C4, "[0,1]*e + [0,2]*g1", "mul", "[0,2]", "[0,2]*e + [0,1]*g1"),
+    (ZN3_C4, "[0,1]", "add", "[0,2]", "0"),
+    (NAT2_C3, "g1", "mul", "g2", _NO_TOKEN_ONE),
+    (NAT2_C3, "[0,2]*g1", "mul", "[0,4]", "[0,8]*g1"),
+    (NAT2_C3, "[0,2]", "add", "[0,4]", "[0,6]*e"),
+    (ZN3_GROUPOID, "[0,1]", "add", "[0,2]*1b", _NO_BASIS_ONE),
+    (ZN3_GROUPOID, "([0,1] + [0,2])", "mul", "1b", _NO_BASIS_ONE),
+    (ZN3_GROUPOID, "[0,2]", "mul", "1b", "[0,2]*1b"),
+    (SQ_ZN5, "[0,2]", "mul", _M5, "[[[0,2], [0,4]], [[0,1], [0,3]]]"),
+    (SQ_ZN5, _M5, "add", "[0,2]", "[[[0,3], [0,2]], [[0,3], [0,1]]]"),
+    (SQ_NAT2, "[0,2]", "add", _MN2, _NO_MATRIX_ONE),
+    (SQ_NAT2, "([0,2] + [0,4])", "mul", _MN2,
+     "[[[0,12], [0,0]], [[0,24], [0,12]]]"),
+])
+def test_promotion_rule(h, lhs, op, rhs, want):
+    if want.startswith("bare "):
+        with pytest.raises(DomainMismatchError) as e:
+            eval_pair(h, lhs, rhs, op)
+        assert str(e.value) == want
+    else:
+        assert h.render(eval_pair(h, lhs, rhs, op)) == want

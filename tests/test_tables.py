@@ -1031,6 +1031,17 @@ def test_candidates_match_reference(name, kind, data):
     assert got.to_json_str() == ref_candidate(h, subset, kind).to_json_str()
 
 
+def test_first_not_absorbing_reads_the_outside_entry_of_a_local():
+    # two members whose product 1*1 leaves the subset (entry k = 2)
+    s = tables.Local(np.array([[0, 1], [1, 0]]), np.array([[0, 0], [0, 2]]),
+                     0)
+    assert tables.first_not_absorbing(s, [1], into=[0, 1]) == \
+        ("not-absorbing-left", 1, 1)
+    assert tables.first_not_absorbing(s, [1], left=False, into=[0, 1]) == \
+        ("not-absorbing-right", 1, 1)
+    assert tables.first_not_absorbing(s, [0]) is None
+
+
 @given(st.sampled_from(UPTO_16), st.sampled_from([1, 2]))
 @settings(max_examples=15, deadline=None)
 def test_generated_search_matches_reference(name, seed_size):
@@ -1917,6 +1928,13 @@ def test_every_kind_names_its_coefficient_domain(name):
     assert h._coefficient_handle().domain == h.domain
     assert h.size() == domains.domain_size(h.domain) ** len(h._slots()[0])
     assert {d for x in h.elements() for d in coefficients(x)} == {h.domain}
+
+
+@pytest.mark.parametrize("shape", [(ROW, True), (SQUARE, True)])
+def test_a_matrix_handle_refuses_a_bool_n(shape):
+    # bool is a subclass of int, but True is no matrix size
+    with pytest.raises(SpecError, match="invalid matrix shape"):
+        mh(zn_interval(3), shape)
 
 
 @pytest.mark.parametrize("name", list(HANDLES))
