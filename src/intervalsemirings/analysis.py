@@ -654,12 +654,15 @@ def smarandache_search(h, mode="generated", *, seed_size=2, max_subset=None,
     Without a candidate the finding kind is "semifield-subset" and each
     witness lists the subset.  Generated mode keeps the distinct closures
     of {0, x} and {0, x, y} under both operations, skipping a pair whose
-    closure is that of {0, x} or {0, y} (``laws.generated_closures``);
-    every seed counts in pairs_scanned; seed_size 1 keeps the singles.
-    Exhaustive mode enumerates the closed subsets with 0 of handles with at
-    most 20 elements (``laws.closed_sets``).  With a candidate, the
-    candidate_kind selects the certificate: semifield-subset, s-subsemiring,
-    s-ideal, s-pseudo-subsemiring, or s-pseudo-ideal.
+    closure is that of {0, x} or {0, y} and closing each distinct seed
+    C(x) | C(y) once (``laws.generated_closures``); every seed counts in
+    pairs_scanned; seed_size 1 keeps the singles.  Exhaustive mode
+    enumerates the closed subsets with 0 of handles with at most 20
+    elements (``laws.closed_sets``).  Either way each closed set is decided
+    from semifield masks made once (``tables.semifields``).  With a
+    candidate, the candidate_kind selects the certificate:
+    semifield-subset, s-subsemiring, s-ideal, s-pseudo-subsemiring, or
+    s-pseudo-ideal.
     """
     if seed_size not in (1, 2):
         raise SpecError(f"seed_size must be 1 or 2, not {seed_size!r}")

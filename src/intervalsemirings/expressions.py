@@ -204,15 +204,6 @@ def _wrap(node, in_add=False):
 # and a matrix handle never makes a token.
 
 
-def _identity_key(spec):
-    from .formalsums import PolyBasis
-
-    b = spec.basis
-    if isinstance(b, PolyBasis):
-        return 0
-    return b.identity
-
-
 def _scale(h, c, v):
     """c times a basis token or an element of a formal-sum or matrix
     handle."""
@@ -239,7 +230,7 @@ def _lift(h, v):
                 "bare basis token needs a coefficient identity")
         return _scale(h, one, v)
     if h.kind == "formal-sum":
-        key = _identity_key(h.spec)
+        key = h.spec.basis.identity
         if key is None:
             raise DomainMismatchError(
                 "bare coefficient needs an identity basis element")

@@ -32,6 +32,9 @@ class PolyBasis(Frozen):
             raise SpecError("poly-cyclic period must be >= 1")
         self._fill(cyclic)
 
+    # the key of x^0, as ``Magma.identity`` is a carrier's identity key
+    identity = property(lambda self: 0)
+
 
 class SemiringSpec(Frozen):
     """Coefficient domain + basis (a PolyBasis or a carriers.Magma) + the
@@ -249,12 +252,8 @@ def fs_one(spec: SemiringSpec) -> Optional[FormalSum]:
     one = domains.domain_one(spec.coefficients)
     if one is None:
         return None
-    basis = spec.basis
-    if isinstance(basis, PolyBasis):
-        return fs_term(spec, 0, one)
-    if basis.identity is None:
-        return None
-    return fs_term(spec, basis.identity, one)
+    key = spec.basis.identity
+    return None if key is None else fs_term(spec, key, one)
 
 
 def _require_same_spec(p: FormalSum, q: FormalSum) -> None:

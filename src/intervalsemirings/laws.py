@@ -290,8 +290,10 @@ def generated_closures(gathers, k, base, pairs):
     Closures are ascending index tuples, under ``gathers`` as in
     ``closure``; one that leaves a local table is dropped.  The closure of
     a pair is C(x) when y is in C(x), C(y) when x is in C(y), and otherwise
-    the closure of C(x) | C(y); it leaves whenever C(x) or C(y) does.
-    Every pair counts as scanned, pruned or not.
+    the closure of the seed C(x) | C(y); it leaves whenever C(x) or C(y)
+    does.  Seeds repeat, so each is keyed by its packed member bits and
+    closed only the first time its key appears.  Every pair counts as
+    scanned, pruned or not.
     """
     # about k^2 bytes: under the k x k tables the caller already holds
     member = np.zeros((k, k + 1), dtype=bool)
@@ -302,12 +304,17 @@ def generated_closures(gathers, k, base, pairs):
         if c is not None:
             member[x, c] = stays[x] = True
             found.add(tuple(c.tolist()))
+    seen = set()   # a key of (k + 1) / 8 bytes per distinct seed
     for x in np.flatnonzero(stays) if pairs else ():
         rest = stays[x + 1:] & ~member[x, x + 1:k] & ~member[x + 1:, x]
-        for y in np.flatnonzero(rest) + x + 1:
-            c = closure(gathers, k, np.flatnonzero(member[x] | member[y]), k)
-            if c is not None:
-                found.add(tuple(c.tolist()))
+        # the seeds of x's pairs: one block no larger than member
+        seeds = member[np.flatnonzero(rest) + x + 1] | member[x]
+        for key, seed in zip(map(bytes, np.packbits(seeds, axis=1)), seeds):
+            if key not in seen:
+                seen.add(key)
+                c = closure(gathers, k, np.flatnonzero(seed), k)
+                if c is not None:
+                    found.add(tuple(c.tolist()))
     return found, k + k * (k - 1) // 2 if pairs else k
 
 

@@ -667,11 +667,21 @@ def semifields(t, mode, top, pairs=True):
     """(semifield subsets of at most top elements, by size then positions;
     scanned) of t (the compiled tables or a Local): the closed subsets
     with 0 that ``laws.substructures`` finds in mode and that pass
-    ``semifield_failure``."""
+    ``semifield_failure``, read from masks made once: a closed c with 0
+    passes when it has two members, ``bad`` holds no pair of c, and some e
+    in c has e*x = x for every x in c (so x*e too, as c commutes)."""
+    # at most four k x k boolean masks are alive at once
+    _check_bytes("semifield masks", t.k, 4 * t.k * t.k)
     found, scanned = laws.substructures([t.add, t.mul], (t.zero,), mode,
                                         top, pairs)
-    return [c for c in found
-            if semifield_failure(restrict(t, c)) is None], scanned
+    bad = np.triu(zero_sums(t)) | noncommuting(t) | zero_products(t)
+    no_id = t.mul != np.arange(t.k)
+
+    def passes(c):
+        i = np.array(c)
+        return not bad[i[:, None], i].any() and \
+            not no_id[i[:, None], i].any(axis=1).all()
+    return [c for c in found if len(c) > 1 and passes(c)], scanned
 
 
 def semifield_subsets(s):

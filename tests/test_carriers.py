@@ -576,10 +576,14 @@ def test_associativity_is_inherited_by_every_closed_subset(g, mode):
 def closure_tables(draw, kmax=7):
     """(k, one or two k x k tables, base seed), k at most kmax.  Entries are
     indices below k, or, for a local table, may also be k: a result outside
-    the subset."""
+    the subset.  Sometimes every entry lies in a small image, so that many
+    seeds have the same closure."""
     k = draw(st.integers(1, kmax))
     top = k if draw(st.booleans()) else k - 1
-    row = st.lists(st.integers(0, top), min_size=k, max_size=k)
+    entry = st.integers(0, top)
+    if draw(st.booleans()):
+        entry = st.sampled_from(draw(st.lists(entry, min_size=1, max_size=3)))
+    row = st.lists(entry, min_size=k, max_size=k)
     ops = [np.array(draw(st.lists(row, min_size=k, max_size=k)),
                     dtype=np.intp).reshape(k, k)
            for _ in range(draw(st.integers(1, 2)))]
@@ -587,7 +591,7 @@ def closure_tables(draw, kmax=7):
     return k, ops, base
 
 
-@given(closure_tables(), st.booleans())
+@given(closure_tables(10), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_generated_closures_match_closing_every_seed(case, pairs):
     k, ops, base = case

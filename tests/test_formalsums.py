@@ -126,6 +126,18 @@ def test_one_exists_when_carrier_has_identity():
     assert fs_mul(p, one) == p
 
 
+def test_poly_basis_identity_is_x0_and_not_a_field():
+    assert PolyBasis().identity == PolyBasis(cyclic=4).identity == 0
+    # a property: fields, equality and hashing see only the period
+    assert PolyBasis._fields == ("cyclic",)
+    assert PolyBasis(cyclic=4) == PolyBasis(cyclic=4) != PolyBasis()
+    assert hash(PolyBasis()) == hash(PolyBasis(None))
+    with pytest.raises(AttributeError):
+        PolyBasis().identity = 1
+    spec = make_spec(zn_interval(5), PolyBasis(cyclic=4))
+    assert list(fs_one(spec).terms) == [0]
+
+
 def test_one_missing_without_domain_one():
     spec = make_spec(nat_interval(3), PolyBasis())
     assert fs_one(spec) is None

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intervalsemirings import (
     ROW,
@@ -1164,6 +1164,108 @@ def test_generated_search_at_81_elements():
         "[[0, 0], [0, 0]]", "[[0, a1], [a1, 0]]", "[[0, 1], [1, 0]]",
         "[[a1, 0], [0, a1]]", "[[a1, a1], [a1, a1]]", "[[a1, 1], [1, a1]]",
         "[[1, 0], [0, 1]]", "[[1, a1], [a1, 1]]", "[[1, 1], [1, 1]]")
+
+
+def _search_closing_every_seed(h):
+    """The generated search with no seed skipped or shared: each seed is
+    closed on the tables from scratch and each distinct closure checked on
+    its own local tables."""
+    t = h.tables()
+    gathers = laws._gathers([t.add, t.mul])
+    seeds = [(x,) for x in range(t.k)] + list(
+        itertools.combinations(range(t.k), 2))
+    found = {tuple(c.tolist()) for c in (
+        laws.closure(gathers, t.k, (t.zero,) + seed, t.k) for seed in seeds)
+        if c is not None and len(c) < t.k}
+    hits = [c for c in sorted(found, key=lambda c: (len(c), c))
+            if tables.semifield_failure(tables.restrict(t, c)) is None]
+    return _report(f"smarandache on {h.describe()}", analysis._index_findings(
+        h, [("semifield-subset",) + c for c in hits]), False, len(seeds))
+
+
+@pytest.mark.parametrize("build, most, ref", [
+    (HANDLES["row(3) zn(3) [27]"], 87, ref_smarandache_generated),
+    (lambda: dh(neutro_mixed(zn_interval(5))), 28, ref_smarandache_generated),
+    # the object reference takes minutes at 81 elements
+    (HANDLES["square(2) zn(3) [81]"], 487, _search_closing_every_seed),
+    (lambda: fsh(zn_interval(3), cyclic_group(4)), 183,
+     _search_closing_every_seed),
+], ids=["row(3) zn(3)", "neutro-mixed(zn(5))", "square(2) zn(3)",
+        "zn(3).C4"])
+def test_generated_search_closes_each_distinct_seed_once(build, most, ref,
+                                                         monkeypatch):
+    # pruning alone takes 267, 73, 2977 and 1545 closures here: the pair
+    # seeds C(x) | C(y) repeat, and each distinct one is closed once
+    h = build()
+    calls, real = [], laws.closure
+    monkeypatch.setattr(laws, "closure",
+                        lambda *a: calls.append(1) or real(*a))
+    got = smarandache_search(h)
+    monkeypatch.undo()
+    assert len(calls) <= most
+    assert got.to_json_str() == ref(h).to_json_str()
+
+
+def _semifields_set_by_set(t, mode, top, pairs=True):
+    """``tables.semifields`` with each found set checked on its own local
+    tables by ``semifield_failure``."""
+    found, scanned = laws.substructures([t.add, t.mul], (t.zero,), mode,
+                                        top, pairs)
+    return [c for c in found
+            if tables.semifield_failure(tables.restrict(t, c)) is None], \
+        scanned
+
+
+@pytest.mark.parametrize("name", UPTO_81)
+def test_semifield_masks_match_the_set_by_set_check(name):
+    t = HANDLES[name]().tables()
+    for pairs in (False, True):
+        assert tables.semifields(t, "generated", t.k - 1, pairs) == \
+            _semifields_set_by_set(t, "generated", t.k - 1, pairs)
+    if t.k <= 9:
+        assert tables.semifields(t, "exhaustive", t.k - 1) == \
+            _semifields_set_by_set(t, "exhaustive", t.k - 1)
+
+
+@given(st.sampled_from(UPTO_81), st.data())
+@settings(max_examples=60, deadline=None)
+def test_semifield_subsets_of_a_local_match_the_set_by_set_check(name,
+                                                                 data):
+    t = HANDLES[name]().tables()
+    seed = data.draw(st.lists(st.integers(0, t.k - 1), max_size=3))
+    if data.draw(st.booleans()):
+        members = laws.closure(laws._gathers([t.add, t.mul]), t.k,
+                               [t.zero, *seed], t.k)
+    else:
+        members = sorted({t.zero, *seed})
+    s = tables.restrict(t, members)
+    assert tables.semifield_subsets(s) == \
+        _semifields_set_by_set(s, "generated", s.k)[0]
+
+
+@st.composite
+def local_tables(draw, kmax=6):
+    """A Local of k members with random add and mul entries, k meaning a
+    result outside; addition need not commute."""
+    k = draw(st.integers(1, kmax))
+    table = st.lists(st.lists(st.integers(0, k), min_size=k, max_size=k),
+                     min_size=k, max_size=k)
+    add, mul = (np.array(draw(table), dtype=np.intp) for _ in range(2))
+    return tables.Local(add, mul, draw(st.integers(0, k - 1)))
+
+
+@given(local_tables(), st.sampled_from(["generated", "exhaustive"]),
+       st.booleans())
+# {0, 1, 2} with 2 + 1 = 0 but 1 + 2 = 2, and 1 the identity: a semifield
+# to semifield_failure, which reads only the upper triangle of x + y = 0
+@example(tables.Local(np.array([[0, 1, 2], [1, 1, 2], [2, 0, 2]]),
+                      np.array([[0, 0, 0], [0, 1, 2], [0, 2, 2]]), 0),
+         "generated", True)
+@settings(max_examples=300, deadline=None)
+def test_semifield_masks_match_on_noncommuting_addition(s, mode, pairs):
+    # the masks keep that triangle where x + y != y + x
+    assert tables.semifields(s, mode, s.k, pairs) == \
+        _semifields_set_by_set(s, mode, s.k, pairs)
 
 
 def test_generated_search_over_the_cap_is_refused(tmp_path):
