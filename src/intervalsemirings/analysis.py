@@ -338,8 +338,9 @@ def find_s_special(h, kind, budget=None):
     - s-unit: x != 1 with x*y = y*x = 1 and a, b outside {x, y, 1} where
       a sends x to y, b sends y back to x, and a*b = 1.
 
-    Witnesses carry the full certificate tuple.  The budget caps scanned
-    anchors.
+    Witnesses carry the full certificate tuple.  The budget caps the
+    anchors scanned: anchor pairs a <= b for s-zero-divisor, single anchors
+    for the other kinds.
     """
     if kind not in _S_KINDS:
         raise SpecError(f"unknown special-element kind {kind!r} "

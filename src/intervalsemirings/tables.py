@@ -348,74 +348,105 @@ def nilpotents(t, max_index):
 
 
 def _zero_products(t):
-    """Nonzero indices nz and z[i, j]: nz[i] * nz[j] = 0."""
+    """Nonzero indices nz and three masks over them: z[i, j] where
+    nz[i] * nz[j] = 0, either = z | z.T, and apart[i, j] where i != j and
+    nz[i] * nz[j] or nz[j] * nz[i] is nonzero."""
     nz = t.nonzero()
-    return nz, t.full("mul")[np.ix_(nz, nz)] == t.zero
+    z = (t.full("mul")[nz] == t.zero)[:, nz]
+    apart = ~(z & z.T)
+    np.fill_diagonal(apart, False)
+    return nz, z, z | z.T, apart
+
+
+def _without(mask, *cols):
+    """mask, one row per anchor, with column cols[c][r] of row r cleared."""
+    for c in cols:
+        mask[np.arange(len(mask)), c] = False
+    return mask
+
+
+def _first_pairs(n, k, X, Y, row):
+    """(u, v) of each of n anchors p: the row-major first pair with X[p, u],
+    Y[p, v] and row(p, u)[v], or (-1, -1).  X(ps) and Y(ps) are the
+    (len(ps) x k) candidate masks of the anchors ps, row(ps, us) the masks
+    of the partners v of candidate us[i] of anchor ps[i].
+
+    Anchors go in blocks of ``_BLOCK_ENTRIES // k``.  A round gathers the
+    partners of the untried candidates below rank 2, 4, 8, ... of every
+    open anchor of a block at once, in at most max(k, 4 * block) rows (a
+    k x k mask, or four blocks of entries), the first anchors' first; the
+    candidates cut off stay below the next rank.
+    """
+    first = np.full((2, n), -1, dtype=np.intp)
+    step = max(1, _BLOCK_ENTRIES // max(k, 1))
+    for lo in range(0, n, step):
+        ps = np.arange(lo, min(lo + step, n))
+        xs, ys, below = X(ps), Y(ps), 2
+        rank = np.cumsum(xs, axis=1)   # u is candidate rank[p, u] of p
+        while xs.any():   # xs: the candidates not yet tried
+            i, u = np.divmod(np.flatnonzero(xs & (rank < below))
+                             [:max(k, 4 * step)], k)
+            hit = row(ps[i], u) & ys[i]
+            good = np.flatnonzero(hit.any(axis=1))
+            good = good[np.diff(i[good], prepend=-1) != 0]   # first per p
+            first[:, ps[i[good]]] = u[good], hit[good].argmax(axis=1)
+            xs[i, u] = False
+            xs[i[good]] = False
+            below *= 2
+    return first
 
 
 def s_zero_divisors(t, budget=None):
     """([(a, b, x, y)], scanned, exhaustive) over anchor pairs a <= b.
 
     An anchor with a zero product in some order is oriented so a*b = 0; its
-    certificate is the first x outside {a, b} with a*x or x*a zero, paired
-    with the first y outside {a, b, x} with b*y or y*b zero and x*y or y*x
-    nonzero.
+    certificate is the row-major first pair (x, y) of elements outside
+    {a, b}, x != y, with a*x or x*a zero, b*y or y*b zero, and x*y or y*x
+    nonzero (so an x with no such y is passed over).
     """
     # z, its gathered block, either, and z & z.T before it is negated
     _check_bytes("s-zero-divisor masks", t.k, 4 * (t.k - 1) ** 2)
-    nz, z = _zero_products(t)
-    either = z | z.T
-    some_nonzero = ~(z & z.T)
+    nz, z, either, apart = _zero_products(t)
     scanned, total, nrows = _pair_scan(len(nz), budget)
-    reached = _reached(len(nz), nrows, scanned)
-    pos = np.arange(len(nz))
-    out = []
-    for i, j in zip(*np.nonzero(reached & either[:nrows])):
-        a, b = (i, j) if z[i, j] else (j, i)
-        outside = (pos != a) & (pos != b)
-        xs = np.flatnonzero(either[a] & outside)
-        ys = np.flatnonzero(either[b] & outside)
-        hit = _first(some_nonzero[np.ix_(xs, ys)]
-                     & (xs[:, None] != ys[None, :]))
-        if hit is not None:
-            out.append(tuple(int(nz[p]) for p in (a, b, xs[hit[0]],
-                                                  ys[hit[1]])))
-    return out, scanned, scanned == total
+    a, b = np.nonzero(_reached(len(nz), nrows, scanned) & either[:nrows])
+    flip = ~z[a, b]
+    a[flip], b[flip] = b[flip], a[flip]
+    xy = _first_pairs(len(a), len(nz),
+                      lambda ps: _without(either[a[ps]], a[ps], b[ps]),
+                      lambda ps: _without(either[b[ps]], a[ps], b[ps]),
+                      lambda ps, u: apart[u])
+    certs = nz[np.vstack([a, b, xy])[:, xy[0] >= 0]]
+    return list(map(tuple, certs.T.tolist())), scanned, scanned == total
 
 
 def s_anti_zero_divisors(t, budget=None):
     """([(x, y, a, b)], scanned, exhaustive) over nonzero anchors x.
 
-    The certificate is the first y != x with x*y nonzero, then the first a
-    outside {x, y} with a*x or x*a nonzero, then the first b outside {x, y}
-    with b*y or y*b nonzero and a*b or b*a zero.
+    The certificate is the row-major first pair (y, a) with y != x, x*y
+    nonzero, a outside {x, y}, a*x or x*a nonzero, and some b outside
+    {x, y} with b*y or y*b nonzero and a*b or b*a zero; b is the first such.
     """
     m = t.k - 1
     # the two operands of the count matmul, cast to intp, and its product
     _check_bytes("the s-anti-zero-divisor count matrices", t.k,
                  3 * m * m * np.dtype(np.intp).itemsize)
-    nz, z = _zero_products(t)
-    either = z | z.T
-    # b_of[y, b]: b != y and b*y or y*b nonzero
-    b_of = ~(z & z.T) & ~np.eye(m, dtype=bool)
-    # reach[y, a]: how many b of b_of[y] have a*b or b*a zero
-    reach = b_of.astype(np.intp) @ either.astype(np.intp)
+    nz, z, either, b_of = _zero_products(t)   # b_of[y, b]: b apart from y
+    # reach[y, a]: how many b of b_of[y] have a*b or b*a zero, up to two (so
+    # whether one is left besides x), and none for a = y
+    reach = np.minimum(b_of.astype(np.intp) @ either.astype(np.intp), 2)
+    reach = reach.astype(np.int8) * ~np.eye(m, dtype=bool)
     scanned = _take(m, budget)
-    pos = np.arange(m)
-    out = []
-    for x in range(scanned):
-        a_ok = b_of[x] & (pos != x)             # a != x, a*x or x*a nonzero
-        ys = ~z[x] & (pos != x)
-        # drop b = x from every count, then require a != y
-        valid = ((reach - np.outer(b_of[:, x], either[x])) > 0) \
-            & a_ok[None, :] & ys[:, None] & (pos[:, None] != pos[None, :])
-        hit = _first(valid)
-        if hit is None:
-            continue
-        y, a = hit
-        b = np.flatnonzero(b_of[y] & (pos != x) & either[a])[0]
-        out.append(tuple(int(nz[p]) for p in (x, y, a, b)))
-    return out, scanned, scanned == m
+    # y: x*y nonzero, y != x, and some a of reach[y] (else no a can do)
+    live = reach.any(axis=1)
+    y, a = _first_pairs(
+        scanned, m, lambda xs: _without(~z[xs] & live, xs),
+        lambda xs: b_of[xs],
+        lambda xs, ys: reach[ys] - (b_of[ys, xs][:, None] & either[xs]) > 0)
+    x = np.flatnonzero(y >= 0)
+    y, a = y[x], a[x]
+    b = _without(b_of[y] & either[a], x).argmax(axis=1) if m else x
+    certs = nz[np.vstack([x, y, a, b])]
+    return list(map(tuple, certs.T.tolist())), scanned, scanned == m
 
 
 def s_idempotents(t, budget=None):
@@ -423,32 +454,30 @@ def s_idempotents(t, budget=None):
 
     a*a = a with a not the one; b is the first of the nonzero elements, then
     zero, with b != a, b*b = a and exactly one of (a*b = b or b*a = b) and
-    (b*a = a or a*b = a).
+    (b*a = a or a*b = a).  Each b is tested once, against a = b*b.
     """
     mul = t.full("mul")
     nz = t.nonzero()
-    square = np.diagonal(mul)
     scanned = _take(len(nz), budget)
-    order = np.append(nz, t.zero)
-    out = []
-    for a in nz[:scanned]:
-        if square[a] != a or a == t.one:
-            continue
-        ab, ba = mul[a, order], mul[order, a]
-        sends_b = (ab == order) | (ba == order)
-        sends_a = (ba == a) | (ab == a)
-        ok = (order != a) & (square[order] == a) & (sends_b != sends_a)
-        if ok.any():
-            out.append((int(a), int(order[ok.argmax()])))
-    return out, scanned, scanned == len(nz)
+    anchor = np.zeros(t.k, dtype=bool)
+    anchor[nz[:scanned]] = True
+    b = np.append(nz, t.zero)
+    a = np.diagonal(mul)[b]
+    ab, ba = mul[a, b], mul[b, a]
+    ok = anchor[a] & (mul[a, a] == a) & (a != t.one) & (b != a) \
+        & (((ab == b) | (ba == b)) != ((ba == a) | (ab == a)))
+    a, b = a[ok], b[ok]
+    first = np.unique(a, return_index=True)[1]   # each a's first b
+    return list(zip(a[first].tolist(), b[first].tolist())), scanned, \
+        scanned == len(nz)
 
 
 def s_units(t, budget=None):
     """([(x, y, a, b)], scanned, exhaustive) over anchors x other than one.
 
-    y is the first two-sided inverse of x; a is the first element outside
-    {x, y, 1} with x*a or a*x equal to y, paired with the first b outside
-    {x, y, 1} with y*b or b*y equal to x and a*b or b*a equal to 1.
+    y is the first two-sided inverse of x; (a, b) is the row-major first
+    pair of elements outside {x, y, 1} with x*a or a*x equal to y, y*b or
+    b*y equal to x, and a*b or b*a equal to 1.
 
     Accepting only x*a = y finds the same certificates wherever that has
     been checked.  On an associative handle x*a = y and a*x = y both say
@@ -465,19 +494,18 @@ def s_units(t, budget=None):
     either = one | one.T
     anchors = np.delete(np.arange(t.k), t.one)
     scanned = _take(len(anchors), budget)
-    out = []
-    for x in anchors[:scanned]:
-        if not inverse[x].any():
-            continue
-        y = inverse[x].argmax()
-        every = np.arange(t.k)
-        outside = (every != x) & (every != y) & (every != t.one)
-        aa = np.flatnonzero(((mul[x] == y) | (mul[:, x] == y)) & outside)
-        bb = np.flatnonzero(((mul[y] == x) | (mul[:, y] == x)) & outside)
-        hit = _first(either[np.ix_(aa, bb)])
-        if hit is not None:
-            out.append((int(x), int(y), int(aa[hit[0]]), int(bb[hit[1]])))
-    return out, scanned, scanned == len(anchors)
+    x = anchors[:scanned]
+    x = x[inverse.any(axis=1)[x]]
+    y = inverse.argmax(axis=1)[x]
+
+    def sends(s, d):   # c outside {x, y, 1} with s*c or c*s equal to d
+        return lambda ps: _without((mul[s[ps]] == d[ps, None])
+                                   | (mul[:, s[ps]].T == d[ps, None]),
+                                   x[ps], y[ps], t.one)
+    ab = _first_pairs(len(x), t.k, sends(x, y), sends(y, x),
+                      lambda ps, u: either[u])
+    certs = np.vstack([x, y, ab])[:, ab[0] >= 0]
+    return list(map(tuple, certs.T.tolist())), scanned, scanned == len(anchors)
 
 
 # The semifield laws, each one mask over the tables t (Tables or a Local):

@@ -902,3 +902,44 @@ def test_a_failed_implied_law_refutes_associativity():
         loop_law_summary(g)
     assert scanned == ["commutative", "left_alternative",
                        "right_alternative", "wip"]
+
+
+# ---------------------------------------------------------------------------
+# relabelling a magma changes none of its laws
+
+
+def _relabelled(g, pi):
+    """g with element i renamed pi[i]: the table entry of pi[i] * pi[j] is
+    pi[i * j], and the identity moves with it."""
+    k = g.order
+    elements = [None] * k
+    table = [[0] * k for _ in range(k)]
+    for i in range(k):
+        elements[pi[i]] = g.elements[i]
+        for j in range(k):
+            table[pi[i]][pi[j]] = pi[g.table[i][j]]
+    return Magma(tuple(elements), tuple(map(tuple, table)), g.meta,
+                 g.interval_labeled,
+                 None if g.identity is None else pi[g.identity])
+
+
+@st.composite
+def magmas(draw):
+    """One of the law magmas, or a random table of at most five elements."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_LAW_MAGMAS))
+    k = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, k - 1), min_size=k, max_size=k)
+    table = draw(st.lists(row, min_size=k, max_size=k))
+    return Magma(tuple(map(str, range(k))), tuple(map(tuple, table)),
+                 CarrierMeta("table"), identity=ref_find_identity(table))
+
+
+@given(magmas(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_relabelling_leaves_every_law_flag_unchanged(g, data):
+    pi = data.draw(st.permutations(range(g.order)))
+    want, got = check_laws(g), check_laws(_relabelled(g, pi))
+    for law in want._fields:
+        if law != "witnesses":
+            assert getattr(got, law) == getattr(want, law), law

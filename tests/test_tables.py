@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from intervalsemirings import (
     symmetric_semigroup,
     table_lattice,
     theorem_sweep,
+    validate_s_certificate,
     verify_axioms,
     zn_interval,
 )
@@ -288,41 +290,42 @@ def _ref_s_zd_certificate(h, a, b, nz, zero):
 
 
 def _ref_s_anti_zero_divisors(h, query, nz, zero, budget):
+    # over positions in nz, each row of products made once, as a bit mask:
+    # bit j of apart(i) where nz[j]*nz[i] or nz[i]*nz[j] is nonzero (the a
+    # of x are apart(x)), of vanish(i) where one of them is zero; a
+    # certificate's b is the lowest bit of both outside {x, y}
+    def row_mask(test):
+        return functools.cache(lambda i: sum(
+            1 << j for j, b in enumerate(nz)
+            if test(h.mul(b, nz[i]), h.mul(nz[i], b))))
+
+    apart = row_mask(lambda p, q: p != zero or q != zero)
+    vanish = row_mask(lambda p, q: p == zero or q == zero)
     findings = []
     scanned = 0
     exhaustive = True
-    for x in nz:
+    for x in range(len(nz)):
         if budget is not None and scanned >= budget:
             exhaustive = False
             break
         scanned += 1
         cert = None
-        for y in nz:
-            if y == x:
+        for y in range(len(nz)):
+            if y == x or h.mul(nz[x], nz[y]) == zero:
                 continue
-            if h.mul(x, y) == zero:
-                continue
-            for a in nz:
-                if a == x or a == y:
+            for a in range(len(nz)):
+                if a == x or a == y or not apart(x) >> a & 1:
                     continue
-                if h.mul(a, x) == zero and h.mul(x, a) == zero:
-                    continue
-                for b in nz:
-                    if b == x or b == y:
-                        continue
-                    if h.mul(b, y) == zero and h.mul(y, b) == zero:
-                        continue
-                    if h.mul(a, b) == zero or h.mul(b, a) == zero:
-                        cert = (y, a, b)
-                        break
-                if cert:
+                bs = apart(y) & vanish(a) & ~(1 << x | 1 << y)
+                if bs:
+                    b = (bs & -bs).bit_length() - 1
+                    cert = [nz[p] for p in (x, y, a, b)]
                     break
             if cert:
                 break
         if cert:
-            y, a, b = cert
-            findings.append(Finding("s-anti-zero-divisor",
-                                    _wit(h, x, y, a, b), (x, y, a, b)))
+            findings.append(Finding("s-anti-zero-divisor", _wit(h, *cert),
+                                    tuple(cert)))
     return _report(query, findings, exhaustive, scanned)
 
 
@@ -779,6 +782,68 @@ def test_s_special_pinned_handles_match_reference(build, kind):
     h = build()
     assert find_s_special(h, kind).to_json_str() == \
         ref_s_special(h, kind).to_json_str()
+
+
+# past 27 elements; on chain(2).L5(2) no s-anti-zero-divisor anchor has a
+# certificate
+S_PINNED = {
+    "square(2) zn(3)": lambda: mh(zn_interval(3), (SQUARE, 2)),
+    "square(2) chain(3)": lambda: mh(chain_lattice(3), (SQUARE, 2)),
+    "row(2) zn(6)": lambda: mh(zn_interval(6), (ROW, 2)),
+    "zn(60)": lambda: dh(zn_interval(60)),
+    "chain(2).L5(2)": lambda: fsh(chain_lattice(2), build_loop(5, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", S_KINDS)
+@pytest.mark.parametrize("name", list(S_PINNED))
+def test_s_special_past_27_elements_match_reference(monkeypatch, name, kind):
+    h = S_PINNED[name]()
+    if kind == "s-unit" and h.one is None:
+        return
+    h.tables().full("mul")   # compiled before the block size changes
+    for budget in (None, 0, 1, 5, 100):
+        want = ref_s_special(h, kind, budget).to_json_str()
+        # blocks of one anchor, of a few, and as the scans run them
+        for entries in (1, 7, tables._BLOCK_ENTRIES):
+            with monkeypatch.context() as m:
+                m.setattr(tables, "_BLOCK_ENTRIES", entries)
+                got = find_s_special(h, kind, budget=budget).to_json_str()
+            assert got == want, (budget, entries)
+
+
+@given(st.integers(0, 40), st.integers(1, 24), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 7, 64, 256, tables._BLOCK_ENTRIES]))
+@example(40, 20, 5, 64)   # both cut rounds short
+@example(40, 16, 38, 64)
+@settings(max_examples=200, deadline=None)
+def test_first_pairs_match_a_row_major_scan(n, k, seed, entries):
+    # random candidate masks and partner relations, dense and sparse, so
+    # that anchors run out of candidates over many rounds and a round's
+    # rows are cut short
+    rng = np.random.default_rng(seed)
+    X, Y = (rng.random((n, k)) < rng.random() for _ in range(2))
+    R = rng.random((n, k, k)) < rng.random() ** 3
+    want = np.full((2, n), -1)
+    for p in range(n):
+        hit = next(((u, v) for u in range(k) for v in range(k)
+                    if X[p, u] and Y[p, v] and R[p, u, v]), None)
+        if hit:
+            want[:, p] = hit
+    with mock.patch.object(tables, "_BLOCK_ENTRIES", entries):
+        got = tables._first_pairs(n, k, lambda ps: X[ps], lambda ps: Y[ps],
+                                  lambda ps, us: R[ps, us])
+    assert np.array_equal(got, want)
+
+
+@given(st.sampled_from(MEDIUM), st.sampled_from(S_KINDS), budgets)
+@settings(max_examples=40, deadline=None)
+def test_s_special_findings_recheck_from_their_witnesses(name, kind, budget):
+    h = HANDLES[name]()
+    if kind == "s-unit" and h.one is None:
+        return
+    for f in find_s_special(h, kind, budget=budget).findings:
+        assert validate_s_certificate(h, kind, f.elements), f.witness
 
 
 # ---------------------------------------------------------------------------
