@@ -143,12 +143,12 @@ def find_zero_divisors(h, budget=None):
 
 
 def _index_findings(h, hits):
-    """Findings from (kind, index, ...) tuples over elements() order."""
-    findings = []
-    for kind, *idx in hits:
-        xs = tuple(h.element_at(i) for i in idx)
-        findings.append(Finding(kind, _wit(h, *xs), xs))
-    return findings
+    """Findings from (kind, index, ...) tuples over elements() order, each
+    distinct index decoded and rendered once."""
+    at = {i: h.element_at(i) for i in {i for _, *idx in hits for i in idx}}
+    text = {i: _wit(h, x)[0] for i, x in at.items()}
+    return [Finding(kind, tuple(map(text.get, idx)), tuple(map(at.get, idx)))
+            for kind, *idx in hits]
 
 
 def _strict_domain(h):

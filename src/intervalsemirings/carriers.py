@@ -64,16 +64,16 @@ class Magma(Frozen):
         """Index of the element z with z*x = x*z = z for all x, if any."""
         if "_absorbing" not in self.__dict__:
             object.__setattr__(self, "_absorbing", _two_sided(
-                self.table, range(self.order), absorbing=True))
+                self.table, absorbing=True))
         return self._absorbing
 
 
-def _two_sided(t, subset, absorbing=False) -> Optional[int]:
-    """First e of subset with e*x = x*e = x (an identity) or, when
-    absorbing, e*x = x*e = e, for every x of subset; None if none does."""
-    return next((e for e in subset
-                 if all(t[e][x] == t[x][e] == (e if absorbing else x)
-                        for x in subset)), None)
+def _two_sided(t, absorbing=False) -> Optional[int]:
+    """First e with e*x = x*e = x (an identity) or, when absorbing,
+    e*x = x*e = e, for every x of the tuple table t; None if none does."""
+    return next((e for e, row in enumerate(t)
+                 if all(row[x] == t[x][e] == (e if absorbing else x)
+                        for x in range(len(t)))), None)
 
 
 def _finish(labels, table, meta: CarrierMeta, interval: bool,
@@ -84,15 +84,9 @@ def _finish(labels, table, meta: CarrierMeta, interval: bool,
     table = tuple(tuple(row) for row in table)
     if meta.kind != "symmetric-semigroup" and len(labels) ** 2 > _MAX_TABLE_ENTRIES:
         raise SpecError(
-            f"carrier table would exceed {_MAX_TABLE_ENTRIES} entries"
-        )
-    g = Magma(
-        elements=labels,
-        table=table,
-        meta=meta,
-        identity=_two_sided(table, range(len(table))) if identity is None
-        else identity,
-    )
+            f"carrier table would exceed {_MAX_TABLE_ENTRIES} entries")
+    g = Magma(labels, table, meta, identity=_two_sided(table)
+              if identity is None else identity)
     return with_interval_labels(g) if interval else g
 
 
@@ -100,13 +94,8 @@ def with_interval_labels(g: Magma) -> Magma:
     """Relabel every element x as [0,x]; the table is untouched."""
     if g.interval_labeled:
         return g
-    return Magma(
-        elements=tuple(f"[0,{lbl}]" for lbl in g.elements),
-        table=g.table,
-        meta=g.meta,
-        interval_labeled=True,
-        identity=g.identity,
-    )
+    return Magma(tuple(f"[0,{lbl}]" for lbl in g.elements), g.table, g.meta,
+                 interval_labeled=True, identity=g.identity)
 
 
 def build_loop(n: int, m: int, interval: bool = False) -> Magma:
@@ -190,12 +179,8 @@ def dihedral_group(m: int, interval: bool = False) -> Magma:
         return ((f1 + f2) % 2, ((i1 if f2 == 0 else -i1) + i2) % m)
 
     table = [[index[mul(p, q)] for q in elems] for p in elems]
-    labels = []
-    for f, i in elems:
-        if f == 0:
-            labels.append("e" if i == 0 else f"r{i}")
-        else:
-            labels.append("s" if i == 0 else f"sr{i}")
+    labels = [("s" if f else "e") if i == 0 else ("sr" if f else "r") + str(i)
+              for f, i in elems]
     return _finish(labels, table, CarrierMeta("dihedral", (m,)), interval)
 
 
@@ -257,18 +242,8 @@ def additive_group_zn(n: int, interval: bool = False) -> Magma:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n == 2 or n > 2 and n % 2 == 1 and all(
+        n % f for f in range(3, math.isqrt(n) + 1, 2))
 
 
 def mult_group_zp(p: int, interval: bool = False) -> Magma:

@@ -5,19 +5,21 @@ The engine under the carrier checks (``check_laws``, ``loop_law_summary``,
 ``first_violation`` scans a vectorised law over index arrays in row blocks,
 ``closure`` closes a seed under gathers of index tables, and
 ``closed_sets`` (Close-by-One) and ``generated_closures`` enumerate closed
-subsets.  The carriers themselves are built in ``carriers``; only a
-command that checks laws or searches subsets loads this module, and with
-it numpy.
+subsets.  Every magma law check, witness re-checks included, reads the
+numpy table ``_cayley(g)``.  The carriers themselves are built in
+``carriers``; only a command that checks laws or searches subsets loads
+this module, and with it numpy.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress, groupby
 from typing import Optional
 
 import numpy as np
 
-from .carriers import Magma, _two_sided
+from .carriers import Magma
 from .errors import Frozen, SpecError
 
 
@@ -80,8 +82,7 @@ def _w_latin(t):
     ahead of it.
     """
     for kind, m in enumerate((t, t.T)):
-        s = np.sort(m, axis=1)
-        rows = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
+        rows = np.flatnonzero(_repeats(m))
         if len(rows):
             r = int(rows[0])
             order = np.argsort(m[r], kind="stable")
@@ -90,6 +91,12 @@ def _w_latin(t):
             y0, y = int(order[i]), int(order[i + 1])
             return (0, r, y0, y) if kind == 0 else (1, y0, y, r)
     return None
+
+
+def _repeats(m):
+    """Whether each row (last axis) of m repeats an entry, found by sorting."""
+    s = np.sort(m, axis=-1)
+    return (s[..., 1:] == s[..., :-1]).any(axis=-1)
 
 
 # Entries of a block of a law scan, a table compile (``tables``) or the
@@ -420,6 +427,22 @@ def _cayley(g: Magma):
     return cached
 
 
+def _is_loop(g: Magma) -> bool:
+    """Whether g has an identity and a Latin-square table."""
+    return g.identity is not None and _w_latin(_cayley(g)) is None
+
+
+def _indices(g: Magma, xs, message: str, arity=None) -> tuple:
+    """xs as a tuple of indices of g, ints (bools excluded) in 0..k-1, and
+    arity of them when given; else SpecError(message)."""
+    xs = tuple(xs)
+    if arity not in (None, len(xs)) or not all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and 0 <= x < g.order for x in xs):
+        raise SpecError(message)
+    return xs
+
+
 def _law_witness(g: Magma, law: str, subset=None):
     """First violation of a ``_LAWS`` law over g (or a subset), else None.
 
@@ -472,6 +495,7 @@ def _law_witnesses(g: Magma, laws) -> dict:
 
 def closure_of(g: Magma, seed) -> frozenset:
     """Smallest subset containing seed and closed under the operation."""
+    seed = _indices(g, seed, f"malformed closure seed {seed!r}")
     return frozenset(closure(_gathers([_cayley(g)]), g.order, seed,
                              g.order).tolist())
 
@@ -517,56 +541,62 @@ def loop_law_summary(g: Magma) -> dict:
 
 def validate_witness(g: Magma, law: str, witness: tuple) -> bool:
     """Re-evaluate a recorded witness: True when it still violates the law."""
-    t = g.table
+    t, message = _cayley(g), f"malformed {law} witness {witness!r}"
     if law == "latin_square":
-        kind, a, b, c = witness
+        kind, a, b, c = _indices(g, witness, message, 4)
         if kind == 0:
-            return t[a][b] == t[a][c] and b != c
-        return t[a][c] == t[b][c] and a != b
+            return bool(t[a, b] == t[a, c]) and b != c
+        if kind == 1:
+            return bool(t[a, c] == t[b, c]) and a != b
+        raise SpecError(message)
     if law in ("has_identity", "wip") and witness == ():
         return g.identity is None
     if law in _LAWS:
-        _, holds = _LAWS[law]
-        return not holds(_cayley(g), g.identity, *witness)
+        arity, holds = _LAWS[law]
+        return not holds(t, g.identity, *_indices(g, witness, message, arity))
     if law == "smarandache":
-        subset = frozenset(witness)
-        return (
-            2 <= len(subset) < g.order
-            and closure_of(g, subset) == subset
-            and _law_witness(g, "associative", subset) is None
-        )
+        subset = frozenset(_indices(g, witness, message))
+        return (2 <= len(subset) < g.order and closure_of(g, subset) == subset
+                and _law_witness(g, "associative", subset) is None)
     raise SpecError(f"unknown law {law!r}")
 
 
 def associator_closure(g: Magma) -> tuple[int, ...]:
     """Subloop generated by all associators a with (xy)z = (x(yz)) * a."""
-    if g.identity is None or _w_latin(_cayley(g)) is not None:
+    if not _is_loop(g):
         raise SpecError("associator closure requires a loop")
-    t = g.table
-    r = range(g.order)
-    # pos[w][v] = a with w * a = v (rows are permutations); the associator
-    # of (x, y, z) is pos[x(yz)][(xy)z]
-    pos = [{v: a for a, v in enumerate(row)} for row in t]
-    assoc = {pos[t[x][t[y][z]]][t[t[x][y]][z]]
-             for x in r for y in r for z in r}
-    return tuple(sorted(closure_of(g, assoc | {g.identity})))
+    t, k = _cayley(g), g.order
+    # pos[w, v] = a with w * a = v (rows are permutations); pos[x(yz), (xy)z]
+    # is marked for a block of (x, y) pairs over every z; (e, e, e) marks e
+    reads, pos = LawTable(t), LawTable(np.argsort(t, axis=1))
+    assoc = np.zeros(k, dtype=bool)
+    step = max(1, _BLOCK_ENTRIES // k)
+    for lo in range(0, k * k, step):
+        x, y = np.divmod(np.arange(lo, min(lo + step, k * k)), k)
+        assoc[pos[reads[x[:, None], t[y]], t[t[x, y]]]] = True
+    return tuple(closure(_gathers([t]), k, np.flatnonzero(assoc), k).tolist())
 
 
-def _has_inverses(g: Magma, subset) -> bool:
-    """Whether a subset has a two-sided identity and every element of it a
-    two-sided inverse; a closed associative one is then a group."""
-    t = g.table
-    ident = _two_sided(t, subset)
-    return ident is not None and all(
-        any(t[x][y] == ident == t[y][x] for y in subset) for x in subset)
+def _latin(t, sets) -> list[bool]:
+    """Whether the local table t[S][:, S] of each of sets (ascending index
+    tuples, ordered by size) is a Latin square: no row, and then no column,
+    ``_repeats`` an entry.  The sets of one size go together, in blocks of
+    at most ``_BLOCK_ENTRIES`` table entries (but at least one set)."""
+    latin = []
+    for n, same in groupby(sets, len):
+        s = np.array(list(same), dtype=np.intp).reshape(-1, n)
+        step = max(1, _BLOCK_ENTRIES // (n * n))
+        for lo in range(0, len(s), step):
+            local = t[s[lo:lo + step, :, None], s[lo:lo + step, None]]
+            ok = ~_repeats(local).any(axis=1)
+            ok[ok] = ~_repeats(local[ok].swapaxes(1, 2)).any(axis=1)
+            latin += ok.tolist()
+    return latin
 
 
 def enumerate_substructures(
-    g: Magma,
-    kind: str,
-    max_size: Optional[int] = None,
-    mode: Optional[str] = None,
-) -> list[tuple[int, ...]]:
+        g: Magma, kind: str, max_size: Optional[int] = None,
+        mode: Optional[str] = None) -> list[tuple[int, ...]]:
     """Subsets of g closed under * of the requested kind.
 
     kind: "subloop" (closed, contains the identity; g must be a loop),
@@ -576,13 +606,14 @@ def enumerate_substructures(
     of every single element and unordered pair instead, closing a pair only
     when neither element lies in the other's closure
     (``generated_closures``).  When g is associative (one scan), so is every
-    closed subset, and no subset is scanned for associativity.
+    closed subset, and no subset is scanned for associativity.  A subgroup
+    is an associative closed subset with a Latin local table (``_latin``):
+    a finite associative quasigroup is a group, and a group's table is
+    Latin (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961).
     """
     if kind not in ("subloop", "subgroup", "subsemigroup"):
         raise SpecError(f"unknown substructure kind {kind!r}")
-    if kind == "subloop" and (
-        g.identity is None or _w_latin(_cayley(g)) is not None
-    ):
+    if kind == "subloop" and not _is_loop(g):
         raise SpecError("subloop enumeration requires a loop")
     k = g.order
     if mode is None:
@@ -592,18 +623,15 @@ def enumerate_substructures(
     if mode == "exhaustive" and k > 24:
         raise SpecError("exhaustive substructure search is limited to 24 elements")
 
-    associative = kind != "subloop" and _law_witness(g, "associative") is None
-
-    def admits(subset) -> bool:
-        if kind == "subloop":
-            return g.identity in subset
-        if kind == "subgroup" and not _has_inverses(g, subset):
-            return False
-        return associative or _law_witness(g, "associative", subset) is None
-
     top = k if max_size is None else min(max_size, k)
     found, _ = substructures([_cayley(g)], (), mode, top)
-    return [c for c in found if admits(c)]
+    if kind == "subloop":
+        return [c for c in found if g.identity in c]
+    associative = _law_witness(g, "associative") is None
+    if kind == "subgroup":
+        found = list(compress(found, _latin(_cayley(g), found)))
+    return [c for c in found
+            if associative or _law_witness(g, "associative", c) is None]
 
 
 def normalizers(g: Magma, h) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -611,22 +639,18 @@ def normalizers(g: Magma, h) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     n1 = { a : a*H = H*a as sets },  n2 = { a : a*(H*a) = H as sets }.
     """
-    if g.identity is None or _w_latin(_cayley(g)) is not None:
+    if not _is_loop(g):
         raise SpecError("normalizers require a loop")
-    hset = frozenset(h)
-    if not hset or any(not 0 <= x < g.order for x in hset):
-        raise SpecError("h must be a nonempty subset of g")
+    message = "h must be a nonempty subset of g"
+    hset = frozenset(_indices(g, h, message))
+    if not hset:
+        raise SpecError(message)
     if g.identity not in hset or closure_of(g, hset) != hset:
         raise SpecError("h must be a subloop (closed and containing the identity)")
-    t = g.table
-    n1 = tuple(
-        a
-        for a in range(g.order)
-        if {t[a][x] for x in hset} == {t[x][a] for x in hset}
-    )
-    n2 = tuple(
-        a
-        for a in range(g.order)
-        if {t[a][t[x][a]] for x in hset} == hset
-    )
-    return (n1, n2)
+    # row a of t[:, hs] is a*H, of right H*a and of the take a*(H*a); a
+    # loop's rows and columns are permutations, so each row is a set
+    t, hs = _cayley(g), np.array(sorted(hset))
+    right = t[hs].T
+    n1 = (np.sort(t[:, hs], axis=1) == np.sort(right, axis=1)).all(axis=1)
+    n2 = (np.sort(np.take_along_axis(t, right, 1), axis=1) == hs).all(axis=1)
+    return tuple(tuple(np.flatnonzero(n).tolist()) for n in (n1, n2))

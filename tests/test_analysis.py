@@ -804,6 +804,24 @@ def test_each_witness_element_is_rendered_once(monkeypatch):
         tuple(real(x) for x in f.elements) for f in findings]
 
 
+def test_each_witness_index_is_decoded_once_per_report(monkeypatch):
+    # chain(6) has 31 semifield subsets over its 6 elements
+    h = dh(chain_lattice(6))
+    decoded = []
+    real = SemiringHandle.element_at
+
+    def spy(self, i):
+        decoded.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(SemiringHandle, "element_at", spy)
+    findings = smarandache_search(h, mode="exhaustive").findings
+    assert sum(len(f.elements) for f in findings) > len(decoded)
+    assert sorted(decoded) == sorted(set(decoded))
+    assert [f.witness for f in findings] == [
+        tuple(map(str, f.elements)) for f in findings]
+
+
 def test_handles_describe_their_domains_in_short():
     # the short names are describe_domain's without the kind suffixes
     table = table_lattice([[0, 1], [1, 1]], [[0, 0], [0, 1]])

@@ -33,7 +33,7 @@ from intervalsemirings import (
 )
 from intervalsemirings import laws
 from intervalsemirings.tables import _AXIOMS
-from intervalsemirings.carriers import CarrierMeta, Magma
+from intervalsemirings.carriers import CarrierMeta, Magma, _finish
 from intervalsemirings.laws import (
     _LAWS,
     LawTable,
@@ -294,6 +294,31 @@ def test_closure_of_generates_subgroup():
     assert sorted(closure_of(g, {1})) == [0, 1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: closure_of(cyclic_group(6), {6}),
+    lambda: closure_of(cyclic_group(6), {-1}),
+    lambda: closure_of(cyclic_group(6), {True}),
+    lambda: normalizers(build_loop(5, 2), [0, 1.0]),
+    lambda: normalizers(build_loop(5, 2), [0, True]),
+    lambda: validate_witness(build_groupoid(5, 3, 2), "commutative", (0,)),
+    lambda: validate_witness(build_groupoid(5, 3, 2), "associative",
+                             (0, 1, 5)),
+    lambda: validate_witness(build_groupoid(5, 3, 2), "associative",
+                             (0, 1, -1)),
+    lambda: validate_witness(build_groupoid(5, 3, 2), "latin_square",
+                             (2, 0, 1, 2)),
+    lambda: validate_witness(build_groupoid(5, 3, 2), "latin_square",
+                             (0, 0, 1, 5)),
+    lambda: validate_witness(build_groupoid(5, 3, 2), "smarandache", (0, 5)),
+], ids=["seed-k", "seed-negative", "seed-bool", "h-float", "h-bool",
+        "commutative-arity", "associative-k", "associative-negative",
+        "latin-kind", "latin-k", "smarandache-k"])
+def test_malformed_indices_are_refused(call):
+    # indices are ints, bools excluded, in 0..k-1
+    with pytest.raises(SpecError):
+        call()
+
+
 def test_associator_closure_requires_loop():
     with pytest.raises(SpecError):
         associator_closure(build_groupoid(5, 3, 2))
@@ -481,6 +506,23 @@ def ref_absorbing_index(g):
     return None
 
 
+def ref_associator_closure(g):
+    """The closure of the identity and every associator pos[x(yz)][(xy)z],
+    by a loop over all triples."""
+    t, r = g.table, range(g.order)
+    pos = [{v: a for a, v in enumerate(row)} for row in t]
+    assoc = {pos[t[x][t[y][z]]][t[t[x][y]][z]]
+             for x in r for y in r for z in r}
+    return tuple(sorted(ref_closure_of(g, assoc | {g.identity})))
+
+
+def ref_normalizers(g, h):
+    """{a : a*H = H*a} and {a : a*(H*a) = H}, comparing Python sets."""
+    t, r = g.table, range(g.order)
+    return (tuple(a for a in r if {t[a][x] for x in h} == {t[x][a] for x in h}),
+            tuple(a for a in r if {t[a][t[x][a]] for x in h} == set(h)))
+
+
 @pytest.mark.parametrize(
     "g", _LAW_MAGMAS,
     ids=lambda g: f"{g.meta.kind}{g.meta.params}".replace(" ", ""))
@@ -492,6 +534,21 @@ def test_magma_searches_match_reference_loops(g):
         ref_smarandache_certificate(g)
     assert g.identity == ref_find_identity(g.table)
     assert g.absorbing_index() == ref_absorbing_index(g)
+    s = loop_law_summary(g)
+    if s["latin_square"] and s["has_identity"]:
+        assert associator_closure(g) == ref_associator_closure(g)
+        for h in enumerate_substructures(g, "subloop"):
+            assert normalizers(g, h) == ref_normalizers(g, h), h
+
+
+def ref_has_inverses(g, s):
+    """Whether s has a two-sided identity and every element of it a
+    two-sided inverse in s; a closed associative s is then a group."""
+    t = g.table
+    e = next((e for e in s if all(t[e][x] == t[x][e] == x for x in s)),
+             None)
+    return e is not None and all(
+        any(t[x][y] == e == t[y][x] for y in s) for x in s)
 
 
 def ref_enumerate_substructures(g, kind, max_size):
@@ -506,12 +563,7 @@ def ref_enumerate_substructures(g, kind, max_size):
             return g.identity in s
         if not ref_associative(g, s):
             return False
-        if kind == "subsemigroup":
-            return True
-        e = next((e for e in s if all(t[e][x] == t[x][e] == x for x in s)),
-                 None)
-        return e is not None and all(
-            any(t[x][y] == e == t[y][x] for y in s) for x in s)
+        return kind == "subsemigroup" or ref_has_inverses(g, s)
 
     top = g.order if max_size is None else min(max_size, g.order)
     return [c for r in range(1, top + 1)
@@ -549,7 +601,7 @@ def test_associativity_is_inherited_by_every_closed_subset(g, mode):
     per_set = {
         "subsemigroup": [c for c in closed
                          if _law_witness(g, "associative", c) is None],
-        "subgroup": [c for c in closed if laws._has_inverses(g, c)
+        "subgroup": [c for c in closed if ref_has_inverses(g, c)
                      and _law_witness(g, "associative", c) is None],
     }
     associative = _law_witness(g, "associative") is None
@@ -566,6 +618,26 @@ def test_associativity_is_inherited_by_every_closed_subset(g, mode):
             assert calls == [None], kind
         else:
             assert len(calls) > 1, kind
+
+
+# the Latin-square rule in blocks split down to one set; the 262143 closed
+# sets of groupoid(18, 1, 0) would take too many such blocks, but its 48620
+# nine-element sets already fill 482 blocks of the default size
+@pytest.mark.parametrize("g, entries", [
+    *[(g, entries) for g in _LAW_MAGMAS + [
+        cyclic_group(24), dihedral_group(10), symmetric_group(4)]
+      for entries in (1, 7)],
+    (build_groupoid(18, 1, 0), laws._BLOCK_ENTRIES),
+], ids=lambda x: f"{x.meta.kind}{x.meta.params}".replace(" ", "")
+    if isinstance(x, Magma) else str(x))
+def test_subgroups_are_the_closed_sets_with_identity_and_inverses(
+        g, entries, monkeypatch):
+    mode = "exhaustive" if g.order <= 24 else "generated"
+    closed, _ = laws.substructures([_cayley(g)], (), mode, g.order)
+    want = [c for c in closed
+            if ref_has_inverses(g, c) and ref_associative(g, c)]
+    monkeypatch.setattr(laws, "_BLOCK_ENTRIES", entries)
+    assert enumerate_substructures(g, "subgroup") == want
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +982,7 @@ def test_a_failed_implied_law_refutes_associativity():
 
 def _relabelled(g, pi):
     """g with element i renamed pi[i]: the table entry of pi[i] * pi[j] is
-    pi[i * j], and the identity moves with it."""
+    pi[i * j]; its identity is found afresh, as a builder finds it."""
     k = g.order
     elements = [None] * k
     table = [[0] * k for _ in range(k)]
@@ -918,9 +990,7 @@ def _relabelled(g, pi):
         elements[pi[i]] = g.elements[i]
         for j in range(k):
             table[pi[i]][pi[j]] = pi[g.table[i][j]]
-    return Magma(tuple(elements), tuple(map(tuple, table)), g.meta,
-                 g.interval_labeled,
-                 None if g.identity is None else pi[g.identity])
+    return _finish(elements, table, g.meta, False)
 
 
 @st.composite
@@ -939,7 +1009,26 @@ def magmas(draw):
 @settings(max_examples=60, deadline=None)
 def test_relabelling_leaves_every_law_flag_unchanged(g, data):
     pi = data.draw(st.permutations(range(g.order)))
-    want, got = check_laws(g), check_laws(_relabelled(g, pi))
+    h = _relabelled(g, pi)
+    want, got = check_laws(g), check_laws(h)
     for law in want._fields:
         if law != "witnesses":
             assert getattr(got, law) == getattr(want, law), law
+
+    # and pi maps every magma result of g to that of h
+    def image(xs):
+        return frozenset(pi[x] for x in xs)
+
+    assert h.identity == (None if g.identity is None else pi[g.identity])
+    z = g.absorbing_index()
+    assert h.absorbing_index() == (None if z is None else pi[z])
+    kinds = ["subgroup", "subsemigroup"]
+    if want.has_identity and want.latin_square:
+        kinds.append("subloop")
+        assert image(associator_closure(g)) == frozenset(associator_closure(h))
+        sub = data.draw(st.sampled_from(enumerate_substructures(g, "subloop")))
+        assert [image(n) for n in normalizers(g, sub)] == \
+            [frozenset(n) for n in normalizers(h, image(sub))]
+    for kind in kinds:
+        assert {image(c) for c in enumerate_substructures(g, kind)} == \
+            set(map(frozenset, enumerate_substructures(h, kind))), kind
