@@ -825,9 +825,36 @@ def verify_axioms(h):
     absorption and, when the handle has a one, the identity laws of one.
     Returns (ok, witness); the witness names the failing law and the
     elements.
+
+    A handle of n > 1 slots over a coefficient domain D (``tables``' slot
+    layout) first takes the laws before those of one from D's q x q tables
+    (slot-wise-laws): when D has them, so does the handle, and only the
+    laws of one are scanned on it; otherwise it is scanned in full.  Its
+    + is D's slot by slot, its zero is D's in every slot, and slot o of
+    xy is the D-sum of x_l y_r over the pairs (l, r) with product(l, r)
+    = o, for any partial product (an absorbed zero basis, row and square
+    matrices alike), per law:
+    - + commutative, + associative and the zero identity act on each slot
+      alone, so they hold as they do in D;
+    - the fold order of a slot's sum does not matter once D's + is
+      associative and commutative, which the distributive laws rely on;
+    - x(y + z) sums x_l y_r + x_l z_r over the pairs of o, which regroups
+      to xy + xz; (y + z)x likewise;
+    - 0x and x0 sum D-products 0 x_r and x_l 0, each 0;
+    - a slot with no pairs is D's zero on every side, and 0 + 0 = 0.
+    So the first failing law, and its first witness, are those of the
+    full scan.  A one-slot handle has D's q elements and keeps its plain
+    scan.
     """
     t = h.tables()
-    bad = tables.axiom_failure(t.add, t.mul, t.zero, t.one)
+    # both full tables first: an oversized handle is refused by its add table
+    add, mul, axioms = t.add, t.mul, tables._AXIOMS
+    if t.n > 1:   # slot-wise-laws
+        d = h._coefficient_handle().tables()
+        # without a one, axiom_failure stops before the laws of one
+        if tables.axiom_failure(d.add, d.mul, d.zero, None) is None:
+            axioms = [a for a in axioms if a[0] == "one-identity"]
+    bad = tables.axiom_failure(add, mul, t.zero, t.one, axioms)
     if bad is None:
         return (True, None)
     law, *idx = bad

@@ -76,15 +76,20 @@ def _two_sided(t, absorbing=False) -> Optional[int]:
                         for x in range(len(t)))), None)
 
 
+def _admit(order: int) -> None:
+    """Refuse a carrier of ``order`` elements whose table would pass
+    ``_MAX_TABLE_ENTRIES``, before its builder allocates anything."""
+    if order ** 2 > _MAX_TABLE_ENTRIES:
+        raise SpecError(
+            f"carrier table would exceed {_MAX_TABLE_ENTRIES} entries")
+
+
 def _finish(labels, table, meta: CarrierMeta, interval: bool,
             identity: Optional[int] = None) -> Magma:
     """The carrier of a builder's labels and table; its identity is the
     given index, known two-sided, or else found by ``_two_sided``."""
     labels = tuple(labels)
     table = tuple(tuple(row) for row in table)
-    if meta.kind != "symmetric-semigroup" and len(labels) ** 2 > _MAX_TABLE_ENTRIES:
-        raise SpecError(
-            f"carrier table would exceed {_MAX_TABLE_ENTRIES} entries")
     g = Magma(labels, table, meta, identity=_two_sided(table)
               if identity is None else identity)
     return with_interval_labels(g) if interval else g
@@ -115,6 +120,7 @@ def build_loop(n: int, m: int, interval: bool = False) -> Magma:
     if math.gcd(m - 1, n) != 1:
         raise SpecError("m-1 must be coprime to n")
     k = n + 1
+    _admit(k)
     # column j of row i is residue (m*j - (m-1)*i) mod n, shown as n when
     # 0: the shown residues rotated by (m-1)*i, read at the residues m*j.
     # Row 0 and column 0 are the identity map, so e = 0 is the first
@@ -150,6 +156,7 @@ def build_groupoid(n: int, t: int, u: int, interval: bool = False) -> Magma:
     u %= n
     if t == 0 and u == 0:
         raise SpecError("t and u may not both be 0 mod n")
+    _admit(n)
     table = [[(t * a + u * b) % n for b in range(n)] for a in range(n)]
     labels = [str(a) for a in range(n)]
     return _finish(labels, table, CarrierMeta("groupoid", (n, t, u)), interval)
@@ -158,6 +165,7 @@ def build_groupoid(n: int, t: int, u: int, interval: bool = False) -> Magma:
 def cyclic_group(k: int, interval: bool = False) -> Magma:
     if k < 1:
         raise SpecError("cyclic group order must be >= 1")
+    _admit(k)
     table = [[(a + b) % k for b in range(k)] for a in range(k)]
     labels = ["e"] + [f"g{i}" for i in range(1, k)]
     return _finish(labels, table, CarrierMeta("cyclic", (k,)), interval)
@@ -170,6 +178,7 @@ def dihedral_group(m: int, interval: bool = False) -> Magma:
     """
     if m < 2:
         raise SpecError("dihedral parameter m must be >= 2")
+    _admit(2 * m)
     elems = [(f, i) for f in (0, 1) for i in range(m)]
     index = {p: ix for ix, p in enumerate(elems)}
 
@@ -188,6 +197,7 @@ def symmetric_group(k: int, interval: bool = False) -> Magma:
     """All permutations of k points; (p*q)(x) = q(p(x))."""
     if not 1 <= k <= 6:
         raise SpecError("symmetric-group requires 1 <= k <= 6")
+    _admit(math.factorial(k))
     perms = sorted(permutations(range(k)))
     index = {p: ix for ix, p in enumerate(perms)}
     table = [
@@ -205,6 +215,8 @@ def symmetric_semigroup(k: int, interval: bool = False) -> Magma:
     """
     if not 1 <= k <= 5:
         raise SpecError("symmetric-semigroup requires 1 <= k <= 5")
+    # exempt from _admit: k <= 5 bounds its 3125^2 entries, and its rows
+    # share one int per index (below)
     import numpy as np  # here, so that `isl table` never loads numpy
 
     n = k ** k
@@ -228,6 +240,7 @@ def mult_semigroup_zn(n: int, interval: bool = False) -> Magma:
     """Residues 0..n-1 under multiplication mod n, in residue order."""
     if n < 2:
         raise SpecError("mult-semigroup modulus n must be >= 2")
+    _admit(n)
     table = [[(a * b) % n for b in range(n)] for a in range(n)]
     labels = [str(a) for a in range(n)]
     return _finish(labels, table, CarrierMeta("mult-semigroup", (n,)), interval)
@@ -236,6 +249,7 @@ def mult_semigroup_zn(n: int, interval: bool = False) -> Magma:
 def additive_group_zn(n: int, interval: bool = False) -> Magma:
     if n < 1:
         raise SpecError("additive-group modulus n must be >= 1")
+    _admit(n)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     labels = [str(a) for a in range(n)]
     return _finish(labels, table, CarrierMeta("additive-group", (n,)), interval)
@@ -250,6 +264,7 @@ def mult_group_zp(p: int, interval: bool = False) -> Magma:
     """Nonzero residues 1..p-1 under multiplication mod p (p prime)."""
     if not _is_prime(p):
         raise SpecError("p must be prime")
+    _admit(p - 1)
     res = list(range(1, p))
     table = [[(a * b) % p - 1 for b in res] for a in res]
     labels = [str(a) for a in res]

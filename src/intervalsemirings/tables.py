@@ -587,21 +587,25 @@ _AXIOMS = (
 )
 
 
-def axiom_failure(add, mul, zero, one):
+def axiom_failure(add, mul, zero, one, axioms=_AXIOMS):
     """The first semiring law that the k x k index tables add and mul break,
-    as (law, *indices), or None: the laws of ``_AXIOMS`` in order, the
-    identity laws of one only when one is not None.
+    as (law, *indices), or None: the laws of ``axioms`` (``_AXIOMS`` or a
+    run of its entries) in order, the identity laws of one only when one
+    is not None.
 
     The three arity-3 laws are first checked with their z slot running
     over an additive generating set only (``laws.first_violation`` has
-    the argument); the distributive laws come after additive associativity,
-    which their argument needs.  The indices are the lexicographically
-    first violation in scan order, permuted by the law's report.
+    the argument), built only when one of them is asked for; the
+    distributive laws come after additive associativity, which their
+    argument needs, so a run that holds them starts no later than it.
+    The indices are the lexicographically first violation in scan order,
+    permuted by the law's report.
     """
     k = len(add)
-    gens = laws.generators(laws._gathers([add]), k, [zero, *range(k)])
+    gens = laws.generators(laws._gathers([add]), k, [zero, *range(k)]) \
+        if any(arity == 3 for _, arity, _, _ in axioms) else None
     reads = laws.LawTable(add), laws.LawTable(mul), zero, one
-    for law, arity, holds, report in _AXIOMS:
+    for law, arity, holds, report in axioms:
         if law == "one-identity" and one is None:
             break
         bad = laws.first_violation(range(k), arity,

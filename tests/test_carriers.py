@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import chain, combinations, product
 from unittest import mock
 
@@ -266,6 +267,33 @@ def test_build_carrier_dispatch():
         build_carrier("nope")
     with pytest.raises(SpecError):
         build_carrier("loop", n=5)  # missing m
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("loop", {"n": 1001, "m": 2}),
+    ("groupoid", {"n": 2000, "t": 1, "u": 1}),
+    ("cyclic", {"k": 1001}),
+    ("dihedral", {"m": 501}),
+    ("mult-semigroup", {"n": 1001}),
+    ("additive-group", {"n": 1001}),
+    ("mult-group", {"p": 1009}),
+])
+def test_oversized_carrier_is_refused_before_its_table(kind, params):
+    # each would have just over 10^6 entries; built first, groupoid(2000)'s
+    # 4 * 10^6 took a 181 MB peak before the refusal
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpecError,
+                           match="carrier table would exceed 1000000 entries"):
+            build_carrier(kind, **params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_carrier_at_the_entry_limit_is_built():
+    assert additive_group_zn(1000).order == 1000
 
 
 # ---------------------------------------------------------------------------

@@ -1047,6 +1047,91 @@ def test_axiom_failure_matches_plain_loop(ops):
     assert tables.axiom_failure(*ops) == ref_axiom_failure(*ops)
 
 
+@given(axiom_tables(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_axiom_failure_scans_only_the_laws_it_is_given(ops, data):
+    lo = data.draw(st.integers(0, len(tables._AXIOMS)))
+    laws_ = tables._AXIOMS[lo:]
+    got = tables.axiom_failure(*ops, laws_)
+    with mock.patch.object(tables, "_AXIOMS", laws_):
+        assert got == ref_axiom_failure(*ops)
+
+
+# the slot-wise-laws argument: handles whose coefficient domain reads drawn
+# q x q tables; q is the domain's size
+SLOT_HANDLES = {
+    "zn(2).C3 [8]": (2, lambda: fsh(zn_interval(2), cyclic_group(3))),
+    "zn(2).Z4(1,2) [16]":
+        (2, lambda: fsh(zn_interval(2), build_groupoid(4, 1, 2))),
+    "zn(3).mult-semigroup(4) absorbed [27]":
+        (3, lambda: fsh(zn_interval(3), mult_semigroup_zn(4))),
+    "row(3) zn(3) [27]": (3, lambda: mh(zn_interval(3), (ROW, 3))),
+    "square(2) zn(2) [16]": (2, lambda: mh(zn_interval(2), (SQUARE, 2))),
+}
+
+
+@st.composite
+def slot_kernel_cases(draw):
+    """(handle name, add, mul): q x q domain tables with zero 0, drawn as
+    ``axiom_tables`` draws them, so that the domain sometimes has every
+    law before those of one and sometimes breaks one."""
+    name = draw(st.sampled_from(sorted(SLOT_HANDLES)))
+    q = SLOT_HANDLES[name][0]
+    entry = st.integers(0, q - 1)
+    x, y = np.ogrid[:q, :q]
+    kind = draw(st.sampled_from(["random", "max", "mod"]))
+    if kind == "random":
+        add, mul = (np.array(draw(st.lists(entry, min_size=q * q,
+                                           max_size=q * q))).reshape(q, q)
+                    for _ in range(2))
+    else:
+        add = np.maximum(x, y) if kind == "max" else (x + y) % q
+        mul = np.minimum(x, y) if kind == "max" else (x * y) % q
+        for _ in range(draw(st.integers(0, 2))):
+            table = draw(st.sampled_from([add, mul]))
+            table[draw(entry), draw(entry)] = draw(entry)
+    return name, add.astype(np.intp), mul.astype(np.intp)
+
+
+_ZN3 = np.ogrid[:3, :3]
+
+
+@given(slot_kernel_cases())
+@example(("row(3) zn(3) [27]", (_ZN3[0] + _ZN3[1]) % 3,
+          _ZN3[0] * _ZN3[1] % 3))
+@example(("zn(3).mult-semigroup(4) absorbed [27]",
+          (_ZN3[0] + _ZN3[1]) % 3, np.array([[0, 0, 0], [0, 1, 2], [0, 2, 2]])))
+@settings(max_examples=150, deadline=None)
+def test_slot_wise_laws_match_full_scan(case):
+    # the handle and its coefficient handle compile from the same kernels
+    name, add, mul = case
+    drawn = {"add": add, "mul": mul}
+    with mock.patch.object(tables, "dom_kernel",
+                           lambda d, kind: lambda x, y: drawn[kind][x, y]):
+        h = SLOT_HANDLES[name][1]()
+        t = h.tables()
+        want = ref_verify_axioms((t.add, t.mul, t.zero, t.one), h.elements())
+        assert verify_axioms(h) == want
+
+
+@pytest.mark.parametrize("name", list(HANDLES))
+def test_slot_wise_laws_skip_the_handle_scan(name, monkeypatch):
+    # a handle of several slots scans no arity-3 law over its own k x k
+    # tables; a one-slot handle still does
+    h = HANDLES[name]()
+    t = h.tables()
+    scans = []
+
+    def spy(indices, arity, *rest):
+        scans.append((len(indices), arity))
+        return first_violation(indices, arity, *rest)
+
+    first_violation = laws.first_violation
+    monkeypatch.setattr(laws, "first_violation", spy)
+    assert verify_axioms(h) == (True, None)
+    assert ((t.k, 3) in scans) == (t.n <= 1)
+
+
 # ---------------------------------------------------------------------------
 # subset checks, closures and Smarandache searches against their references
 
