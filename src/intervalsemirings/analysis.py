@@ -10,8 +10,9 @@ The element scans, axiom checks, subset checks, closures and Smarandache
 searches of an enumerable handle run on its compiled integer tables
 (``tables``); ``SemiringHandle.index`` and ``element_at`` convert between
 elements and table indices by arithmetic, without enumerating anything.  A
-given subset of a handle that is not enumerable is checked on local tables
-built from its own m^2 object operations.  Homomorphism checks run on the
+given subset, or the closure of one, on a handle that is not enumerable is
+checked on local tables restricted from an object table of the elements it
+reaches, built on demand (``_Reached``).  Homomorphism checks run on the
 element objects.
 """
 
@@ -486,24 +487,63 @@ def check_substructure(h, subset, kind="subsemiring"):
     return (False, (law, h.element_at(x), h.element_at(y)))
 
 
-def _subset_tables(h, members):
-    """(local tables, members, indices) of the distinct members in key
-    order: sliced from the compiled tables of an enumerable handle at the
-    members' indices, or else built from m^2 object sums and products, with
-    indices None."""
+def _subset_tables(h, members, cap=None):
+    """(local tables, members in key order, indices or None) of the members
+    or, given a cap, of their closure under + and * (None past the cap),
+    from an enumerable handle's compiled tables or else ``_Reached``."""
     ordered = sorted(set(members), key=h.key)
-    if h.is_enumerable():
-        idx = [h.index(x) for x in ordered]
-        return tables.restrict(h.tables(), idx), ordered, idx
-    pos = {x: i for i, x in enumerate(ordered)}
-    m = len(ordered)
+    if compiled := h.is_enumerable():
+        t, at, idx = h.tables(), h.element_at, [h.index(x) for x in ordered]
+    else:
+        t = _Reached(h, ordered, cap)
+        at, idx = t.elements.__getitem__, range(len(ordered))
+    if cap is not None:
+        # products first: they pass a cap in fewer entries than sums do
+        c = closure([lambda s: t.block("mul", s, s),
+                     lambda s: t.block("add", s, s)], t.k, idx, cap)
+        if c is None:
+            return None
+        # reached positions are in the order found, not in key order
+        idx = sorted(c.tolist(),
+                     key=None if compiled else lambda i: h.key(at(i)))
+        ordered = [at(i) for i in idx]
+    return tables.restrict(t, idx), ordered, idx if compiled else None
 
-    def table(op):
-        return np.array([[pos.get(op(x, y), m) for y in ordered]
-                         for x in ordered], dtype=np.intp).reshape(m, m)
 
-    return tables.Local(table(h.add), table(h.mul), pos.get(h.zero)), \
-        ordered, None
+class _Reached:
+    """Object tables of what ``block`` reaches on a handle without compiled
+    tables: the members at positions 0, 1, ..., then each new result at the
+    next position below k (the cap, or the member count).  A result past
+    those reads k, a Local's outside mark, and with a cap ends its block at
+    once.  Entries are computed on first read and kept."""
+
+    def __init__(self, h, members, cap):
+        self.elements, self._stop = list(members), cap is not None
+        self._pos = {x: i for i, x in enumerate(members)}
+        self.k, self.zero = max(len(members), cap or 0), self._pos.get(h.zero)
+        self._ops = {"add": h.add, "mul": h.mul}
+        # -1 until computed, in arrays that grow with the positions read
+        self._tab = dict.fromkeys(self._ops, np.empty(
+            (0, 0), np.min_scalar_type(-self.k - 1)))
+
+    def block(self, kind, rows, cols):
+        tab, rows, cols = self._tab[kind], rows.tolist(), cols.tolist()
+        if (m := max([len(tab) - 1, *rows, *cols]) + 1) > len(tab):
+            tables._check_bytes(f"a {m}x{m} {kind} table",
+                                len(self.elements), m * m * tab.itemsize)
+            tab = self._tab[kind] = np.pad(tab, (0, m - len(tab)),
+                                           constant_values=-1)
+        out = tab[np.array(rows, dtype=np.intp)[:, None], cols]
+        for i, x in enumerate(rows):
+            for j in np.flatnonzero(out[i] < 0).tolist():
+                z = self._ops[kind](self.elements[x], self.elements[cols[j]])
+                p = self._pos.setdefault(z, len(self.elements))
+                if p == len(self.elements) < self.k:
+                    self.elements.append(z)
+                out[i, j] = tab[x, cols[j]] = p
+                if p == self.k and self._stop:
+                    return out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -615,26 +655,6 @@ def _classify_structural(h):
 # Smarandache semiring search
 
 
-def _closure_under_ops(h, seed, cap=_CLOSURE_CAP):
-    """Closure of seed under + and * (None if it exceeds the cap), on element
-    objects: only on a handle that is not enumerable, which has no compiled
-    tables."""
-    out = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(out):
-                for z in (h.add(x, y), h.add(y, x), h.mul(x, y), h.mul(y, x)):
-                    if z not in out:
-                        out.add(z)
-                        nxt.append(z)
-                        if len(out) > cap:
-                            return None
-        frontier = nxt
-    return frozenset(out)
-
-
 def semifield_within(h, subset):
     """Check a subset is a semifield under the handle's operations.
 
@@ -728,23 +748,13 @@ def _pseudo_superset(h, mset):
     """(superset, decided): the closure of mset and 0 when it is a proper
     semifield or S-subsemiring, as members in key order, or None; a closure
     past the cap decides nothing."""
-    seed = mset | {h.zero}
-    if h.is_enumerable():
-        t = h.tables()
-        # blocks of the sums and products: no full table is built
-        c = closure([lambda s: t.block("add", s, s),
-                     lambda s: t.block("mul", s, s)],
-                    t.k, [h.index(x) for x in seed], _CLOSURE_CAP)
-        if c is None or len(c) == t.k:
-            return None, c is not None
-        # c ascends, as the keys of its elements do
-        s = tables.restrict(t, c)
-        ordered = [h.element_at(i) for i in c.tolist()]
-    else:
-        c = _closure_under_ops(h, seed)
-        if c is None or (h.is_finite() and len(c) >= h.size()):
-            return None, c is not None
-        s, ordered, _ = _subset_tables(h, c)
+    # a cap below a finite handle's size: its own closure, not proper, is
+    # None too, and decided when the handle fits _CLOSURE_CAP
+    cap = min(_CLOSURE_CAP, h.size() - 1) if h.is_finite() else _CLOSURE_CAP
+    sub = _subset_tables(h, mset | {h.zero}, cap)
+    if sub is None:
+        return None, h.is_finite() and h.size() <= _CLOSURE_CAP
+    s, ordered, _ = sub
     if tables.semifield_failure(s) is None or \
             tables.s_subsemiring(s) is not None:
         return ordered, True
@@ -847,14 +857,15 @@ def verify_axioms(h):
     scan.
     """
     t = h.tables()
-    # both full tables first: an oversized handle is refused by its add table
-    add, mul, axioms = t.add, t.mul, tables._AXIOMS
+    t.check_table("add", t.k, t.k)   # refused before any table is built
+    axioms = tables._AXIOMS
     if t.n > 1:   # slot-wise-laws
         d = h._coefficient_handle().tables()
         # without a one, axiom_failure stops before the laws of one
         if tables.axiom_failure(d.add, d.mul, d.zero, None) is None:
             axioms = [a for a in axioms if a[0] == "one-identity"]
-    bad = tables.axiom_failure(add, mul, t.zero, t.one, axioms)
+    add = None if axioms[0][0] == "one-identity" else t.add
+    bad = tables.axiom_failure(add, t.mul, t.zero, t.one, axioms)
     if bad is None:
         return (True, None)
     law, *idx = bad

@@ -30,9 +30,9 @@ The scans below work on element indices and return index tuples in the
 scan order each docstring states; ``analysis`` renders them.  The semiring
 laws are checked by ``axiom_failure`` on any pair of k x k index tables,
 and each semifield law is one mask over such a pair (``zero_sums``).
-Subsets are checked on their local tables (:class:`Local`), sliced from
-the compiled tables or, on a handle without them, built from object
-arithmetic; the subset searches (closures, semifield subsets, the
+Subsets are checked on their local tables (:class:`Local`), restricted
+from the compiled tables or, on a handle without them, from object tables
+computed on demand; the subset searches (closures, semifield subsets, the
 Smarandache searches) run on the same tables.
 """
 
@@ -591,7 +591,7 @@ def axiom_failure(add, mul, zero, one, axioms=_AXIOMS):
     """The first semiring law that the k x k index tables add and mul break,
     as (law, *indices), or None: the laws of ``axioms`` (``_AXIOMS`` or a
     run of its entries) in order, the identity laws of one only when one
-    is not None.
+    is not None.  add may be None when only the laws of one are given.
 
     The three arity-3 laws are first checked with their z slot running
     over an additive generating set only (``laws.first_violation`` has
@@ -601,10 +601,11 @@ def axiom_failure(add, mul, zero, one, axioms=_AXIOMS):
     The indices are the lexicographically first violation in scan order,
     permuted by the law's report.
     """
-    k = len(add)
+    k = len(mul)
     gens = laws.generators(laws._gathers([add]), k, [zero, *range(k)]) \
         if any(arity == 3 for _, arity, _, _ in axioms) else None
-    reads = laws.LawTable(add), laws.LawTable(mul), zero, one
+    reads = (None if add is None else laws.LawTable(add), laws.LawTable(mul),
+             zero, one)
     for law, arity, holds, report in axioms:
         if law == "one-identity" and one is None:
             break
@@ -649,8 +650,8 @@ def local_dtype(t, m):
 
 
 def restrict(t, idx):
-    """Local tables of the members idx, ascending positions in t (the
-    compiled tables or a Local)."""
+    """Local tables of the members idx, distinct positions in t (the
+    compiled tables or a Local, or any k, zero and block), in that order."""
     idx = np.asarray(idx, dtype=np.intp)
     m = len(idx)
     # position of every index of t among the members; the extra last entry

@@ -435,16 +435,25 @@ def test_loop_semiring_candidate_kinds():
 
 def test_a_pseudo_subsemiring_candidate_builds_no_tables_of_its_own(
         monkeypatch):
-    # only the closure's tables are read, and over nat the closure of
-    # {0, 2, 4} passes the cap before any are built
-    calls = []
-    subset_tables = analysis._subset_tables
-    monkeypatch.setattr(analysis, "_subset_tables",
-                        lambda *a: calls.append(a) or subset_tables(*a))
+    # over nat the closure of {0, 2, 4} passes the cap: no local tables are
+    # restricted, and the object tables stop at the first block that
+    # reaches past the cap, after at most 25000 sums and products (20733
+    # in rounds of products, then sums)
+    calls, ops = [], []
+    restrict = tables.restrict
+    monkeypatch.setattr(tables, "restrict",
+                        lambda *a: calls.append(a) or restrict(*a))
     d = nat_interval()
-    r = smarandache_search(dh(d), candidate=[element(d, v) for v in (0, 2, 4)],
+    h = dh(d)
+
+    def counted(op):
+        return lambda x, y: ops.append(None) or op(x, y)
+
+    h.add, h.mul = counted(h.add), counted(h.mul)
+    r = smarandache_search(h, candidate=[element(d, v) for v in (0, 2, 4)],
                            candidate_kind="s-pseudo-subsemiring")
     assert (r.findings, r.exhaustive, calls) == ((), False, [])
+    assert 0 < len(ops) <= 25000
 
 
 def test_generated_mode_not_exhaustive():

@@ -53,7 +53,6 @@ from intervalsemirings import (
 from intervalsemirings import analysis, cli, domains, handle, laws, tables
 from intervalsemirings.analysis import (
     Finding,
-    _closure_under_ops,
     _domain_zero_divisor_pair,
     _finish_classification,
     _report,
@@ -77,6 +76,26 @@ def fsh(coeff, basis, **kw):
 
 def mh(d, shape):
     return SemiringHandle.for_matrices(d, shape)
+
+
+def _closure_under_ops(h, seed, cap=analysis._CLOSURE_CAP):
+    """Closure of seed under + and * (None if it exceeds the cap), by a
+    breadth-first search on element objects: the reference the table
+    closures are checked against."""
+    out = set(seed)
+    frontier = list(seed)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(out):
+                for z in (h.add(x, y), h.add(y, x), h.mul(x, y), h.mul(y, x)):
+                    if z not in out:
+                        out.add(z)
+                        nxt.append(z)
+                        if len(out) > cap:
+                            return None
+        frontier = nxt
+    return frozenset(out)
 
 
 def _object_tables(h):
@@ -1132,6 +1151,23 @@ def test_slot_wise_laws_skip_the_handle_scan(name, monkeypatch):
     assert ((t.k, 3) in scans) == (t.n <= 1)
 
 
+def test_verify_axioms_builds_only_mul_once_the_slots_decide():
+    # zn(2) has the laws before those of one, so only the laws of one are
+    # scanned on the handle, and they read mul alone
+    h = fsh(zn_interval(2), cyclic_group(10))
+    assert verify_axioms(h) == (True, None)
+    assert list(h.tables()._full) == ["mul"]
+
+
+def test_verify_axioms_refuses_an_oversized_handle_before_any_table():
+    h = fsh(zn_interval(2), cyclic_group(13))
+    with pytest.raises(SpecError, match=(
+            "a 8192x8192 add table over 8192 elements needs 134217728 "
+            "bytes, above the 67108864-byte table cap")):
+        verify_axioms(h)
+    assert h.tables()._full == {}
+
+
 # ---------------------------------------------------------------------------
 # subset checks, closures and Smarandache searches against their references
 
@@ -1283,6 +1319,61 @@ def test_infinite_subsets_match_reference(h, values):
         # the closure is infinite: past the cap, the pseudo kinds are open
         assert got.exhaustive == (kind not in PSEUDO_KINDS)
     assert h._tables is None
+
+
+def _object_engine_results(name, subset):
+    """The subset queries on a handle and on a copy whose
+    ``is_enumerable`` is False, so its subsets go through the object
+    tables of the elements they reach; the copy compiles nothing."""
+    out = []
+    for enumerable in (True, False):
+        h = HANDLES[name]()
+        if not enumerable:
+            h.is_enumerable = lambda: False
+        out.append([semifield_within(h, subset),
+                    check_substructure(h, subset, "subsemiring")] +
+                   [smarandache_search(h, candidate=subset,
+                                       candidate_kind=kind).to_json_str()
+                    for kind in CANDIDATE_KINDS])
+        assert enumerable or h._tables is None
+    return out
+
+
+@given(st.sampled_from(UPTO_81), st.data())
+@settings(max_examples=60, deadline=None)
+def test_object_tables_match_compiled_tables(name, data):
+    compiled, reached = _object_engine_results(
+        name, _draw_subset(data, HANDLES[name]()))
+    assert reached == compiled
+
+
+@pytest.mark.parametrize("name, values", [
+    ("zn(12)", (0, 1)),
+    ("zn(24)", (5,)),
+    ("chain(5)", (0, 1, 2, 3, 4)),
+])
+def test_a_closure_that_is_the_whole_handle_is_not_proper(name, values):
+    h = HANDLES[name]()
+    subset = [element(h.domain, v) for v in values]
+    compiled, reached = _object_engine_results(name, subset)
+    assert reached == compiled
+    for got in compiled[2:]:
+        report = json.loads(got)
+        if "pseudo" in report["query"]:
+            assert report["exhaustive"] and report["findings"] == []
+
+
+def test_the_closure_cap_is_read_when_the_closure_runs(monkeypatch):
+    # zn(2^21) is past the enumeration guard; the closure of {0, 2^18} is
+    # the 8 multiples of 2^18, whose products all vanish
+    d = zn_interval(1 << 21)
+    subset = [element(d, v) for v in (0, 1 << 18)]
+    for cap, decided in ((8, True), (7, False)):
+        monkeypatch.setattr(analysis, "_CLOSURE_CAP", cap)
+        for kind in PSEUDO_KINDS:
+            r = smarandache_search(dh(d), candidate=subset,
+                                   candidate_kind=kind)
+            assert (r.findings, r.exhaustive) == ((), decided)
 
 
 def test_neutro_prime_sweep_matches_reference(monkeypatch):
