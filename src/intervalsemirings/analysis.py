@@ -51,7 +51,6 @@ from .laws import _law_witness, closure, loop_law_summary, substructures
 
 _GENERATED_GUARD = 1 << 14
 _EXHAUSTIVE_SUBSET_LIMIT = 20
-_CLOSURE_CAP = 4096
 
 
 class Finding(Frozen):
@@ -515,12 +514,14 @@ class _Reached:
     tables: the members at positions 0, 1, ..., then each new result at the
     next position below k (the cap, or the member count).  A result past
     those reads k, a Local's outside mark, and with a cap ends its block at
-    once.  Entries are computed on first read and kept."""
+    once.  Entries are computed on first read and kept; a block is read only
+    with k within ``tables.local_limit``, so they fit the byte cap."""
 
     def __init__(self, h, members, cap):
         self.elements, self._stop = list(members), cap is not None
         self._pos = {x: i for i, x in enumerate(members)}
         self.k, self.zero = max(len(members), cap or 0), self._pos.get(h.zero)
+        self.size = h.size() if h.is_finite() else "infinitely many"
         self._ops = {"add": h.add, "mul": h.mul}
         # -1 until computed, in arrays that grow with the positions read
         self._tab = dict.fromkeys(self._ops, np.empty(
@@ -529,8 +530,6 @@ class _Reached:
     def block(self, kind, rows, cols):
         tab, rows, cols = self._tab[kind], rows.tolist(), cols.tolist()
         if (m := max([len(tab) - 1, *rows, *cols]) + 1) > len(tab):
-            tables._check_bytes(f"a {m}x{m} {kind} table",
-                                len(self.elements), m * m * tab.itemsize)
             tab = self._tab[kind] = np.pad(tab, (0, m - len(tab)),
                                            constant_values=-1)
         out = tab[np.array(rows, dtype=np.intp)[:, None], cols]
@@ -746,14 +745,14 @@ def _evaluate_candidate(h, members, kind):
 
 def _pseudo_superset(h, mset):
     """(superset, decided): the closure of mset and 0 when it is a proper
-    semifield or S-subsemiring, as members in key order, or None; a closure
-    past the cap decides nothing."""
-    # a cap below a finite handle's size: its own closure, not proper, is
-    # None too, and decided when the handle fits _CLOSURE_CAP
-    cap = min(_CLOSURE_CAP, h.size() - 1) if h.is_finite() else _CLOSURE_CAP
+    semifield or S-subsemiring, as members in key order, or None; it stops
+    past ``tables.local_limit`` members, deciding nothing, or past all but
+    one of a finite handle's, when it is the whole handle (not proper)."""
+    limit = tables.local_limit()
+    cap = min(limit, h.size() - 1) if h.is_finite() else limit
     sub = _subset_tables(h, mset | {h.zero}, cap)
     if sub is None:
-        return None, h.is_finite() and h.size() <= _CLOSURE_CAP
+        return None, h.is_finite() and cap == h.size() - 1
     s, ordered, _ = sub
     if tables.semifield_failure(s) is None or \
             tables.s_subsemiring(s) is not None:

@@ -37,6 +37,7 @@ Smarandache searches) run on the same tables.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class Tables:
         self.q = domains.domain_size(domain)
         self._kernel = {kind: dom_kernel(domain, kind)
                         for kind in ("add", "mul")}
-        self.k = self.q ** self.n
+        self.k = self.size = self.q ** self.n
         self.dtype = np.min_scalar_type(self.k - 1)
         self._place = [self.q ** (self.n - 1 - s) for s in range(self.n)]
         # the slot pairs (l, r) each output slot sums, row-major
@@ -638,20 +639,26 @@ class Local:
         return table[rows[:, None], cols]
 
 
+def local_limit():
+    """The most members (at most 65535) whose local tables fit the byte cap
+    now: two of b bytes an entry (256**b > members), 4 for block and masks."""
+    m = min(65535, math.isqrt(TABLE_BYTE_CAP // 8))
+    return m if m > 255 else min(255, math.isqrt(TABLE_BYTE_CAP // 6))
+
+
 def local_dtype(t, m):
     """The entry type of the local tables of m members of t, after
-    refusing them if they, with what a scan derives, would pass the cap."""
+    refusing them past ``local_limit``; the refusal names t's size."""
     dtype = np.min_scalar_type(m)
-    # two local tables, and the larger of the block each is gathered from
-    # (at most 4 bytes an entry) and the three masks a subset scan holds
-    _check_bytes(f"the local tables of {m} members", t.k,
-                 (2 * dtype.itemsize + 4) * m * m)
+    if m > local_limit():
+        _check_bytes(f"the local tables of {m} members", t.size,
+                     (2 * dtype.itemsize + 4) * m * m)
     return dtype
 
 
 def restrict(t, idx):
-    """Local tables of the members idx, distinct positions in t (the
-    compiled tables or a Local, or any k, zero and block), in that order."""
+    """Local tables of the members idx, distinct positions in t (anything
+    with k, zero, block and the size a refusal names), in that order."""
     idx = np.asarray(idx, dtype=np.intp)
     m = len(idx)
     # position of every index of t among the members; the extra last entry

@@ -437,7 +437,7 @@ def test_a_pseudo_subsemiring_candidate_builds_no_tables_of_its_own(
         monkeypatch):
     # over nat the closure of {0, 2, 4} passes the cap: no local tables are
     # restricted, and the object tables stop at the first block that
-    # reaches past the cap, after at most 25000 sums and products (20733
+    # reaches past the cap, after at most 25000 sums and products (14330
     # in rounds of products, then sums)
     calls, ops = [], []
     restrict = tables.restrict

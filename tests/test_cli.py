@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -633,6 +634,23 @@ def test_script_prints_json_lines(script, args):
     assert lines
     for line in lines:
         assert isinstance(json.loads(line), dict)
+
+
+@pytest.mark.parametrize("script, args, last", [
+    ("sweep_loop_laws.py", ["--nmin", "5", "--nmax", "9"],
+     "11 loops; commutative: 3, left-alternative: 3, right-alternative: 3, "
+     "moufang: 0, left-bol: 0, right-bol: 0, wip: 2, p-groupoid: 11"),
+    ("survey_special_elements.py", ["--nmin", "2", "--nmax", "6"],
+     "  6       2       2       2       0       0       4       1       0"),
+], ids=["sweep_loop_laws", "survey_special_elements"])
+def test_script_main_ends_with_its_summary(capsys, script, args, last):
+    # in-process through main(argv), as README runs them
+    spec = importlib.util.spec_from_file_location(
+        script[:-3], os.path.join(ROOT, "scripts", script))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(args) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == last
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def mh(d, shape):
     return SemiringHandle.for_matrices(d, shape)
 
 
-def _closure_under_ops(h, seed, cap=analysis._CLOSURE_CAP):
+def _closure_under_ops(h, seed, cap):
     """Closure of seed under + and * (None if it exceeds the cap), by a
     breadth-first search on element objects: the reference the table
     closures are checked against."""
@@ -563,11 +563,14 @@ def _ref_semifield_candidates_within(h, members):
 
 def _ref_pseudo_superset(h, mset):
     """(closed proper superset or None, decided): a closure past the cap
-    may still hold a proper semifield, so it decides nothing."""
-    c = _closure_under_ops(h, frozenset(mset | {h.zero}))
-    if c is None:
-        return None, False
+    may still hold a proper semifield, so it decides nothing, unless the
+    handle has at most one element more than the cap: it is then the whole
+    handle."""
+    cap = tables.local_limit()
+    c = _closure_under_ops(h, frozenset(mset | {h.zero}), cap)
     total = h.size() if h.is_finite() else None
+    if c is None:
+        return None, total is not None and total <= cap + 1
     ok, _ = ref_semifield_within(h, c)
     if ok and (total is None or len(c) < total):
         return c, True
@@ -1369,11 +1372,105 @@ def test_the_closure_cap_is_read_when_the_closure_runs(monkeypatch):
     d = zn_interval(1 << 21)
     subset = [element(d, v) for v in (0, 1 << 18)]
     for cap, decided in ((8, True), (7, False)):
-        monkeypatch.setattr(analysis, "_CLOSURE_CAP", cap)
+        # local tables of cap members, 6 bytes an entry, fit; one more not
+        monkeypatch.setattr(tables, "TABLE_BYTE_CAP", 6 * cap * cap)
         for kind in PSEUDO_KINDS:
             r = smarandache_search(dh(d), candidate=subset,
                                    candidate_kind=kind)
             assert (r.findings, r.exhaustive) == ((), decided)
+
+
+def _counted_ops(h):
+    """Replace h's add and mul by counting wrappers; return the count."""
+    ops = []
+
+    def counted(op):
+        return lambda x, y: ops.append(None) or op(x, y)
+
+    h.add, h.mul = counted(h.add), counted(h.mul)
+    return ops
+
+
+@pytest.mark.parametrize("cap, limit", [
+    (None, 2896),                    # the real cap, 8 bytes an entry
+    (6 * 100 * 100, 100),            # 6 bytes an entry (uint8)
+    (8 * 256 * 256 - 1, 255),        # 256 members would take uint16
+    (8 * 256 * 256, 256),
+    (8 * 300 * 300, 300),
+    (8 * 65536 * 65536, 65535),      # 65536 would take 12 bytes an entry
+])
+def test_local_dtype_refuses_just_past_the_local_limit(monkeypatch, cap,
+                                                       limit):
+    if cap is not None:
+        monkeypatch.setattr(tables, "TABLE_BYTE_CAP", cap)
+    t = dh(zn_interval(5)).tables()
+    assert tables.local_limit() == limit
+    assert tables.local_dtype(t, limit) == np.min_scalar_type(limit)
+    with pytest.raises(SpecError, match=f"local tables of {limit + 1} "
+                       "members over 5 elements"):
+        tables.local_dtype(t, limit + 1)
+
+
+@pytest.mark.parametrize("cap", [None, 6 * 8 * 8])
+def test_a_closure_past_the_limit_is_decided_as_the_whole_handle(
+        monkeypatch, cap):
+    # {0, [0,1]} closes to all of zn(n): past a cap of n - 1 members it is
+    # the whole handle, so not proper; past a cap of n - 2 it decides
+    # nothing.  The object tables of zn(2897) would take minutes.
+    if cap is not None:
+        monkeypatch.setattr(tables, "TABLE_BYTE_CAP", cap)
+    limit = tables.local_limit()
+    for n, decided in ((limit + 1, True), (limit + 2, False)):
+        d = zn_interval(n)
+        for enumerable in (True, False) if cap else (True,):
+            h = dh(d)
+            if not enumerable:
+                h.is_enumerable = lambda: False
+            for kind in PSEUDO_KINDS:
+                r = smarandache_search(h, candidate=[element(d, v) for v in
+                                                     (0, 1)],
+                                       candidate_kind=kind)
+                assert (r.findings, r.exhaustive) == ((), decided)
+
+
+@pytest.mark.parametrize("d, values", [
+    (zn_interval(1 << 21), (0, 1 << 16)),
+    (nat_interval(), (0, 2)),
+    (zn_interval(64), (0, 2)),
+], ids=["zn(2^21)", "nat", "zn(64)"])
+def test_a_closure_past_the_limit_stops_there(monkeypatch, d, values):
+    # a limit of 16 members; each closure has 32 or more (the multiples of
+    # 2^16, the even naturals, the 32 evens of zn(64)), and stops past the
+    # limit instead of being closed in full (2048 operations on zn(2^21))
+    # and then refused.  Its object tables hold at most 16 x 16 entries an
+    # operation, and the s-pseudo-ideal candidate's own 2 x 2 (162 and 170
+    # operations on zn(2^21), 50 and 58 on nat; zn(64) is compiled and
+    # makes none)
+    monkeypatch.setattr(tables, "TABLE_BYTE_CAP", 6 * 16 * 16)
+    for kind in PSEUDO_KINDS:
+        h = dh(d)
+        ops = _counted_ops(h)
+        r = smarandache_search(h, candidate=[element(d, v) for v in values],
+                               candidate_kind=kind)
+        assert (r.findings, r.exhaustive) == ((), False)
+        assert len(ops) <= 2 * 16 * 16 + 2 * 2 * 2
+        assert h.is_enumerable() or ops
+
+
+@pytest.mark.parametrize("d, size", [
+    (nat_interval(), "infinitely many"),
+    (zn_interval(1 << 21), "2097152"),
+], ids=["nat", "zn(2^21)"])
+def test_a_refusal_of_local_tables_names_the_handle_size(d, size):
+    # 3000 given members are past the limit: refused before any object
+    # operation, naming the handle's size and not the member count
+    h = dh(d)
+    ops = _counted_ops(h)
+    with pytest.raises(SpecError, match=f"the local tables of 3000 members "
+                       f"over {size} elements needs 72000000 bytes"):
+        check_substructure(h, [element(d, v) for v in range(3000)],
+                           "subsemiring")
+    assert ops == []
 
 
 def test_neutro_prime_sweep_matches_reference(monkeypatch):
