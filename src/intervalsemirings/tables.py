@@ -596,15 +596,16 @@ def axiom_failure(add, mul, zero, one, axioms=_AXIOMS):
 
     The three arity-3 laws are first checked with their z slot running
     over an additive generating set only (``laws.first_violation`` has
-    the argument), built only when one of them is asked for; the
-    distributive laws come after additive associativity, which their
-    argument needs, so a run that holds them starts no later than it.
-    The indices are the lexicographically first violation in scan order,
-    permuted by the law's report.
+    the argument), built only when additive associativity is asked for:
+    the distributive laws come after it, and their argument needs it to
+    hold, so a run that starts past it scans them in full.  The indices
+    are the lexicographically first violation in scan order, permuted by
+    the law's report.
     """
     k = len(mul)
     gens = laws.generators(laws._gathers([add]), k, [zero, *range(k)]) \
-        if any(arity == 3 for _, arity, _, _ in axioms) else None
+        if any(law == "addition-not-associative" for law, *_ in axioms) \
+        else None
     reads = (None if add is None else laws.LawTable(add), laws.LawTable(mul),
              zero, one)
     for law, arity, holds, report in axioms:

@@ -1079,6 +1079,18 @@ def test_axiom_failure_scans_only_the_laws_it_is_given(ops, data):
         assert got == ref_axiom_failure(*ops)
 
 
+def test_laws_past_associativity_scan_distributivity_in_full():
+    # + is not associative ((1+1)+1 = 3, 1+(1+1) = 0), and x(y + z) holds
+    # for z in {0, 1}, which generate +, but fails at (2, 1, 2): a run of
+    # laws without associativity must not take the generator shortcut
+    add = np.array([[0, 1, 2, 3], [1, 2, 0, 0], [2, 3, 0, 1], [3, 0, 1, 2]])
+    mul = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 2, 1]])
+    assert tables.axiom_failure(add, mul, 0, None, tables._AXIOMS[3:]) == \
+        ("addition-not-associative", 1, 1, 1)
+    assert tables.axiom_failure(add, mul, 0, None, tables._AXIOMS[4:]) == \
+        ("not-left-distributive", 2, 1, 2)
+
+
 # the slot-wise-laws argument: handles whose coefficient domain reads drawn
 # q x q tables; q is the domain's size
 SLOT_HANDLES = {
