@@ -92,6 +92,14 @@ def _report(query, findings, exhaustive, scanned):
                           budget_spent={"pairs_scanned": scanned})
 
 
+def _count(name, value):
+    """value as an int, or None; else SpecError, a bool too (as indices)."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not ok and value is not None:
+        raise SpecError(f"{name} must be an integer, not {value!r}")
+    return value if value is None else int(value)
+
+
 def _wit(h, *items):
     return tuple(it if isinstance(it, str) else h.render(it) for it in items)
 
@@ -135,6 +143,7 @@ def find_zero_divisors(h, budget=None):
     orientation vanishes the kind is "one-sided-zero-divisor" and the witness
     order is the vanishing one.
     """
+    budget = _count("budget", budget)
     query = f"zero-divisors on {h.describe()}"
     if not h.is_enumerable():
         return _zero_divisor_patterns(h, query)
@@ -345,6 +354,7 @@ def find_s_special(h, kind, budget=None):
     if kind not in _S_KINDS:
         raise SpecError(f"unknown special-element kind {kind!r} "
                         f"(available: {', '.join(_S_KINDS)})")
+    budget = _count("budget", budget)
     query = f"{kind} on {h.describe()}"
     if not h.is_enumerable():
         return _s_special_patterns(h, kind, query)
@@ -688,6 +698,7 @@ def smarandache_search(h, mode="generated", *, seed_size=2, max_subset=None,
         raise SpecError(f"seed_size must be 1 or 2, not {seed_size!r}")
     if mode not in ("exhaustive", "generated"):
         raise SpecError(f"unknown search mode {mode!r}")
+    max_subset = _count("max_subset", max_subset)
     if candidate is not None:
         return _evaluate_candidate(h, list(candidate),
                                    candidate_kind or "semifield-subset")
@@ -828,21 +839,19 @@ def check_homomorphism(f, src, dst, sample=None):
 
 
 def verify_axioms(h):
-    """Exhaustively check the semiring laws on a finite handle's compiled
-    tables (``tables.axiom_failure``): additive commutativity and
-    associativity, the zero identity, both distributive laws, zero
-    absorption and, when the handle has a one, the identity laws of one.
-    Returns (ok, witness); the witness names the failing law and the
-    elements.
+    """Exhaustively check the semiring laws of ``tables._AXIOMS`` (those of
+    one when the handle has a one) on a finite handle's compiled tables.
+    Returns (ok, witness): the failing law and its elements.
 
-    A handle of n > 1 slots over a coefficient domain D (``tables``' slot
-    layout) first takes the laws before those of one from D's q x q tables
-    (slot-wise-laws): when D has them, so does the handle, and only the
-    laws of one are scanned on it; otherwise it is scanned in full.  Its
-    + is D's slot by slot, its zero is D's in every slot, and slot o of
-    xy is the D-sum of x_l y_r over the pairs (l, r) with product(l, r)
-    = o, for any partial product (an absorbed zero basis, row and square
-    matrices alike), per law:
+    A handle of n > 1 slots over a coefficient domain D (the slot layout
+    of ``tables``) takes the laws before those of one from D's q x q
+    tables (slot-wise-laws): when D has them, so does the handle, and
+    the laws of one are read from row and column one of its mul alone
+    (``tables.one_failure``, no k x k table); otherwise
+    ``tables.axiom_failure`` scans it in full.  Its + is D's slot by
+    slot, its zero is D's in every slot, and slot o of xy is the D-sum of
+    x_l y_r over the pairs (l, r) with product(l, r) = o, for any partial
+    product (an absorbed zero basis, row and square matrices alike):
     - + commutative, + associative and the zero identity act on each slot
       alone, so they hold as they do in D;
     - the fold order of a slot's sum does not matter once D's + is
@@ -852,19 +861,15 @@ def verify_axioms(h):
     - 0x and x0 sum D-products 0 x_r and x_l 0, each 0;
     - a slot with no pairs is D's zero on every side, and 0 + 0 = 0.
     So the first failing law, and its first witness, are those of the
-    full scan.  A one-slot handle has D's q elements and keeps its plain
-    scan.
+    full scan.  A handle of one slot has D's q elements, one of no slots
+    a single element: each keeps its plain scan.
     """
     t = h.tables()
-    t.check_table("add", t.k, t.k)   # refused before any table is built
-    axioms = tables._AXIOMS
-    if t.n > 1:   # slot-wise-laws
-        d = h._coefficient_handle().tables()
-        # without a one, axiom_failure stops before the laws of one
-        if tables.axiom_failure(d.add, d.mul, d.zero, None) is None:
-            axioms = [a for a in axioms if a[0] == "one-identity"]
-    add = None if axioms[0][0] == "one-identity" else t.add
-    bad = tables.axiom_failure(add, t.mul, t.zero, t.one, axioms)
+    d = h._coefficient_handle().tables() if t.n > 1 else None   # slot-wise
+    if d and tables.axiom_failure(d.add, d.mul, d.zero, None) is None:
+        bad = tables.one_failure(t)
+    else:
+        bad = tables.axiom_failure(t.add, t.mul, t.zero, t.one)
     if bad is None:
         return (True, None)
     law, *idx = bad
@@ -904,7 +909,7 @@ def _sweep_zn_prime_clean(pmax=97):
 
 
 def _sweep_loop_laws(nmin=5, nmax=25):
-    for n in range(nmin, nmax + 1, 2):
+    for n in range(nmin | 1, nmax + 1, 2):   # the odd n of the range
         for m in loop_parameters(n):
             g = build_loop(n, m)
             s = loop_law_summary(g)

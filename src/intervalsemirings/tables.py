@@ -28,8 +28,9 @@ slot, where explicit indices cost one block per term.
 
 The scans below work on element indices and return index tuples in the
 scan order each docstring states; ``analysis`` renders them.  The semiring
-laws are checked by ``axiom_failure`` on any pair of k x k index tables,
-and each semifield law is one mask over such a pair (``zero_sums``).
+laws are checked by ``axiom_failure`` on any pair of k x k index tables
+(those of one alone by ``one_failure`` on row and column one of mul), and
+each semifield law is one mask over such a pair (``zero_sums``).
 Subsets are checked on their local tables (:class:`Local`), restricted
 from the compiled tables or, on a handle without them, from object tables
 computed on demand; the subset searches (closures, semifield subsets, the
@@ -123,8 +124,7 @@ class Tables:
     def full(self, kind):
         """The k x k table of ``kind``, built on first use and kept."""
         table = self._full.get(kind)
-        if table is None:
-            self.check_table(kind, self.k, self.k)
+        if table is None:   # _compute refuses it over the byte cap
             every = np.arange(self.k)
             table = self._full[kind] = self._compute(kind, every, every)
         return table
@@ -588,27 +588,21 @@ _AXIOMS = (
 )
 
 
-def axiom_failure(add, mul, zero, one, axioms=_AXIOMS):
-    """The first semiring law that the k x k index tables add and mul break,
-    as (law, *indices), or None: the laws of ``axioms`` (``_AXIOMS`` or a
-    run of its entries) in order, the identity laws of one only when one
-    is not None.  add may be None when only the laws of one are given.
+def axiom_failure(add, mul, zero, one):
+    """The first semiring law of ``_AXIOMS`` that the k x k index tables add
+    and mul break, as (law, *indices), or None; the laws of one only when
+    one is not None.
 
     The three arity-3 laws are first checked with their z slot running
     over an additive generating set only (``laws.first_violation`` has
-    the argument), built only when additive associativity is asked for:
-    the distributive laws come after it, and their argument needs it to
-    hold, so a run that starts past it scans them in full.  The indices
-    are the lexicographically first violation in scan order, permuted by
-    the law's report.
+    the argument); the distributive laws need + associative for it, which
+    is checked before them.  The indices are the lexicographically first
+    violation in scan order, permuted by the law's report.
     """
     k = len(mul)
-    gens = laws.generators(laws._gathers([add]), k, [zero, *range(k)]) \
-        if any(law == "addition-not-associative" for law, *_ in axioms) \
-        else None
-    reads = (None if add is None else laws.LawTable(add), laws.LawTable(mul),
-             zero, one)
-    for law, arity, holds, report in axioms:
+    gens = laws.generators(laws._gathers([add]), k, [zero, *range(k)])
+    reads = (laws.LawTable(add), laws.LawTable(mul), zero, one)
+    for law, arity, holds, report in _AXIOMS:
         if law == "one-identity" and one is None:
             break
         bad = laws.first_violation(range(k), arity,
@@ -617,6 +611,18 @@ def axiom_failure(add, mul, zero, one, axioms=_AXIOMS):
         if bad:
             return (law, *(bad[i] for i in report))
     return None
+
+
+def one_failure(t):
+    """The first x with one*x != x, else the first with x*one != x, as
+    ("one-identity", x), or None, as when t has no one: the laws of one in
+    ``_AXIOMS`` order, read from row and column one of mul alone."""
+    every = np.arange(t.k)
+    one = np.array([] if t.one is None else [t.one], dtype=np.intp)
+    lines = np.vstack([t.block("mul", one, every),
+                       t.block("mul", every, one).T])
+    bad = np.flatnonzero(lines != every)
+    return ("one-identity", int(bad[0]) % t.k) if bad.size else None
 
 
 # ---------------------------------------------------------------------------

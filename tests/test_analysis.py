@@ -141,6 +141,32 @@ def test_budget_truncates_scan():
     assert r.budget_spent["pairs_scanned"] <= 10
 
 
+@pytest.mark.parametrize("value", [True, False, "3", 1.0])
+@pytest.mark.parametrize("query", [
+    lambda h, v: find_zero_divisors(h, budget=v),
+    lambda h, v: find_s_special(h, "s-unit", budget=v),
+    lambda h, v: matrix_zd_comparison(mh(zn_interval(2), (ROW, 2)), budget=v),
+    lambda h, v: smarandache_search(h, mode="exhaustive", max_subset=v),
+], ids=["zero-divisors", "s-units", "comparison", "max_subset"])
+def test_budget_and_max_subset_refuse_a_non_integer(query, value):
+    # a bool is an int to Python, but True is no count of pairs
+    h = dh(zn_interval(6))
+    with pytest.raises(SpecError, match=f"must be an integer, not {value!r}"):
+        query(h, value)
+
+
+def test_budget_takes_numpy_integers_and_negative_counts():
+    h = dh(zn_interval(18))
+    for budget in (np.int64(10), np.uint8(10)):
+        r = find_zero_divisors(h, budget=budget)
+        assert r.to_json() == find_zero_divisors(h, budget=10).to_json()
+        assert type(r.budget_spent["pairs_scanned"]) is int
+    # a negative budget still scans nothing
+    r = find_s_special(h, "s-zero-divisor", budget=-1)
+    assert (r.findings, r.exhaustive, r.budget_spent) == \
+        ((), False, {"pairs_scanned": 0})
+
+
 # ---------------------------------------------------------------------------
 # idempotents, units, nilpotents
 

@@ -8,7 +8,14 @@ import textwrap
 
 import pytest
 
-from intervalsemirings import SpecError, cli
+from intervalsemirings import (
+    SpecError,
+    associator_closure,
+    build_groupoid,
+    build_loop,
+    cli,
+    enumerate_substructures,
+)
 from intervalsemirings.carriers import carrier_kinds
 from intervalsemirings.cli import load_spec_file, main
 
@@ -508,10 +515,64 @@ def test_verify_bad_range():
     assert "backwards" in err
 
 
+def test_verify_loop_laws_from_an_even_lower_bound():
+    # the sweep takes the odd n of the range, so 4..7 sweeps 5 and 7
+    code, out, err = run_cli(["verify", "loop-laws", "--n", "4..7"])
+    assert (code, out, err) == run_cli(["verify", "loop-laws", "--n", "5..7"])
+    assert out.endswith("loop-laws: pass (8 instances)\n")
+
+
 def test_verify_primes_list():
     code, out, _ = run_cli(["verify", "neutro-prime-no-subsemiring",
                             "--primes", "3,5"])
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned query results
+
+
+_CHAIN2 = {"kind": "chain-lattice", "k": 2}
+_ZN3 = {"kind": "zn-interval", "n": 3}
+_SQUARE2 = {"shape": "square", "n": 2}
+
+
+def _classify(coefficients, *argv, matrix=_SQUARE2, line=-2):
+    """A classify run on the coefficients (square(2) matrices over them
+    unless matrix is None): run(tmp_path) is its exit code and the line of
+    its output, by default the findings count."""
+    def run(tmp_path):
+        doc = {"schema": "1", "coefficients": coefficients}
+        if matrix is not None:
+            doc["matrix"] = matrix
+        code, out, _ = run_cli(["classify", "--spec", write_spec(tmp_path, doc),
+                                *argv])
+        return code, out.splitlines()[line]
+    return run
+
+
+@pytest.mark.parametrize("run, want", [
+    (_classify(_CHAIN2, "--query", "smarandache", line=0),
+     (0, "semifield-subset: [[0, 0], [0, 0]], [[0, 0], [0, 1]]")),
+    (_classify(_CHAIN2, "--query", "smarandache"), (0, "findings: 28")),
+    (_classify(_ZN3, "--query", "s-zero-divisors"), (0, "findings: 228")),
+    (_classify(_ZN3, "--query", "s-units"), (0, "findings: 26")),
+    (_classify({"kind": "nat-interval"}, "--query", "subsemiring",
+               "--subset", "[0,0];[0,1];[0,2]", matrix=None, line=-1),
+     (0, "  witness: not-closed-under-addition, [0,1], [0,2]")),
+    # undecided on an infinite domain, so --require-exhaustive exits 5
+    (_classify({"kind": "rat-interval"}, "--query", "smarandache",
+               "--subset", "[0,0];[0,1]",
+               "--candidate-kind", "s-pseudo-subsemiring",
+               "--require-exhaustive", matrix=None), (5, "findings: 0")),
+    (lambda _: len(associator_closure(build_loop(41, 3))), 42),
+    (lambda _: len(enumerate_substructures(build_groupoid(15, 1, 0),
+                                           "subgroup")), 15),
+], ids=["smarandache-first", "smarandache-count", "s-zero-divisors-count",
+        "s-units-count", "nat-subsemiring-witness", "rat-pseudo-exit-5",
+        "associator-closure-L41(3)", "subgroups-of-groupoid(15,1,0)"])
+def test_pinned_results(tmp_path, run, want):
+    assert run(tmp_path) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1069,26 +1069,28 @@ def test_axiom_failure_matches_plain_loop(ops):
     assert tables.axiom_failure(*ops) == ref_axiom_failure(*ops)
 
 
-@given(axiom_tables(), st.data())
-@settings(max_examples=100, deadline=None)
-def test_axiom_failure_scans_only_the_laws_it_is_given(ops, data):
-    lo = data.draw(st.integers(0, len(tables._AXIOMS)))
-    laws_ = tables._AXIOMS[lo:]
-    got = tables.axiom_failure(*ops, laws_)
-    with mock.patch.object(tables, "_AXIOMS", laws_):
-        assert got == ref_axiom_failure(*ops)
+@given(axiom_tables())
+@settings(max_examples=200, deadline=None)
+def test_one_failure_matches_the_laws_of_one(ops):
+    # row and column one of mul against the laws of one scanned in full
+    add, mul, zero, one = ops
+    t = tables.Local(add, mul, zero)
+    t.one = one
+    laws_of_one = [a for a in tables._AXIOMS if a[0] == "one-identity"]
+    with mock.patch.object(tables, "_AXIOMS", laws_of_one):
+        assert tables.one_failure(t) == ref_axiom_failure(*ops)
 
 
-def test_laws_past_associativity_scan_distributivity_in_full():
-    # + is not associative ((1+1)+1 = 3, 1+(1+1) = 0), and x(y + z) holds
-    # for z in {0, 1}, which generate +, but fails at (2, 1, 2): a run of
-    # laws without associativity must not take the generator shortcut
+def test_axiom_failure_full_run_stops_at_the_first_law():
+    # + is neither commutative (1+2 = 0, 2+1 = 3) nor associative
+    # ((1+1)+1 = 3, 1+(1+1) = 0), and x(y + z) holds for z in {0, 1} but
+    # fails at (2, 1, 2): a full run reports the first law it breaks
     add = np.array([[0, 1, 2, 3], [1, 2, 0, 0], [2, 3, 0, 1], [3, 0, 1, 2]])
     mul = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 2, 1]])
-    assert tables.axiom_failure(add, mul, 0, None, tables._AXIOMS[3:]) == \
-        ("addition-not-associative", 1, 1, 1)
-    assert tables.axiom_failure(add, mul, 0, None, tables._AXIOMS[4:]) == \
-        ("not-left-distributive", 2, 1, 2)
+    for one in (None, 1):
+        assert tables.axiom_failure(add, mul, 0, one) == \
+            ("addition-not-commutative", 1, 2) == \
+            ref_axiom_failure(add, mul, 0, one)
 
 
 # the slot-wise-laws argument: handles whose coefficient domain reads drawn
@@ -1166,20 +1168,42 @@ def test_slot_wise_laws_skip_the_handle_scan(name, monkeypatch):
     assert ((t.k, 3) in scans) == (t.n <= 1)
 
 
-def test_verify_axioms_builds_only_mul_once_the_slots_decide():
-    # zn(2) has the laws before those of one, so only the laws of one are
-    # scanned on the handle, and they read mul alone
+def test_verify_axioms_builds_no_full_table_once_the_slots_decide():
+    # zn(2) has the laws before those of one, so the laws of one are read
+    # from row and column one of the handle's mul alone
     h = fsh(zn_interval(2), cyclic_group(10))
     assert verify_axioms(h) == (True, None)
-    assert list(h.tables()._full) == ["mul"]
+    assert h.tables()._full == {}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fsh(zn_interval(2), cyclic_group(13)),
+    lambda: fsh(zn_interval(2), cyclic_group(16)),
+    lambda: fsh(DIV12, build_loop(5, 2)),
+], ids=["zn(2).C13", "zn(2).C16", "DIV12.L5(2)"])
+def test_verify_axioms_answers_past_the_table_cap_once_the_slots_decide(
+        build):
+    # 8192, 65536 and 46656 elements: a full table of each is over the cap
+    h = build()
+    assert verify_axioms(h) == (True, None)
+    assert h.tables()._full == {}
 
 
 def test_verify_axioms_refuses_an_oversized_handle_before_any_table():
-    h = fsh(zn_interval(2), cyclic_group(13))
-    with pytest.raises(SpecError, match=(
-            "a 8192x8192 add table over 8192 elements needs 134217728 "
-            "bytes, above the 67108864-byte table cap")):
-        verify_axioms(h)
+    # when the coefficient domain breaks a law the handle is scanned in
+    # full, and its add table is refused before any table is built
+    # x*y = y breaks right distributivity: (0 + 0)1 = 1, 0*1 + 0*1 = 0
+    drawn = {"add": np.array([[0, 1], [1, 0]]), "mul": np.array([[0, 1]] * 2)}
+    with mock.patch.object(tables, "dom_kernel",
+                           lambda d, kind: lambda x, y: drawn[kind][x, y]):
+        h = fsh(zn_interval(2), cyclic_group(13))
+        d = h._coefficient_handle().tables()
+        assert tables.axiom_failure(d.add, d.mul, d.zero, None) == \
+            ("not-right-distributive", 1, 0, 0)
+        with pytest.raises(SpecError, match=(
+                "a 8192x8192 add table over 8192 elements needs 134217728 "
+                "bytes, above the 67108864-byte table cap")):
+            verify_axioms(h)
     assert h.tables()._full == {}
 
 
