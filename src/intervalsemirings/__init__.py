@@ -19,8 +19,9 @@ __version__ = "0.1.0"
 # Every public name, under the module that defines it.  Importing the
 # package loads none of them: ``__getattr__`` loads a name's module on its
 # first access, so a process compiles only the modules it uses (`isl table`
-# adds carriers alone to cli, and only a query loads analysis, tables, laws
-# and numpy).
+# adds carriers alone to cli, a report class loads reports alone, a sweep
+# sweeps and then what it runs, and only a query loads analysis, tables,
+# laws and numpy).
 _NAMES = {
     "errors": ("SpecError", "DomainMismatchError", "ParseError"),
     "domains": (
@@ -50,13 +51,14 @@ _NAMES = {
         "matrix_from_rows", "zero_matrix", "identity_matrix", "mat_add",
         "mat_mul", "scale_matrix", "render_matrix", "matrix_to_json"),
     "handle": ("SemiringHandle",),
+    "reports": ("Finding", "AnalysisReport", "Classification", "HomReport"),
     "analysis": (
-        "Finding", "AnalysisReport", "Classification", "HomReport",
         "find_zero_divisors", "find_idempotents", "find_units",
         "find_nilpotents", "find_s_special", "validate_s_certificate",
         "check_substructure", "classify_semiring", "semifield_within",
         "smarandache_search", "check_homomorphism", "verify_axioms",
-        "theorem_sweep", "sweep_passed", "matrix_zd_comparison"),
+        "matrix_zd_comparison"),
+    "sweeps": ("theorem_sweep", "sweep_passed"),
     "expressions": (
         "parse_expression", "ast_to_str", "eval_expression", "eval_pair",
         "parse_formal_sum"),

@@ -315,7 +315,7 @@ def _parse_range(text):
 
 
 def _cmd_verify(args, out):
-    from . import analysis
+    from . import sweeps
 
     params = {}
     if args.sweep == "loop-laws" and args.n is not None:
@@ -329,8 +329,8 @@ def _cmd_verify(args, out):
             params["primes"] = tuple(int(p) for p in args.primes.split(","))
         except ValueError:
             raise SpecError("primes must be comma-separated integers")
-    report = analysis.theorem_sweep(args.sweep, **params)
-    ok = analysis.sweep_passed(report)
+    report = sweeps.theorem_sweep(args.sweep, **params)
+    ok = sweeps.sweep_passed(report)
     if args.json:
         out.write(report.to_json_str() + "\n")
     else:

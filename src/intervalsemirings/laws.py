@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 from itertools import compress, groupby
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .carriers import Magma
 from .errors import Frozen, SpecError
+
+if TYPE_CHECKING:   # a semiring query on a domain loads no carriers
+    from .carriers import Magma
 
 
 class LawProfile(Frozen):

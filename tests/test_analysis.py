@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from intervalsemirings import analysis, laws, tables
+from intervalsemirings import (
+    analysis,
+    domains,
+    handle,
+    laws,
+    structural,
+    tables,
+)
 from intervalsemirings import (
     PolyBasis,
     ROW,
@@ -665,14 +672,14 @@ def test_sweep_zn_prime_clean_counterexample(monkeypatch, query, witness,
 
 
 def test_sweep_loop_laws_counterexample(monkeypatch):
-    real = analysis.loop_law_summary
+    real = laws.loop_law_summary
 
     def summary(g):
         s = dict(real(g))
         s["wip"] ^= g.order == 8
         return s
 
-    monkeypatch.setattr(analysis, "loop_law_summary", summary)
+    monkeypatch.setattr(laws, "loop_law_summary", summary)
     assert theorem_sweep("loop-laws", nmin=5, nmax=9).to_json() == {
         "query": "sweep loop-laws", "exhaustive": False,
         "findings": [{"kind": "counterexample",
@@ -681,8 +688,8 @@ def test_sweep_loop_laws_counterexample(monkeypatch):
 
 
 def test_sweep_composite_zd_counterexample(monkeypatch):
-    real = analysis.element
-    monkeypatch.setattr(analysis, "element", lambda d, a: real(
+    real = domains.element
+    monkeypatch.setattr(domains, "element", lambda d, a: real(
         d, 3 if (d.n, a) == (8, 2) else a))
     r = theorem_sweep("zn-composite-zd", nmax=12)
     assert r.to_json() == {
@@ -724,11 +731,41 @@ def test_sweep_neutro_prime_refuses_past_the_guard(monkeypatch):
         theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 23))
     # at a guard of 16, p = 5 (2^4 subsets) is swept and n = 6 is not
     monkeypatch.setattr(laws, "closed_sets", real)
-    monkeypatch.setattr(analysis, "_ENUM_GUARD", 16)
+    monkeypatch.setattr(handle, "_ENUM_GUARD", 16)
     assert sweep_passed(theorem_sweep("neutro-prime-no-subsemiring",
                                       primes=(3, 5)))
     with pytest.raises(SpecError, match=r"p=6: 2\^5 subsets"):
         theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 5, 6))
+
+
+@pytest.mark.parametrize("name, params, takes", [
+    ("loop-laws", {"pmax": 3}, "nmin and nmax (integers)"),
+    ("zn-composite-zd", {"nmax": "x"}, "nmax (integers)"),
+    ("zn-prime-clean", {"pmax": None}, "pmax (integers)"),
+    ("zn-prime-clean", {"pmax": True}, "pmax (integers)"),
+    ("loop-laws", {"nmax": 9.0}, "nmin and nmax (integers)"),
+    ("neutro-prime-no-subsemiring", {"primes": 5},
+     "primes (a list of integers)"),
+    ("neutro-prime-no-subsemiring", {"primes": (3, "5")},
+     "primes (a list of integers)"),
+    ("neutro-prime-no-subsemiring", {"primes": (3, False)},
+     "primes (a list of integers)"),
+    ("zn-composite-zd", {"nmax": (4, 6)}, "nmax (integers)"),
+], ids=["unknown-name", "string", "none", "bool", "float", "bare-prime",
+        "string-prime", "bool-prime", "tuple-bound"])
+def test_sweep_refuses_a_parameter_it_does_not_take(name, params, takes):
+    (key, value), = params.items()
+    with pytest.raises(SpecError) as err:
+        theorem_sweep(name, **params)
+    assert str(err.value) == \
+        f"sweep {name!r} takes {takes}, not {key}={value!r}"
+
+
+def test_sweep_takes_numpy_integers_as_ints():
+    r = theorem_sweep("zn-composite-zd", nmax=np.int64(9))
+    assert r.to_json() == theorem_sweep("zn-composite-zd", nmax=9).to_json()
+    assert sweep_passed(theorem_sweep(
+        "neutro-prime-no-subsemiring", primes=[np.int32(3), 5]))
 
 
 def test_unit_counts_match_totient():
@@ -800,7 +837,7 @@ def test_sample_scalar_of_a_large_domain_is_not_scanned(monkeypatch):
     def refuse(d):
         raise AssertionError("domain enumerated")
 
-    monkeypatch.setattr(analysis, "domain_elements", refuse)
+    monkeypatch.setattr(structural, "domain_elements", refuse)
     r = find_zero_divisors(mh(zn_interval(1 << 21), (ROW, 2)))
     assert [f.witness for f in r.findings] == [("[[0,1], [0,0]]",
                                                 "[[0,0], [0,1]]")]

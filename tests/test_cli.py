@@ -771,24 +771,67 @@ def test_short_command_loads_neither_numpy_nor_analysis(tmp_path, doc, argv,
     assert heavy == []
 
 
+# what every query loads, numpy aside
+_QUERY = _CLI + ["analysis", "domains", "handle", "laws", "reports", "tables"]
+
+
+def _loaded_by(argv):
+    """(exit code, loaded modules) of argv run in a fresh interpreter."""
+    return run_fresh(
+        "import json, sys\n"
+        "from intervalsemirings.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(json.dumps([code, {_LOADED}]))")
+
+
 @pytest.mark.parametrize("doc, kind_module", [
-    (ZN18, []), ({**ZN18, "basis": {"kind": "cyclic", "k": 2}}, ["formalsums"]),
+    (ZN18, []),
+    ({**ZN18, "basis": {"kind": "cyclic", "k": 2}}, ["carriers", "formalsums"]),
 ], ids=["domain", "basis"])
 def test_classify_loads_no_matrices_and_formal_sums_only_for_a_basis(
         tmp_path, doc, kind_module):
     # the analysis builds its pattern elements through the handle, so only
-    # a basis spec loads formalsums, and only a matrix spec matrices
+    # a basis spec loads formalsums, and only a matrix spec matrices; only a
+    # carrier basis loads carriers, and an enumerable handle no structural
     spec = write_spec(tmp_path, doc)
-    code, loaded = run_fresh(
-        "import json, sys\n"
-        "from intervalsemirings.cli import main\n"
-        f"code = main(['classify', '--spec', {spec!r}, '--query', "
-        "'semifield'])\n"
-        f"print(json.dumps([code, {_LOADED}]))")
+    code, loaded = _loaded_by(["classify", "--spec", spec, "--query",
+                               "semifield"])
     assert code == 0
     assert loaded == sorted(["numpy"] + [f"intervalsemirings.{m}" for m in (
-        _CLI + kind_module + ["analysis", "carriers", "domains", "handle",
-                              "laws", "tables"])])
+        _QUERY + kind_module)])
+
+
+def test_classify_on_an_infinite_domain_loads_structural(tmp_path):
+    spec = write_spec(tmp_path, {"schema": "1",
+                                 "coefficients": {"kind": "nat-interval"}})
+    code, loaded = _loaded_by(["classify", "--spec", spec, "--query",
+                               "semifield"])
+    assert code == 0
+    assert loaded == sorted(["numpy"] + [f"intervalsemirings.{m}" for m in (
+        _QUERY + ["structural"])])
+
+
+_SWEEP = _CLI + ["reports", "sweeps"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["verify", "zn-composite-zd", "--nmax", "100"],
+     _SWEEP + ["carriers", "domains"]),
+    (["verify", "loop-laws", "--n", "5..25"],
+     _SWEEP + ["carriers", "laws", "numpy"]),
+    (["verify", "neutro-prime-no-subsemiring", "--primes", "3,5"],
+     _SWEEP + ["carriers", "domains", "handle", "laws", "tables", "numpy"]),
+    (["verify", "zn-prime-clean", "--pmax", "13"],
+     _SWEEP + ["analysis", "carriers", "domains", "handle", "laws", "tables",
+               "numpy"]),
+], ids=["zn-composite-zd", "loop-laws", "neutro-prime", "zn-prime-clean"])
+def test_verify_loads_only_what_its_sweep_runs(argv, modules):
+    # each sweep imports its modules in its own body: zn-composite-zd is
+    # domain arithmetic without numpy, loop-laws runs no handle or domain
+    code, loaded = _loaded_by(argv)
+    assert code == 0
+    assert loaded == sorted(m if m == "numpy" else f"intervalsemirings.{m}"
+                            for m in modules)
 
 
 def test_table_kinds_are_the_carrier_kinds():
@@ -824,8 +867,8 @@ def test_package_import_loads_analysis_on_first_access():
     assert same is True
     assert after == sorted(
         ["numpy"] + [f"intervalsemirings.{m}" for m in (
-            "analysis", "carriers", "domains", "errors", "formalsums",
-            "handle", "laws", "tables")])
+            "analysis", "domains", "errors", "formalsums", "handle", "laws",
+            "reports", "tables")])
     assert wrong == []
     assert unbound == []
 

@@ -68,13 +68,16 @@ def test_private_names_are_referenced(module):
 
 def _module_level_imports(tree, package=False):
     """Top-level packages a module imports when it is loaded, that is
-    outside every function body; with package, the modules of its own
-    package (relative imports) instead."""
+    outside every function body and ``if TYPE_CHECKING:`` block; with
+    package, the modules of its own package (relative imports) instead."""
     out, todo = set(), list(tree.body)
     while todo:
         node = todo.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == \
+                "TYPE_CHECKING":
             continue
         if isinstance(node, ast.Import) and not package:
             out.update(a.name.split(".")[0] for a in node.names)
@@ -85,11 +88,13 @@ def _module_level_imports(tree, package=False):
     return out
 
 
-@pytest.mark.parametrize("module", ["carriers.py", "handle.py"])
+@pytest.mark.parametrize("module", ["carriers.py", "handle.py", "reports.py",
+                                    "sweeps.py"])
 def test_imports_numpy_on_first_use(module):
-    # An isl table or isl eval process loads these modules and must never
-    # load numpy, which would add about 100 ms to its start (see
-    # carriers.symmetric_semigroup and SemiringHandle.tables).
+    # An isl table, isl eval or isl verify zn-composite-zd process loads
+    # these modules and must never load numpy, which would add about 100 ms
+    # to its start (see carriers.symmetric_semigroup and
+    # SemiringHandle.tables).
     assert "numpy" not in _module_level_imports(TREES[module])
 
 
@@ -97,8 +102,11 @@ def test_imports_numpy_on_first_use(module):
 # process compiles what it loads from source, so the package loads no
 # module, cli only errors (each command imports what it runs), formalsums
 # leaves carriers to a carrier basis, handle and expressions leave
-# formalsums and matrices to a handle of that kind, and analysis, tables
-# and laws (and numpy) load with a query.
+# formalsums and matrices to a handle of that kind, laws leaves carriers
+# to the carrier checks, and analysis, tables and laws (and numpy) load
+# with a query.  reports loads no query code, sweeps leaves each sweep's
+# modules to its body, and analysis loads structural only for a handle it
+# cannot enumerate.
 _PACKAGE_IMPORTS = {
     "__init__.py": set(),
     "errors.py": set(),
@@ -109,10 +117,13 @@ _PACKAGE_IMPORTS = {
     "matrices.py": {"domains", "errors"},
     "handle.py": {"domains", "errors"},
     "expressions.py": {"domains", "errors", "handle"},
-    "laws.py": {"carriers", "errors"},
+    "laws.py": {"errors"},
     "tables.py": {"domains", "errors", "laws"},
-    "analysis.py": {"carriers", "domains", "errors", "handle", "laws",
-                    "tables"},
+    "reports.py": {"errors"},
+    "sweeps.py": {"errors", "reports"},
+    "analysis.py": {"errors", "handle", "laws", "reports", "tables"},
+    "structural.py": {"analysis", "domains", "errors", "laws", "reports",
+                      "tables"},
 }
 
 

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from intervalsemirings import analysis, domains, tables
+from intervalsemirings import domains, structural, tables
 from intervalsemirings import (
     PolyBasis,
     ROW,
@@ -186,7 +186,7 @@ def test_polynomial_idempotents_read_the_domain_kernel(monkeypatch):
     def refuse(d):
         raise AssertionError(f"{domains.describe_domain(d)} enumerated")
 
-    for module in (domains, analysis):
+    for module in (domains, structural):
         monkeypatch.setattr(module, "domain_elements", refuse)
 
     def poly(n):

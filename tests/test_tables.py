@@ -50,14 +50,21 @@ from intervalsemirings import (
     verify_axioms,
     zn_interval,
 )
-from intervalsemirings import analysis, cli, domains, handle, laws, tables
-from intervalsemirings.analysis import (
-    Finding,
+from intervalsemirings import (
+    analysis,
+    carriers,
+    cli,
+    domains,
+    handle,
+    laws,
+    structural,
+    tables,
+)
+from intervalsemirings.analysis import _finish_classification
+from intervalsemirings.reports import Finding, _report, _wit
+from intervalsemirings.structural import (
     _domain_zero_divisor_pair,
-    _finish_classification,
-    _report,
     _strict_domain,
-    _wit,
 )
 from intervalsemirings.domains import (
     element_key,
@@ -735,10 +742,10 @@ def test_slot_product_matches_the_compiled_tables(name):
     h = HANDLES[name]()
     t = h.tables()
     keys, product = h._slots()
-    c = analysis._first_nonzero_scalar(h._coefficient_handle().domain)
+    c = structural._first_nonzero_scalar(h._coefficient_handle().domain)
 
     def unit(p, a):
-        return a if h.kind == "domain" else analysis._support(h, (keys[p],), a)
+        return a if h.kind == "domain" else structural._support(h, (keys[p],), a)
 
     for p, q in itertools.product(range(len(keys)), repeat=2):
         x, y = unit(p, c), unit(q, c)
@@ -1517,7 +1524,7 @@ def test_neutro_prime_sweep_matches_reference(monkeypatch):
     # not fields, and a closed subset halts the sweep
     with pytest.raises(SpecError, match="p=4 is not prime"):
         theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 4, 6))
-    monkeypatch.setattr(analysis, "_is_prime", lambda p: True)
+    monkeypatch.setattr(carriers, "_is_prime", lambda p: True)
     got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 4, 6))
     assert got.to_json_str() == \
         ref_sweep_neutro_prime((3, 4, 6)).to_json_str()
@@ -1686,7 +1693,7 @@ def _refuse_enumeration(monkeypatch):
     def refuse(d):
         raise AssertionError(f"{domains.describe_domain(d)} enumerated")
 
-    for module in (domains, analysis, handle):
+    for module in (domains, structural, handle):
         monkeypatch.setattr(module, "domain_elements", refuse)
 
 
@@ -2029,7 +2036,7 @@ def test_neutro_prime_sweep_batches_match_reference(monkeypatch, entries):
     got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 5, 7))
     assert got.to_json_str() == ref_sweep_neutro_prime((3, 5, 7)).to_json_str()
     # composite moduli, past the prime check, find a closed subset
-    monkeypatch.setattr(analysis, "_is_prime", lambda p: True)
+    monkeypatch.setattr(carriers, "_is_prime", lambda p: True)
     got = theorem_sweep("neutro-prime-no-subsemiring", primes=(3, 4, 6))
     assert got.to_json_str() == \
         ref_sweep_neutro_prime((3, 4, 6)).to_json_str()
